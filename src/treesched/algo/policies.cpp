@@ -48,12 +48,6 @@ double PaperGreedyPolicy::F_prime(const sim::Engine& engine, const Job& job,
 
 double PaperGreedyPolicy::cached_F(const sim::Engine& engine, const Job& job,
                                    NodeId leaf) const {
-  // Oracle mode reproduces the seed's computational path end to end: naive
-  // engine queries AND one F evaluation per leaf, no hoisting. The value is
-  // bit-identical either way (F is a deterministic function of engine state,
-  // which cannot change during one assign sweep), so the differential suite
-  // exercises the cache as well as the index queries.
-  if (engine.config().slow_queries) return F(engine, job, leaf);
   const Tree& tree = engine.tree();
   const NodeId rc = tree.root_child_of(leaf);
   if (cache_engine_ != &engine || cache_now_ != engine.now() ||
@@ -161,11 +155,8 @@ NodeId PaperGreedyPolicy::assign_grouped(const sim::Engine& engine,
 
 NodeId PaperGreedyPolicy::assign(const sim::Engine& engine, const Job& job) {
   // Identical-endpoint fast path: the cost is constant across each (root
-  // child, depth) leaf group, so one representative per group suffices. The
-  // oracle mode keeps the seed's per-leaf sweep so the differential suite
-  // pins the grouped scan against it.
-  if (!engine.config().slow_queries &&
-      engine.instance().model() == EndpointModel::kIdentical)
+  // child, depth) leaf group, so one representative per group suffices.
+  if (engine.instance().model() == EndpointModel::kIdentical)
     return assign_grouped(engine, job);
   // Pass 1: the true minimum. The old single-pass version derived the tie
   // tolerance from the *running* best (zero while best_leaf was still

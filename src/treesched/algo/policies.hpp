@@ -56,9 +56,9 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
 
   /// F(j,v) through the per-root-child epoch cache — the shared evaluation
   /// path for assignment_cost and the deadline admission controller, which
-  /// probes the same F at the same decision instant (so the cache makes the
-  /// controller's leaves() sweep one evaluation per root child, not per
-  /// leaf).
+  /// probes the same F at the same decision instant. Always bit-equal to the
+  /// uncached F(engine, job, leaf); the tests pin this with a per-leaf
+  /// reference policy and an uncached-F admission check.
   double F_cached(const sim::Engine& engine, const Job& job,
                   NodeId leaf) const {
     return cached_F(engine, job, leaf);

@@ -276,7 +276,6 @@ class StreamRunner {
     ecfg.node_policy = cfg_.node_policy;
     ecfg.record_schedule = writer_.has_value();
     ecfg.router_chunk_size = 0.0;
-    ecfg.slow_queries = cfg_.slow_queries;
     ecfg.shed = cfg_.shed;
     engine_ = std::make_unique<sim::Engine>(*inst_, speeds_, ecfg);
     if (admission_) engine_->set_admission(&*admission_);

@@ -72,7 +72,6 @@ struct StreamRunnerConfig {
   std::uint64_t policy_seed = 1;  ///< for the randomized policies
   sim::NodePolicy node_policy = sim::NodePolicy::kSjf;
   overload::ShedConfig shed;     ///< admission control (validated eagerly)
-  bool slow_queries = false;     ///< EngineConfig::slow_queries passthrough
   /// Segmented run-log manifest path ("" = no recording).
   std::string record_path;
   std::size_t segment_cap = 4096;

@@ -608,7 +608,7 @@ void rule_det_sketch_merge(const FileCtx& ctx) {
 // calendar queue (event_queue.hpp) and the per-node std::set availability
 // sets with pooled flat heaps; a std::set or std::priority_queue declaration
 // creeping back into sim/engine re-introduces a node allocation per insert
-// on the path the 8x fast/slow perf gate measures. Deliberate exceptions
+// on the path the allocs/job perf gate measures. Deliberate exceptions
 // (e.g. the inflight sets whose ordered iteration IS the public contract)
 // carry explicit suppressions with the reason the container choice is
 // load-bearing.

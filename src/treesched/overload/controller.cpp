@@ -116,28 +116,20 @@ void AdmissionController::load_state(std::istream& is) {
 }
 
 bool AdmissionController::admit_deadline(sim::Engine& engine, const Job& job) {
-  double fmin = std::numeric_limits<double>::infinity();
-  if (!engine.config().slow_queries) {
-    // F(j, leaf) depends on the leaf only through its root child, so the
-    // min over leaves() equals the min over one representative per root
-    // child — bitwise, since min over equal doubles is order-independent.
-    if (rep_engine_ != &engine) {
-      rep_engine_ = &engine;
-      rep_leaves_.clear();
-      std::vector<char> seen(uidx(engine.tree().node_count()), 0);
-      for (const NodeId leaf : engine.tree().leaves()) {
-        const NodeId rc = engine.tree().root_child_of(leaf);
-        if (seen[uidx(rc)]) continue;
-        seen[uidx(rc)] = 1;
-        rep_leaves_.push_back(leaf);
-      }
+  if (rep_engine_ != &engine) {
+    rep_engine_ = &engine;
+    rep_leaves_.clear();
+    std::vector<char> seen(uidx(engine.tree().node_count()), 0);
+    for (const NodeId leaf : engine.tree().leaves()) {
+      const NodeId rc = engine.tree().root_child_of(leaf);
+      if (seen[uidx(rc)]) continue;
+      seen[uidx(rc)] = 1;
+      rep_leaves_.push_back(leaf);
     }
-    for (const NodeId leaf : rep_leaves_)
-      fmin = std::min(fmin, greedy_.F_cached(engine, job, leaf));
-  } else {
-    for (const NodeId leaf : engine.tree().leaves())
-      fmin = std::min(fmin, greedy_.F_cached(engine, job, leaf));
   }
+  double fmin = std::numeric_limits<double>::infinity();
+  for (const NodeId leaf : rep_leaves_)
+    fmin = std::min(fmin, greedy_.F_cached(engine, job, leaf));
   const double bound = cfg_.deadline_slack * job.size;
   if (fmin <= bound) {
     engine.log_admission(job.id, fmin, bound);

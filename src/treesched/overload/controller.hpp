@@ -18,10 +18,9 @@
 //    PaperGreedyPolicy's per-root-child epoch cache for the leaves() sweep.
 //
 // Determinism contract: every decision is a pure function of engine queries
-// that are differential-tested identical across the fast/slow query modes
 // (pending_remaining, the F aggregates) plus static job attributes (p_j,
 // r_j, id), and decisions happen in the single-threaded admission loop — so
-// degraded runs are byte-reproducible across thread counts and query modes.
+// degraded runs are byte-reproducible across thread counts.
 #pragma once
 
 #include <iosfwd>
@@ -87,12 +86,11 @@ class AdmissionController : public sim::AdmissionPolicy {
   algo::PaperGreedyPolicy greedy_;  ///< deadline F evaluation (epoch-cached)
   SaturationEstimator estimator_;  ///< windowed rho-hat (durable state)
 
-  // Fast-path sweep set for admit_deadline: one representative leaf per root
-  // child, in first-occurrence order of leaves(). F depends on the leaf only
+  // Sweep set for admit_deadline: one representative leaf per root child,
+  // in first-occurrence order of leaves(). F depends on the leaf only
   // through R(v), and min over doubles is order-independent, so sweeping the
   // representatives yields the bit-identical fmin of the full leaves() sweep.
-  // Rebuilt lazily when the engine changes; the slow-query oracle keeps the
-  // full per-leaf loop.
+  // Rebuilt lazily when the engine changes.
   const sim::Engine* rep_engine_ = nullptr;
   std::vector<NodeId> rep_leaves_;
 };

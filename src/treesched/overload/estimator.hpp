@@ -5,11 +5,8 @@
 // the job's per-node work to a sliding arrival window, so rho-hat(v) =
 // (work routed through v over the last W of simulated time) / (W * s_v) —
 // an online estimate of the offered load the generator aimed at. Backlog
-// readings delegate to Engine::pending_remaining, which the fast path
-// answers from the dispatch-index aggregates in O(log n) (O(1) amortized)
-// and the slow-query oracle answers by rescanning Q_v; both modes are
-// differential-tested identical, so anything derived from them (including
-// shed decisions) is mode-independent.
+// readings delegate to Engine::pending_remaining, which the engine answers
+// from the dispatch-index aggregates in O(1).
 #pragma once
 
 #include <deque>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "treesched/util/assert.hpp"
@@ -15,12 +14,6 @@ namespace {
 // subtract elapsed*speed, so residuals accumulate a few ulps per event.
 constexpr double kWorkTol = 1e-6;
 constexpr Time kNever = std::numeric_limits<Time>::infinity();
-
-bool slow_queries_env() {
-  const char* env = std::getenv("TREESCHED_SLOW_QUERIES");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
 }  // namespace
 
 Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
@@ -29,10 +22,8 @@ Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
                  uidx(instance.tree().node_count()),
              "speed profile does not match the tree");
   TS_REQUIRE(cfg_.router_chunk_size >= 0.0, "chunk size must be >= 0");
-  if (slow_queries_env()) cfg_.slow_queries = true;
   nodes_.resize(uidx(instance.tree().node_count()));
-  if (!cfg_.slow_queries)
-    for (NodeState& ns : nodes_) ns.index.attach_pool(&index_pool_);
+  for (NodeState& ns : nodes_) ns.index.attach_pool(&index_pool_);
   jobs_.resize(uidx(instance.job_count()));
   subtree_mutations_.assign(uidx(instance.tree().node_count()), 0);
   if (cfg_.arena_reserve > 0) {
@@ -117,19 +108,16 @@ SjfKey Engine::index_key(JobId j, NodeId v) const {
 }
 
 void Engine::index_insert(NodeId v, JobId j, int idx) {
-  if (cfg_.slow_queries) return;
   nodes_[uidx(v)].index.insert(index_key(j, v),
                                stored_remaining_total(jobs_[uidx(j)], idx));
 }
 
 void Engine::index_refresh(NodeId v, JobId j, int idx) {
-  if (cfg_.slow_queries) return;
   nodes_[uidx(v)].index.update(index_key(j, v),
                                stored_remaining_total(jobs_[uidx(j)], idx));
 }
 
 void Engine::index_erase(NodeId v, JobId j) {
-  if (cfg_.slow_queries) return;
   nodes_[uidx(v)].index.erase(index_key(j, v));
 }
 
@@ -994,99 +982,46 @@ int Engine::current_path_index(JobId j) const {
   return len - 1;
 }
 
-std::vector<JobId> Engine::queue_at(NodeId v) const {
-  return {nodes_[uidx(v)].inflight.begin(), nodes_[uidx(v)].inflight.end()};
-}
-
 double Engine::higher_priority_remaining(NodeId v, double cand_size,
                                          Time cand_release,
                                          JobId cand_id) const {
   const NodeState& ns = nodes_[uidx(v)];
-  if (!cfg_.slow_queries) {
-    const SjfKey cand{cand_size, cand_release, cand_id};
-    double sum = ns.index.remaining_before(cand);
-    // Index entries hold stored (as-of-burst-start) totals; at most one of
-    // them — the running item — is stale by the elapsed drain.
-    if (ns.has_running && ns.running.job != cand_id &&
-        index_key(ns.running.job, v) < cand)
-      sum -= running_drain(ns, v);
-    return std::max(sum, 0.0);
-  }
-  double sum = 0.0;
-  for (const JobId i : ns.inflight) {
-    if (i == cand_id) continue;
-    const double pi = size_on(i, v);
-    const Time ri = inst_->job(i).release;
-    const bool higher =
-        pi < cand_size ||
-        (pi == cand_size &&
-         (ri < cand_release || (ri == cand_release && i < cand_id)));
-    // treesched-lint: allow(inv-fp-accum): slow-path mirror of the
-    // incremental index; the differential suite compares the two paths
-    // bit-exactly, so the naive rounding is load-bearing.
-    if (higher) sum += remaining_on(i, v);
-  }
-  return sum;
+  const SjfKey cand{cand_size, cand_release, cand_id};
+  double sum = ns.index.remaining_before(cand);
+  // Index entries hold stored (as-of-burst-start) totals; at most one of
+  // them — the running item — is stale by the elapsed drain.
+  if (ns.has_running && ns.running.job != cand_id &&
+      index_key(ns.running.job, v) < cand)
+    sum -= running_drain(ns, v);
+  return std::max(sum, 0.0);
 }
 
 int Engine::count_larger(NodeId v, double size) const {
-  const NodeState& ns = nodes_[uidx(v)];
-  if (!cfg_.slow_queries) return ns.index.count_size_greater(size);
-  int count = 0;
-  for (const JobId i : ns.inflight)
-    if (size_on(i, v) > size) ++count;
-  return count;
+  return nodes_[uidx(v)].index.count_size_greater(size);
 }
 
 double Engine::larger_residual_fraction(NodeId v, double size) const {
   const NodeState& ns = nodes_[uidx(v)];
-  if (!cfg_.slow_queries) {
-    double sum = ns.index.fraction_size_greater(size);
-    if (ns.has_running) {
-      const double pr = size_on(ns.running.job, v);
-      if (pr > size) sum -= running_drain(ns, v) / pr;
-    }
-    return std::max(sum, 0.0);
+  double sum = ns.index.fraction_size_greater(size);
+  if (ns.has_running) {
+    const double pr = size_on(ns.running.job, v);
+    if (pr > size) sum -= running_drain(ns, v) / pr;
   }
-  double sum = 0.0;
-  for (const JobId i : ns.inflight) {
-    const double pi = size_on(i, v);
-    // treesched-lint: allow(inv-fp-accum): slow-path mirror of the
-    // incremental index; the differential suite compares the two paths
-    // bit-exactly, so the naive rounding is load-bearing.
-    if (pi > size) sum += remaining_on(i, v) / pi;
-  }
-  return sum;
+  return std::max(sum, 0.0);
 }
 
 double Engine::alpha_leaf(NodeId leaf) const {
   TS_REQUIRE(tree().is_leaf(leaf), "alpha_leaf on non-leaf");
   const NodeState& ns = nodes_[uidx(leaf)];
-  if (!cfg_.slow_queries) {
-    double sum = ns.index.total_fraction();
-    if (ns.has_running)
-      sum -= running_drain(ns, leaf) / size_on(ns.running.job, leaf);
-    return std::max(sum, 0.0);
-  }
-  double sum = 0.0;
-  // treesched-lint: allow(inv-fp-accum): slow-path mirror of the
-  // incremental index; the differential suite compares the two paths
-  // bit-exactly, so the naive rounding is load-bearing.
-  for (const JobId i : ns.inflight)
-    sum += remaining_on(i, leaf) / size_on(i, leaf);
-  return sum;
+  double sum = ns.index.total_fraction();
+  if (ns.has_running)
+    sum -= running_drain(ns, leaf) / size_on(ns.running.job, leaf);
+  return std::max(sum, 0.0);
 }
 
 double Engine::pending_remaining(NodeId v) const {
   const NodeState& ns = nodes_[uidx(v)];
-  if (!cfg_.slow_queries)
-    return std::max(ns.index.total_remaining() - running_drain(ns, v), 0.0);
-  double sum = 0.0;
-  // treesched-lint: allow(inv-fp-accum): slow-path mirror of the
-  // incremental index; the differential suite compares the two paths
-  // bit-exactly, so the naive rounding is load-bearing.
-  for (const JobId i : ns.inflight) sum += remaining_on(i, v);
-  return sum;
+  return std::max(ns.index.total_remaining() - running_drain(ns, v), 0.0);
 }
 
 double Engine::alpha_root_child(NodeId root_child) const {

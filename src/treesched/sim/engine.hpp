@@ -17,8 +17,9 @@
 // available work items form a flat binary min-heap with back-pointers in the
 // job arena; and all per-(job, path-index) state is structure-of-arrays in
 // per-run arenas indexed by a span per job, so admission and delivery do not
-// allocate. The slow-query oracle (TREESCHED_SLOW_QUERIES) shares all of
-// this — it only changes how the aggregate queries are answered.
+// allocate. The five aggregate queries have one implementation, the
+// incremental per-node dispatch indices; tests shadow them per event with a
+// naive rescan of Q_v (tests/support/query_oracle.hpp).
 //
 // Fault extension (set_fault_plan): the engine consumes a declarative
 // fault::FaultPlan and interleaves its events deterministically with the
@@ -102,7 +103,7 @@ class RedispatchPolicy {
 /// rejection otherwise). The controller may also evict already-admitted,
 /// still-unfinished jobs via engine.shed() to make room. Decisions must be
 /// pure functions of engine queries and static job attributes so degraded
-/// runs stay byte-reproducible across thread counts and query modes.
+/// runs stay byte-reproducible across thread counts.
 class AdmissionPolicy {
  public:
   virtual ~AdmissionPolicy() = default;
@@ -170,14 +171,6 @@ struct EngineConfig {
   /// forward a chunk as soon as it finished it. The leaf still starts only
   /// once all data arrived. 0 = the paper's store-and-forward of whole jobs.
   double router_chunk_size = 0.0;
-  /// Differential-testing oracle: answer the aggregate queries
-  /// (higher_priority_remaining, count_larger, larger_residual_fraction,
-  /// alpha_leaf, pending_remaining) by rescanning Q_v instead of consulting
-  /// the incremental per-node dispatch indices, and skip index maintenance
-  /// entirely — the seed implementation, kept as the ground truth the fast
-  /// path is differential-tested against. Also forced on by setting the
-  /// TREESCHED_SLOW_QUERIES environment variable to anything but "0".
-  bool slow_queries = false;
   /// Pre-sizing hint for the per-run job-state arenas, in per-path-index
   /// entries (roughly sum of path lengths over admitted jobs). Streaming
   /// drivers pass the previous window's high-water mark (arena_size()) so
@@ -310,11 +303,8 @@ class Engine {
   int current_path_index(JobId j) const;
 
   /// Q_v(now): admitted jobs routed through v with unfinished work on v,
-  /// ascending job id. Returns a copy; iteration-heavy callers should use
-  /// inflight_at instead.
-  std::vector<JobId> queue_at(NodeId v) const;
-  /// Q_v(now) by const reference (ascending job id) — the allocation-free
-  /// iteration path for per-leaf policy loops and monitors.
+  /// by const reference in ascending job id — the allocation-free iteration
+  /// path for per-leaf policy loops and monitors.
   // treesched-lint: allow(perf-engine-hot-container): the ordered std::set
   // is the public Q_v iteration contract (ascending job id) that policies,
   // monitors and the audit replay rely on; membership changes once per
@@ -361,7 +351,7 @@ class Engine {
   double larger_residual_fraction(NodeId v, double size) const;
 
   /// sum_{i in Q_v} remaining_on(i, v): total queued volume pending at v
-  /// (the load-aware baselines' bottleneck term). O(1) on the fast path.
+  /// (the load-aware baselines' bottleneck term). O(1).
   double pending_remaining(NodeId v) const;
 
   /// alpha_{v,now} for a root child v (Section 3.5): total remaining leaf
@@ -414,9 +404,9 @@ class Engine {
   /// Restores state captured by save_state into a PRISTINE engine (nothing
   /// admitted, clock at 0) built over the same tree/speeds/policy config.
   /// The instance may have MORE jobs than the snapshot (window extension);
-  /// the extra jobs must all be untouched in the snapshot. slow_queries may
-  /// differ from the saving engine — indices are rebuilt or skipped to match
-  /// this engine's own mode. Arm set_admission BEFORE calling load_state.
+  /// the extra jobs must all be untouched in the snapshot. The dispatch
+  /// indices are rebuilt from the restored inflight keys. Arm set_admission
+  /// BEFORE calling load_state.
   void load_state(std::istream& is);
 
  private:
@@ -436,9 +426,9 @@ class Engine {
     // public inflight_at contract (ascending-id iteration of Q_v); mutated
     // once per job-hop, not per event — see the accessor's note.
     std::set<JobId> inflight;      ///< Q_v: routed through, unfinished here
-    /// Incremental SJF aggregates over `inflight` (empty in slow-query
-    /// mode); values are the stored remaining as of the last materialized
-    /// burst, so queries subtract the running item's live drain.
+    /// Incremental SJF aggregates over `inflight`; values are the stored
+    /// remaining as of the last materialized burst, so queries subtract the
+    /// running item's live drain.
     DispatchIndex index;
     PriorityKey running{};         ///< cached top at burst start
     bool has_running = false;
@@ -542,8 +532,8 @@ class Engine {
   double stored_remaining_total(const JobState& js, int idx) const;
   double live_remaining_item(JobId j, int idx) const;
 
-  // Dispatch-index maintenance (no-ops in slow-query mode). Membership
-  // mirrors the inflight sets exactly; values mirror stored_remaining_total.
+  // Dispatch-index maintenance. Membership mirrors the inflight sets
+  // exactly; values mirror stored_remaining_total.
   SjfKey index_key(JobId j, NodeId v) const;
   void index_insert(NodeId v, JobId j, int idx);
   void index_refresh(NodeId v, JobId j, int idx);

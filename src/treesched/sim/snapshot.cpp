@@ -10,8 +10,8 @@
 //    association depend only on the key set (deterministic hashed
 //    priorities), so the loader re-inserts the restored inflight keys and
 //    obtains bit-identical aggregates — this is the property
-//    sim_dispatch_index_test locks down. It also lets a fast-path engine
-//    load a slow-path snapshot and vice versa (the differential test).
+//    sim_dispatch_index_test locks down; the query-oracle tests shadow a
+//    restored engine per event to check the rebuilt aggregates.
 //
 //  * Node availability sets are NOT serialized either: every member is some
 //    job's (in_avail, avail_key) pair, so they are rebuilt from the per-job

@@ -29,9 +29,9 @@
 //
 // Determinism contract: both sketches are pure functions of their insertion
 // sequence (no randomness, no wall clock, stable sorts only), so streaming
-// runs stay byte-reproducible across thread counts, query modes, and
-// kill/resume. Queries are const and never mutate sketch state — snapshots
-// taken before and after a query are byte-identical.
+// runs stay byte-reproducible across thread counts and kill/resume. Queries
+// are const and never mutate sketch state — snapshots taken before and after
+// a query are byte-identical.
 //
 // Merging: QuantileDigest::absorb_unordered(other) is the order-SENSITIVE
 // primitive — absorbing A then B and B then A give different (both valid)

@@ -1,6 +1,8 @@
 // Empirical verification of the structural lemmas (1, 2, 3/phi, 4).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "treesched/algo/lemma_monitors.hpp"
 #include "treesched/algo/policies.hpp"
 #include "treesched/algo/potential.hpp"
@@ -11,14 +13,18 @@
 namespace treesched {
 namespace {
 
+// gtest prints a parameter type without a PrintTo overload as its raw
+// bytes, and that dump is part of each case's listed (and ctest) name. A
+// 64-bit tree id leaves LemmaCase without padding, so every printed byte is
+// a field value and the names do not change with leftover stack contents.
 struct LemmaCase {
-  int tree_id;
+  std::int64_t tree_id;
   double eps;
   double load;
   std::uint64_t seed;
 };
 
-Tree lemma_tree(int id) {
+Tree lemma_tree(std::int64_t id) {
   switch (id) {
     case 0: return builders::star_of_paths(2, 4);
     case 1: return builders::fat_tree(2, 2, 2);

@@ -1,13 +1,14 @@
 // Overload protection: admission-control policies, Engine::shed invariants,
 // shed-record run-log round-trips, audit acceptance/tamper detection, the
-// saturation estimator, goodput metrics, and fast/slow-query determinism of
-// degraded runs.
+// saturation estimator, goodput metrics, and determinism of degraded runs
+// under the per-event query oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
 #include "treesched/treesched.hpp"
+#include "support/query_oracle.hpp"
 
 namespace treesched {
 namespace {
@@ -255,10 +256,10 @@ TEST(RunLog, NoShedLinesWithoutShedding) {
   EXPECT_EQ(text.find("shed "), std::string::npos);
 }
 
-TEST(Determinism, ShedDecisionsIdenticalAcrossQueryModes) {
-  // The shed decision stream must be a pure function of the differential-
-  // tested aggregates: fast dispatch indices vs the slow rescanning oracle
-  // must produce byte-identical degraded run logs.
+TEST(Determinism, ShedDecisionsIdenticalUnderQueryOracle) {
+  // The shed decision stream must be a pure function of the aggregates the
+  // query oracle checks per event: a run shadowed by the oracle and an
+  // unobserved run produce byte-identical degraded run logs.
   util::Rng rng(7);
   workload::WorkloadSpec spec;
   spec.jobs = 80;
@@ -266,10 +267,10 @@ TEST(Determinism, ShedDecisionsIdenticalAcrossQueryModes) {
   const Instance inst =
       workload::generate(rng, builders::star_of_paths(3, 2), spec);
 
-  auto run_mode = [&](bool slow) {
-    auto cfg = shed_cfg(overload::ShedPolicy::kLargestFirst, 12.0);
-    cfg.slow_queries = slow;
+  auto run_mode = [&](test::QueryOracle* oracle) {
+    const auto cfg = shed_cfg(overload::ShedPolicy::kLargestFirst, 12.0);
     sim::Engine eng(inst, SpeedProfile::uniform(inst.tree(), 1.0), cfg);
+    if (oracle != nullptr) eng.set_observer(oracle);
     overload::AdmissionController ctl(cfg.shed);
     eng.set_admission(&ctl);
     algo::PaperGreedyPolicy policy(0.5);
@@ -279,7 +280,9 @@ TEST(Determinism, ShedDecisionsIdenticalAcrossQueryModes) {
     EXPECT_GT(eng.metrics().shed_count() + eng.metrics().rejected_count(), 0u);
     return ss.str();
   };
-  EXPECT_EQ(run_mode(false), run_mode(true));
+  test::QueryOracle oracle;
+  EXPECT_EQ(run_mode(&oracle), run_mode(nullptr));
+  EXPECT_GT(oracle.answers_checked(), 0u);
 }
 
 TEST(Estimator, WindowedRhoMatchesOfferedWork) {

@@ -1,14 +1,27 @@
-// Fast-path differential suite: every assignment policy on random
-// instances, run once with the incremental dispatch indices (the default)
-// and once with EngineConfig::slow_queries — the seed's rescan-everything
-// oracle. The two runs must agree to the byte on the serialized run log
-// (assignments, burst segments, completions, fault timeline) and exactly on
-// the headline metrics: the indices are a pure representation change.
+// Query-oracle differential suite. "Fast" is the engine's incremental
+// dispatch-index answers to the five aggregate queries; "slow" is the
+// test-side QueryOracle (support/query_oracle.hpp), which rescans Q_v after
+// every event and admission and checks each answer, naming the first
+// divergent query and event. Every assignment policy runs on random
+// instances with the oracle attached, and the shadowed run's serialized run
+// log (assignments, burst segments, completions, fault timeline) must equal
+// an unobserved run's byte for byte — the oracle only reads.
+//
+// Two sweep shortcuts have their own per-leaf references here:
+// PaperGreedyPolicy's grouped, epoch-cached leaf sweep against PerLeafGreedy
+// (every leaf, uncached F), and the deadline controller's representative
+// leaves against the minimum of uncached F over all leaves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "treesched/algo/policies.hpp"
@@ -19,22 +32,43 @@
 #include "treesched/sim/run_log.hpp"
 #include "treesched/util/rng.hpp"
 #include "treesched/workload/generator.hpp"
+#include "support/query_oracle.hpp"
 
 namespace treesched {
 namespace {
 
+// Assignment policies under test, by their make_policy names.
+constexpr const char* kPolicies[] = {
+    "paper",        "closest",     "random",     "round-robin",
+    "least-volume", "least-count", "two-choice", "fault-greedy",
+    "broomstick-mirror"};
+constexpr std::int32_t kPaper = 0;
+constexpr std::int32_t kLeastVolume = 4;
+static_assert(std::string_view(kPolicies[kPaper]) == "paper");
+static_assert(std::string_view(kPolicies[kLeastVolume]) == "least-volume");
+
+// gtest prints a parameter type without a PrintTo overload as its raw
+// bytes, and that dump is part of each case's listed (and ctest) name. So
+// every byte is a value: the policy is an index into kPolicies (a name
+// pointer would print an address that moves with ASLR and binary layout)
+// and the padding is an explicit zeroed field.
 struct FastSlowCase {
-  const char* policy;
-  int tree_id;
+  std::int32_t policy;
+  std::int32_t tree_id;
   EndpointModel endpoints;
   bool faults;
+  std::uint8_t zero_pad[6] = {};
   double chunk = 0.0;
   std::uint64_t seed = 7;
 };
 
+const char* policy_name(const FastSlowCase& c) {
+  return kPolicies[static_cast<std::size_t>(c.policy)];
+}
+
 std::string case_name(const testing::TestParamInfo<FastSlowCase>& info) {
   const FastSlowCase& c = info.param;
-  std::string name = c.policy;
+  std::string name = policy_name(c);
   for (char& ch : name)
     if (ch == '-') ch = '_';
   name += c.endpoints == EndpointModel::kIdentical ? "_ident" : "_unrel";
@@ -59,82 +93,108 @@ struct RunResult {
   double makespan = 0.0;
 };
 
-RunResult run_once(const Instance& inst, const SpeedProfile& speeds,
-                   const FastSlowCase& c, bool slow) {
-  sim::EngineConfig cfg;
-  cfg.record_schedule = true;
-  cfg.router_chunk_size = c.chunk;
-  cfg.slow_queries = slow;
-  sim::Engine engine(inst, speeds, cfg);
-
-  // Fresh policy per run: rotation counters and RNG streams restart, so any
-  // divergence comes from the engine's query paths alone.
-  auto policy = algo::make_policy(c.policy, inst, 0.5, c.seed);
-
-  fault::FaultPlan plan;
-  algo::FaultAwareGreedy redispatch(0.5);
-  if (c.faults) {
-    fault::FaultModel model;
-    model.node_failure_rate = 0.02;
-    model.node_mttr = 8.0;
-    model.edge_failure_rate = 0.01;
-    model.slow_rate = 0.01;
-    model.slow_factor = 0.5;
-    model.horizon = 60.0;
-    plan = fault::generate_plan(inst.tree(), model, c.seed + 17);
-    engine.set_fault_plan(&plan, &redispatch);
-  }
-
-  engine.run(*policy);
-
+RunResult result_of(const Instance& inst, const sim::Engine& engine) {
   std::ostringstream os;
   sim::write_run_log(os, sim::make_run_log(inst, engine));
   return {os.str(), engine.metrics().total_flow_time(),
           engine.metrics().makespan()};
 }
 
-class FastSlow : public testing::TestWithParam<FastSlowCase> {};
+void expect_same_run(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_EQ(a.flow, b.flow);
+  EXPECT_EQ(a.makespan, b.makespan);
+}
 
-TEST_P(FastSlow, RunLogsAreByteIdentical) {
-  const FastSlowCase& c = GetParam();
+fault::FaultPlan case_fault_plan(const Tree& tree, std::uint64_t seed) {
+  fault::FaultModel model;
+  model.node_failure_rate = 0.02;
+  model.node_mttr = 8.0;
+  model.edge_failure_rate = 0.01;
+  model.slow_rate = 0.01;
+  model.slow_factor = 0.5;
+  model.horizon = 60.0;
+  return fault::generate_plan(tree, model, seed + 17);
+}
+
+/// Runs one case under `policy`; `oracle` (nullable) shadows the engine per
+/// event.
+RunResult run_with(const Instance& inst, const SpeedProfile& speeds,
+                   const FastSlowCase& c, sim::AssignmentPolicy& policy,
+                   test::QueryOracle* oracle) {
+  sim::EngineConfig cfg;
+  cfg.record_schedule = true;
+  cfg.router_chunk_size = c.chunk;
+  sim::Engine engine(inst, speeds, cfg);
+  if (oracle != nullptr) engine.set_observer(oracle);
+
+  fault::FaultPlan plan;
+  algo::FaultAwareGreedy redispatch(0.5);
+  if (c.faults) {
+    // Crash, link, and slowdown events plus greedy re-dispatch.
+    plan = case_fault_plan(inst.tree(), c.seed);
+    engine.set_fault_plan(&plan, &redispatch);
+  }
+
+  engine.run(policy);
+  return result_of(inst, engine);
+}
+
+/// Runs one case under a fresh instance of its policy: rotation counters
+/// and RNG streams restart on every call.
+RunResult run_once(const Instance& inst, const SpeedProfile& speeds,
+                   const FastSlowCase& c, test::QueryOracle* oracle) {
+  auto policy = algo::make_policy(policy_name(c), inst, 0.5, c.seed);
+  return run_with(inst, speeds, c, *policy, oracle);
+}
+
+Instance case_instance(const FastSlowCase& c) {
   util::Rng rng(c.seed);
   workload::WorkloadSpec spec;
   spec.jobs = 70;
   spec.load = 1.2;  // enough backlog that the aggregate queries matter
   spec.sizes.dist = workload::SizeDistribution::kBoundedPareto;
   spec.endpoints = c.endpoints;
-  const Instance inst = workload::generate(rng, case_tree(c.tree_id), spec);
+  return workload::generate(rng, case_tree(c.tree_id), spec);
+}
+
+class FastSlow : public testing::TestWithParam<FastSlowCase> {};
+
+TEST_P(FastSlow, RunLogsAreByteIdentical) {
+  const FastSlowCase& c = GetParam();
+  const Instance inst = case_instance(c);
   const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
 
-  const RunResult fast = run_once(inst, speeds, c, /*slow=*/false);
-  const RunResult slow = run_once(inst, speeds, c, /*slow=*/true);
-
-  EXPECT_EQ(fast.log, slow.log);
-  EXPECT_EQ(fast.flow, slow.flow);
-  EXPECT_EQ(fast.makespan, slow.makespan);
+  test::QueryOracle oracle;
+  const RunResult shadowed = run_once(inst, speeds, c, &oracle);
+  EXPECT_GT(oracle.answers_checked(), 0u);
+  expect_same_run(shadowed, run_once(inst, speeds, c, nullptr));
 }
 
 std::vector<FastSlowCase> all_cases() {
   std::vector<FastSlowCase> cases;
-  const char* policies[] = {"paper",        "closest",     "random",
-                            "round-robin",  "least-volume", "least-count",
-                            "two-choice",   "fault-greedy",
-                            "broomstick-mirror"};
-  for (const char* p : policies) {
-    for (int tree_id = 0; tree_id < 2; ++tree_id) {
+  for (std::int32_t p = 0; p < std::ssize(kPolicies); ++p) {
+    for (std::int32_t tree_id = 0; tree_id < 3; ++tree_id) {
       for (const EndpointModel m :
            {EndpointModel::kIdentical, EndpointModel::kUnrelated}) {
-        cases.push_back({p, tree_id, m, /*faults=*/false});
+        cases.push_back({.policy = p, .tree_id = tree_id, .endpoints = m,
+                         .faults = false});
       }
     }
     // Fault runs (whole-job forwarding required): crash, link, and slowdown
     // events plus greedy re-dispatch, both endpoint models.
-    cases.push_back({p, 0, EndpointModel::kIdentical, /*faults=*/true});
-    cases.push_back({p, 1, EndpointModel::kUnrelated, /*faults=*/true});
+    cases.push_back({.policy = p, .tree_id = 0,
+                     .endpoints = EndpointModel::kIdentical, .faults = true});
+    cases.push_back({.policy = p, .tree_id = 1,
+                     .endpoints = EndpointModel::kUnrelated, .faults = true});
   }
   // Pipelined routing exercises the chunked index updates.
-  cases.push_back({"paper", 0, EndpointModel::kIdentical, false, 0.75});
-  cases.push_back({"least-volume", 1, EndpointModel::kUnrelated, false, 0.75});
+  cases.push_back({.policy = kPaper, .tree_id = 0,
+                   .endpoints = EndpointModel::kIdentical, .faults = false,
+                   .chunk = 0.75});
+  cases.push_back({.policy = kLeastVolume, .tree_id = 1,
+                   .endpoints = EndpointModel::kUnrelated, .faults = false,
+                   .chunk = 0.75});
   return cases;
 }
 
@@ -142,11 +202,11 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, FastSlow, testing::ValuesIn(all_cases()),
                          case_name);
 
 // ---------------------------------------------------------------------------
-// Calendar-queue stress battery (PR9): workloads crafted to push the event
-// queue through its structural regimes — dense same-instant bursts (one
-// bucket, seq-order ties, batched release epochs), far-future fault events
-// (overflow heap, ring re-bases) — plus snapshot round-trips, all checked
-// fast vs slow to the byte.
+// Calendar-queue stress battery: workloads crafted to push the event queue
+// through its structural regimes — dense same-instant bursts (one bucket,
+// seq-order ties, batched release epochs), far-future fault events
+// (overflow heap, ring re-bases) — plus snapshot round-trips, all shadowed
+// by the query oracle.
 // ---------------------------------------------------------------------------
 
 /// Jobs in bursts: `per_burst` jobs share each release instant exactly.
@@ -171,13 +231,14 @@ TEST(FastSlowStress, SameInstantReleaseStorms) {
   const auto tree = std::make_shared<const Tree>(builders::fat_tree(4, 2, 2));
   const Instance inst = burst_instance(tree, 8, 30, 0x5707);
   const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
-  const FastSlowCase c{"paper", 0, EndpointModel::kIdentical, false};
+  const FastSlowCase c{.policy = kPaper, .tree_id = 0,
+                       .endpoints = EndpointModel::kIdentical,
+                       .faults = false};
 
-  const RunResult fast = run_once(inst, speeds, c, /*slow=*/false);
-  const RunResult slow = run_once(inst, speeds, c, /*slow=*/true);
-  EXPECT_EQ(fast.log, slow.log);
-  EXPECT_EQ(fast.flow, slow.flow);
-  EXPECT_EQ(fast.makespan, slow.makespan);
+  test::QueryOracle oracle;
+  const RunResult shadowed = run_once(inst, speeds, c, &oracle);
+  EXPECT_GT(oracle.answers_checked(), 0u);
+  expect_same_run(shadowed, run_once(inst, speeds, c, nullptr));
 }
 
 TEST(FastSlowStress, FarFutureFaultEventsCrossBucketBoundaries) {
@@ -193,11 +254,11 @@ TEST(FastSlowStress, FarFutureFaultEventsCrossBucketBoundaries) {
   const Instance inst = workload::generate(rng, *tree, spec);
   const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
 
-  auto run_with_far_faults = [&](bool slow) {
+  auto run_with_far_faults = [&](test::QueryOracle* oracle) {
     sim::EngineConfig cfg;
     cfg.record_schedule = true;
-    cfg.slow_queries = slow;
     sim::Engine engine(inst, speeds, cfg);
+    if (oracle != nullptr) engine.set_observer(oracle);
     algo::PaperGreedyPolicy policy(0.5);
     algo::FaultAwareGreedy redispatch(0.5);
     fault::FaultModel model;
@@ -210,27 +271,26 @@ TEST(FastSlowStress, FarFutureFaultEventsCrossBucketBoundaries) {
         fault::generate_plan(inst.tree(), model, 0x90);
     engine.set_fault_plan(&plan, &redispatch);
     engine.run(policy);
-    std::ostringstream os;
-    sim::write_run_log(os, sim::make_run_log(inst, engine));
-    return RunResult{os.str(), engine.metrics().total_flow_time(),
-                     engine.metrics().makespan()};
+    return result_of(inst, engine);
   };
 
-  const RunResult fast = run_with_far_faults(false);
-  const RunResult slow = run_with_far_faults(true);
-  EXPECT_EQ(fast.log, slow.log);
-  EXPECT_EQ(fast.flow, slow.flow);
-  EXPECT_EQ(fast.makespan, slow.makespan);
+  test::QueryOracle oracle;
+  const RunResult shadowed = run_with_far_faults(&oracle);
+  EXPECT_GT(oracle.answers_checked(), 0u);
+  expect_same_run(shadowed, run_with_far_faults(nullptr));
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot save -> load -> replay byte-identity across query modes,
-// shedding, and chunked routing.
+// Snapshot save -> load -> replay byte-identity under shedding and chunked
+// routing, with the query oracle checking the resumed engine's rebuilt
+// dispatch indices from the first event after load_state on.
 // ---------------------------------------------------------------------------
 
+/// Padding is an explicit zeroed field: see FastSlowCase.
 struct ReplayCase {
-  bool slow;       ///< query mode of BOTH the saver and the resumer
+  bool slow;       ///< the oracle also shadows the saving engine throughout
   bool shed;       ///< bounded-queue admission armed on both engines
+  std::uint8_t zero_pad[6] = {};
   double chunk;    ///< router chunk size (0 = whole-job forwarding)
 };
 
@@ -250,7 +310,6 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
 
   sim::EngineConfig cfg;
-  cfg.slow_queries = rc.slow;
   cfg.router_chunk_size = rc.chunk;
   overload::ShedConfig shed;
   if (rc.shed) {
@@ -286,6 +345,8 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   algo::PaperGreedyPolicy p_ref(0.5);
   overload::AdmissionController adm_ref(cfg.shed);
   sim::Engine ref(inst, speeds, cfg);
+  test::QueryOracle ref_oracle;
+  if (rc.slow) ref.set_observer(&ref_oracle);
   if (rc.shed) ref.set_admission(&adm_ref);
   drive(ref, p_ref, rc.shed ? &adm_ref : nullptr, 0, cut);
   std::ostringstream snap;
@@ -297,11 +358,17 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   algo::PaperGreedyPolicy p_res(0.5);
   overload::AdmissionController adm_res(cfg.shed);
   sim::Engine res(inst, speeds, cfg);
+  test::QueryOracle res_oracle;
   if (rc.shed) res.set_admission(&adm_res);
   std::istringstream in(snap.str());
   res.load_state(in);
+  res.set_observer(&res_oracle);
   drive(res, p_res, rc.shed ? &adm_res : nullptr, cut, inst.jobs().size());
   res.run_to_completion();
+  EXPECT_GT(res_oracle.answers_checked(), 0u);
+  if (rc.slow) {
+    EXPECT_GT(ref_oracle.answers_checked(), 0u);
+  }
 
   // Byte-level: the final serialized engine states and metrics agree.
   std::ostringstream final_ref, final_res, m_ref, m_res;
@@ -318,39 +385,234 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, SnapshotReplay,
     testing::ValuesIn(std::vector<ReplayCase>{
-        {/*slow=*/false, /*shed=*/false, /*chunk=*/0.0},
-        {/*slow=*/true, /*shed=*/false, /*chunk=*/0.0},
-        {/*slow=*/false, /*shed=*/true, /*chunk=*/0.0},
-        {/*slow=*/true, /*shed=*/true, /*chunk=*/0.0},
-        {/*slow=*/false, /*shed=*/false, /*chunk=*/0.75},
-        {/*slow=*/true, /*shed=*/false, /*chunk=*/0.75},
+        {.slow = false, .shed = false, .chunk = 0.0},
+        {.slow = true, .shed = false, .chunk = 0.0},
+        {.slow = false, .shed = true, .chunk = 0.0},
+        {.slow = true, .shed = true, .chunk = 0.0},
+        {.slow = false, .shed = false, .chunk = 0.75},
+        {.slow = true, .shed = false, .chunk = 0.75},
     }),
     replay_name);
 
-// The two query modes must also produce the SAME snapshot bytes (the
-// treesched-snapshot-v2 format is mode-independent): save at the same cut
-// from a fast and a slow engine and byte-compare.
-TEST(FastSlowStress, SnapshotBytesAgreeAcrossQueryModes) {
-  const auto tree = std::make_shared<const Tree>(builders::fat_tree(3, 2, 2));
-  const Instance inst = burst_instance(tree, 10, 12, 0xbeef);
-  const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
+// ---------------------------------------------------------------------------
+// The oracle's comparator: a perturbed answer must fail with a message that
+// names the event time, node, query and candidate.
+// ---------------------------------------------------------------------------
 
-  const auto snap_at_cut = [&](bool slow) {
-    sim::EngineConfig cfg;
-    cfg.slow_queries = slow;
-    sim::Engine engine(inst, speeds, cfg);
-    algo::PaperGreedyPolicy policy(0.5);
-    const std::vector<Job>& all = inst.jobs();
-    for (std::size_t i = 0; i < 64; ++i) {
-      engine.advance_to(all[i].release);
-      engine.admit(all[i].id, policy.assign(engine, all[i]));
+TEST(QueryOracleComparator, PerturbedAnswerIsNamed) {
+  using test::QueryOracle;
+  EXPECT_EQ(QueryOracle::mismatch(2.5, 3, "count_larger", 7, 4.0, 4.0, true),
+            "");
+  // Ulp-level reassociation noise is inside the tolerance...
+  EXPECT_EQ(QueryOracle::mismatch(2.5, 3, "pending_remaining", kInvalidJob,
+                                  10.0, 10.0 * (1.0 + 7e-16), false),
+            "");
+  // ...one count off, or a sum off by more than 1e-12 relative, is not.
+  const std::string count =
+      QueryOracle::mismatch(2.5, 3, "count_larger", 7, 4.0, 5.0, true);
+  const std::string sum = QueryOracle::mismatch(
+      0.125, 11, "higher_priority_remaining", 42, 1000.0, 1000.0 + 1e-8,
+      false);
+  const std::string alpha = QueryOracle::mismatch(6.0, 9, "alpha_leaf",
+                                                  kInvalidJob, 0.5, 0.75,
+                                                  false);
+  ASSERT_FALSE(count.empty());
+  ASSERT_FALSE(sum.empty());
+  ASSERT_FALSE(alpha.empty());
+  for (const char* part : {"t=2.5", "node 3", "count_larger", "job 7",
+                           "naive 4", "engine 5"})
+    EXPECT_NE(count.find(part), std::string::npos) << count;
+  for (const char* part : {"t=0.125", "node 11", "higher_priority_remaining",
+                           "job 42", "naive 1000 ", "engine 1000.00000001"})
+    EXPECT_NE(sum.find(part), std::string::npos) << sum;
+  for (const char* part : {"t=6", "node 9", "alpha_leaf", "candidate -"})
+    EXPECT_NE(alpha.find(part), std::string::npos) << alpha;
+}
+
+// ---------------------------------------------------------------------------
+// Per-leaf reference for PaperGreedyPolicy's grouped, epoch-cached sweep.
+// ---------------------------------------------------------------------------
+
+/// Test-only reference: the Lemma-4 rule by its per-leaf definition. Every
+/// leaf is evaluated with the static, uncached F and F', plus the 6/eps^2
+/// depth penalty, under the same two-pass strict-min plus rotation
+/// tie-break as PaperGreedyPolicy.
+class PerLeafGreedy : public sim::AssignmentPolicy {
+ public:
+  PerLeafGreedy(double eps, algo::PaperGreedyPolicy::TieBreak tie_break)
+      : penalty_(6.0 / (eps * eps)), tie_break_(tie_break) {}
+
+  NodeId assign(const sim::Engine& engine, const Job& job) override {
+    const auto cost = [&](NodeId v) {
+      return algo::PaperGreedyPolicy::F(engine, job, v) +
+             algo::PaperGreedyPolicy::F_prime(engine, job, v) +
+             penalty_ * engine.tree().d(v) * job.size;
+    };
+    const auto& leaves = engine.tree().leaves();
+    double best = std::numeric_limits<double>::infinity();
+    NodeId best_leaf = kInvalidNode;
+    for (const NodeId v : leaves) {
+      const double c = cost(v);
+      if (c < best) {
+        best = c;
+        best_leaf = v;
+      }
     }
-    std::ostringstream os;
-    engine.save_state(os);
-    return os.str();
-  };
+    if (tie_break_ != algo::PaperGreedyPolicy::TieBreak::kRotate)
+      return best_leaf;
+    const double tol = 1e-9 * std::max(1.0, std::fabs(best));
+    std::vector<NodeId> tied;
+    for (const NodeId v : leaves)
+      if (cost(v) <= best + tol) tied.push_back(v);
+    if (tied.size() > 1) return tied[rotation_++ % tied.size()];
+    return best_leaf;
+  }
+  const char* name() const override { return "per-leaf-greedy"; }
 
-  EXPECT_EQ(snap_at_cut(false), snap_at_cut(true));
+ private:
+  double penalty_;
+  algo::PaperGreedyPolicy::TieBreak tie_break_;
+  std::size_t rotation_ = 0;
+};
+
+/// Padding is an explicit zeroed field: see FastSlowCase.
+struct PerLeafCase {
+  int tree_id;
+  EndpointModel endpoints;
+  bool rotate;
+  bool faults;
+  std::uint8_t zero_pad = 0;
+};
+
+std::string per_leaf_name(const testing::TestParamInfo<PerLeafCase>& info) {
+  const PerLeafCase& c = info.param;
+  std::string name = c.endpoints == EndpointModel::kIdentical ? "ident" : "unrel";
+  name += "_tree" + std::to_string(c.tree_id);
+  name += c.rotate ? "_rotate" : "_first";
+  if (c.faults) name += "_faults";
+  return name;
+}
+
+class PerLeafReference : public testing::TestWithParam<PerLeafCase> {};
+
+TEST_P(PerLeafReference, GreedyRunLogsMatchPerLeafSweep) {
+  const PerLeafCase& c = GetParam();
+  const FastSlowCase base{.policy = kPaper, .tree_id = c.tree_id,
+                          .endpoints = c.endpoints, .faults = c.faults};
+  const Instance inst = case_instance(base);
+  const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
+  const auto tie = c.rotate ? algo::PaperGreedyPolicy::TieBreak::kRotate
+                            : algo::PaperGreedyPolicy::TieBreak::kFirst;
+
+  algo::PaperGreedyPolicy paper(0.5, 6.0 / (0.5 * 0.5), tie);
+  PerLeafGreedy reference(0.5, tie);
+  test::QueryOracle oracle;
+  const RunResult fast = run_with(inst, speeds, base, paper, &oracle);
+  EXPECT_GT(oracle.answers_checked(), 0u);
+  expect_same_run(fast, run_with(inst, speeds, base, reference, nullptr));
+}
+
+std::vector<PerLeafCase> per_leaf_cases() {
+  std::vector<PerLeafCase> cases;
+  for (const bool rotate : {false, true}) {
+    for (int tree_id = 0; tree_id < 3; ++tree_id)
+      for (const EndpointModel m :
+           {EndpointModel::kIdentical, EndpointModel::kUnrelated})
+        cases.push_back({tree_id, m, rotate, /*faults=*/false});
+    cases.push_back({0, EndpointModel::kIdentical, rotate, /*faults=*/true});
+    cases.push_back({1, EndpointModel::kUnrelated, rotate, /*faults=*/true});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, PerLeafReference,
+                         testing::ValuesIn(per_leaf_cases()), per_leaf_name);
+
+// ---------------------------------------------------------------------------
+// Deadline admission: the controller's representative-leaf sweep through
+// the F cache must record exactly the minimum of uncached F over all leaves.
+// ---------------------------------------------------------------------------
+
+/// Decorates the deadline controller: before each decision it computes the
+/// minimum of the uncached PaperGreedyPolicy::F over every leaf, and after
+/// it checks that the new shed_log() entry carries that value bit for bit.
+class UncachedFAdmissionCheck : public sim::AdmissionPolicy {
+ public:
+  explicit UncachedFAdmissionCheck(overload::AdmissionController& inner)
+      : inner_(inner) {}
+
+  bool admit(sim::Engine& engine, const Job& job) override {
+    double fmin = std::numeric_limits<double>::infinity();
+    for (const NodeId leaf : engine.tree().leaves())
+      fmin = std::min(fmin, algo::PaperGreedyPolicy::F(engine, job, leaf));
+    const std::size_t before = engine.shed_log().size();
+    const bool admitted = inner_.admit(engine, job);
+    EXPECT_EQ(engine.shed_log().size(), before + 1) << "job " << job.id;
+    if (engine.shed_log().size() == before + 1) {
+      const sim::ShedRecord& rec = engine.shed_log().back();
+      EXPECT_EQ(rec.job, job.id);
+      EXPECT_EQ(rec.f, fmin) << "job " << job.id << " at t=" << engine.now();
+      if (admitted)
+        ++admits_;
+      else
+        ++rejects_;
+    }
+    return admitted;
+  }
+  const char* name() const override { return inner_.name(); }
+
+  int admits() const { return admits_; }
+  int rejects() const { return rejects_; }
+
+ private:
+  overload::AdmissionController& inner_;
+  int admits_ = 0;
+  int rejects_ = 0;
+};
+
+TEST(DeadlineAdmission, RecordedFEqualsUncachedMinimumOverAllLeaves) {
+  for (int tree_id = 0; tree_id < 3; ++tree_id) {
+    for (const EndpointModel m :
+         {EndpointModel::kIdentical, EndpointModel::kUnrelated}) {
+      for (const bool faults : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "tree" << tree_id
+                                        << (faults ? " faults" : ""));
+        util::Rng rng(0xdeadU + static_cast<std::uint64_t>(tree_id));
+        workload::WorkloadSpec spec;
+        spec.jobs = 80;
+        spec.load = 2.5;  // sustained overload: both verdicts occur
+        spec.sizes.dist = workload::SizeDistribution::kBoundedPareto;
+        spec.endpoints = m;
+        const Instance inst =
+            workload::generate(rng, case_tree(tree_id), spec);
+        const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.0);
+
+        sim::EngineConfig cfg;
+        cfg.record_schedule = true;
+        cfg.shed.policy = overload::ShedPolicy::kDeadline;
+        cfg.shed.deadline_slack = 4.0;
+        sim::Engine engine(inst, speeds, cfg);
+        overload::AdmissionController controller(cfg.shed, 0.5);
+        UncachedFAdmissionCheck check(controller);
+        engine.set_admission(&check);
+        test::QueryOracle oracle;
+        engine.set_observer(&oracle);
+        fault::FaultPlan plan;
+        algo::FaultAwareGreedy redispatch(0.5);
+        if (faults) {
+          plan = case_fault_plan(inst.tree(), 7);
+          engine.set_fault_plan(&plan, &redispatch);
+        }
+        algo::PaperGreedyPolicy policy(0.5);
+        engine.run(policy);
+
+        EXPECT_GT(check.admits(), 0);
+        EXPECT_GT(check.rejects(), 0);
+        EXPECT_EQ(check.admits() + check.rejects(), inst.job_count());
+        EXPECT_GT(oracle.answers_checked(), 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

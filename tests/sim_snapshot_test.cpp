@@ -1,7 +1,8 @@
 // Engine snapshot/restore (save_state / load_state): a run resumed from a
 // mid-run snapshot must finish byte-identically to one that never stopped —
-// including across query-mode changes (fast incremental indices vs the slow
-// mirror) and window extension (restoring into an instance with more jobs).
+// including under the per-event query oracle (the dispatch indices rebuilt
+// by load_state answer like a rescan of Q_v) and window extension
+// (restoring into an instance with more jobs).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,7 @@
 #include "treesched/sim/engine.hpp"
 #include "treesched/util/rng.hpp"
 #include "treesched/workload/stream.hpp"
+#include "support/query_oracle.hpp"
 
 using namespace treesched;
 
@@ -87,7 +89,7 @@ TEST(SimSnapshotTest, MidRunRestoreFinishesByteIdentically) {
   EXPECT_EQ(resumed.metrics().makespan(), cont.metrics().makespan());
 }
 
-TEST(SimSnapshotTest, RestoreAcrossQueryModes) {
+TEST(SimSnapshotTest, RestoreThenContinueUnderQueryOracle) {
   auto tree = test_tree();
   const auto jobs = stream_jobs(120, 0x77);
   const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
@@ -101,17 +103,20 @@ TEST(SimSnapshotTest, RestoreAcrossQueryModes) {
   admit_range(fast, pa, inst, 60, jobs.size());
   fast.run_to_completion();
 
-  // Snapshot taken by the fast path, restored under the slow ground-truth
-  // mirror: the determinism contract says the bits cannot move.
-  sim::EngineConfig slow_cfg;
-  slow_cfg.slow_queries = true;
-  sim::Engine slow(inst, speeds, slow_cfg);
+  // Restored, then continued under the per-event query oracle: every
+  // aggregate the rebuilt indices answer must match a rescan of Q_v, and
+  // the bits of the finished run cannot move.
+  sim::Engine resumed(inst, speeds, sim::EngineConfig{});
   std::istringstream in(snap.str());
-  slow.load_state(in);
-  admit_range(slow, pb, inst, 60, jobs.size());
-  slow.run_to_completion();
+  resumed.load_state(in);
+  test::QueryOracle oracle;
+  oracle.check(resumed, resumed.now());
+  resumed.set_observer(&oracle);
+  admit_range(resumed, pb, inst, 60, jobs.size());
+  resumed.run_to_completion();
 
-  EXPECT_EQ(metrics_bytes(slow), metrics_bytes(fast));
+  EXPECT_GT(oracle.answers_checked(), 0u);
+  EXPECT_EQ(metrics_bytes(resumed), metrics_bytes(fast));
 }
 
 TEST(SimSnapshotTest, RestoreIntoExtendedInstance) {

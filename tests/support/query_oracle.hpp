@@ -1,0 +1,132 @@
+// Per-event shadow check of the engine's aggregate queries.
+//
+// The engine answers the five per-node aggregates the Lemma-4 greedy and
+// the overload controller read (higher_priority_remaining, count_larger,
+// larger_residual_fraction, alpha_leaf, pending_remaining) from incremental
+// dispatch indices. QueryOracle is an EngineObserver that, after every
+// processed event and every admission, rescans Q_v = inflight_at(v) at every
+// non-root node through the public size_on / remaining_on accessors and
+// compares the naive values with the engine's answers, using each inflight
+// job as the candidate. count_larger must match exactly; the four sums must
+// match within kRelTol * max(1, |naive|) — the index associates its float
+// additions differently from a left-to-right rescan, so the two differ by
+// a few ulps.
+//
+// The first mismatch fails the running test, naming the event time, node,
+// query, candidate, naive value and engine value: the first divergent query
+// and event, not just a differing end result.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "treesched/sim/engine.hpp"
+
+namespace treesched::test {
+
+class QueryOracle : public sim::EngineObserver {
+ public:
+  /// Relative tolerance of the four floating-point sums.
+  static constexpr double kRelTol = 1e-12;
+
+  /// Compares one engine answer with its naive rescan. Returns "" on a
+  /// match, else the failure message. `exact` demands equality (counts);
+  /// otherwise |engine_value - naive| <= kRelTol * max(1, |naive|).
+  /// `cand` is kInvalidJob for the candidate-free queries.
+  static std::string mismatch(Time t, NodeId v, const char* query,
+                              JobId cand, double naive, double engine_value,
+                              bool exact) {
+    const bool ok =
+        exact ? engine_value == naive
+              : std::fabs(engine_value - naive) <=
+                    kRelTol * std::max(1.0, std::fabs(naive));
+    if (ok) return {};
+    std::ostringstream os;
+    os.precision(17);
+    os << "query oracle mismatch at t=" << t << " node " << v << ": "
+       << query << " candidate ";
+    if (cand == kInvalidJob)
+      os << "-";
+    else
+      os << "job " << cand;
+    os << ": naive " << naive << " engine " << engine_value;
+    return os.str();
+  }
+
+  void on_event(const sim::Engine& engine, Time t) override {
+    check(engine, t);
+  }
+  void on_job_admitted(const sim::Engine& engine, JobId /*j*/) override {
+    check(engine, engine.now());
+  }
+
+  /// Engine answers compared so far (all queries, all candidates).
+  std::uint64_t answers_checked() const { return answers_; }
+
+  /// Rescans every non-root node once and compares all five queries.
+  void check(const sim::Engine& engine, Time t) {
+    const Tree& tree = engine.tree();
+    for (NodeId v = 0; v < tree.node_count(); ++v) {
+      if (v == tree.root()) continue;
+      const auto& q = engine.inflight_at(v);
+      double pending = 0.0;
+      double alpha = 0.0;
+      for (const JobId i : q) {
+        const double rem = engine.remaining_on(i, v);
+        pending += rem;
+        alpha += rem / engine.size_on(i, v);
+      }
+      compare(t, v, "pending_remaining", kInvalidJob, pending,
+              engine.pending_remaining(v), false);
+      if (tree.is_leaf(v))
+        compare(t, v, "alpha_leaf", kInvalidJob, alpha, engine.alpha_leaf(v),
+                false);
+      for (const JobId c : q) {
+        const double pc = engine.size_on(c, v);
+        const Time rc = engine.instance().job(c).release;
+        double higher = 0.0;
+        double larger_frac = 0.0;
+        int larger = 0;
+        for (const JobId i : q) {
+          const double pi = engine.size_on(i, v);
+          const Time ri = engine.instance().job(i).release;
+          const bool before =
+              pi < pc || (pi == pc && (ri < rc || (ri == rc && i < c)));
+          if (i != c && before) higher += engine.remaining_on(i, v);
+          if (pi > pc) {
+            ++larger;
+            larger_frac += engine.remaining_on(i, v) / pi;
+          }
+        }
+        compare(t, v, "higher_priority_remaining", c, higher,
+                engine.higher_priority_remaining(v, pc, rc, c), false);
+        compare(t, v, "count_larger", c, larger, engine.count_larger(v, pc),
+                true);
+        compare(t, v, "larger_residual_fraction", c, larger_frac,
+                engine.larger_residual_fraction(v, pc), false);
+      }
+    }
+  }
+
+ private:
+  void compare(Time t, NodeId v, const char* query, JobId cand, double naive,
+               double engine_value, bool exact) {
+    ++answers_;
+    if (failed_) return;  // the first divergence is the one worth reading
+    const std::string msg =
+        mismatch(t, v, query, cand, naive, engine_value, exact);
+    if (msg.empty()) return;
+    failed_ = true;
+    ADD_FAILURE() << msg;
+  }
+
+  std::uint64_t answers_ = 0;
+  bool failed_ = false;
+};
+
+}  // namespace treesched::test
