@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "treesched/util/assert.hpp"
-#include "treesched/util/failpoint.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
 
@@ -147,30 +146,10 @@ void SnapshotStore::write(std::uint64_t progress,
   const int index = gens.empty() ? 0 : gens.back().index + 1;
   const std::string path = gen_path(index);
 
-  std::string bytes = envelope;
-  if (const auto hit = util::failpoint_hit("snapshot.write")) {
-    switch (hit->kind) {
-      case util::FailKind::kEnospc:
-        throw std::runtime_error("failed to write snapshot generation " +
-                                 path + ": injected ENOSPC (failpoint "
-                                 "snapshot.write)");
-      case util::FailKind::kFsyncFail:
-        throw std::runtime_error("failed to write snapshot generation " +
-                                 path + ": injected fsync failure "
-                                 "(failpoint snapshot.write)");
-      case util::FailKind::kTornWrite:
-        bytes = util::apply_torn(bytes);
-        break;
-      case util::FailKind::kBitFlip:
-        bytes = util::apply_bit_flip(bytes);
-        break;
-      case util::FailKind::kShortRead:
-        break;  // a read-side kind; meaningless at the write seam
-    }
-  }
-  // The manifest records the INTENDED fingerprint: if the storage lied (torn
-  // or flipped bytes above), verification at read time catches it.
-  util::write_file_atomic(path, bytes);
+  // Failpoint site "snapshot.write", then "fs.atomic". The manifest records
+  // the INTENDED fingerprint: if the storage lied (torn or flipped bytes),
+  // verification at read time catches it.
+  util::write_file_atomic(path, envelope, "snapshot.write");
 
   SnapshotGeneration g;
   g.index = index;
@@ -222,26 +201,7 @@ std::vector<SnapshotGeneration> SnapshotStore::generations() const {
 
 std::optional<std::string> SnapshotStore::read(
     const SnapshotGeneration& gen) const {
-  std::ifstream is(gen.path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  std::string bytes = buf.str();
-  if (const auto hit = util::failpoint_hit("snapshot.read")) {
-    switch (hit->kind) {
-      case util::FailKind::kShortRead:
-        bytes = util::apply_torn(bytes);
-        break;
-      case util::FailKind::kBitFlip:
-        bytes = util::apply_bit_flip(bytes);
-        break;
-      case util::FailKind::kEnospc:
-      case util::FailKind::kFsyncFail:
-      case util::FailKind::kTornWrite:
-        break;  // write-side kinds; meaningless at the read seam
-    }
-  }
-  return bytes;
+  return util::read_file(gen.path, "snapshot.read");
 }
 
 void SnapshotStore::quarantine(const SnapshotGeneration& gen,

@@ -24,11 +24,12 @@
 // always has the corrupt bytes. The resume ladder (stream_runner) walks
 // generations newest-first and falls back across them.
 //
-// Failpoint seams (util/failpoint.hpp): "snapshot.write" (enospc /
-// fsync-fail fail loudly before any byte lands; torn-write / bit-flip
-// corrupt the envelope silently — the manifest still records the INTENDED
-// fingerprint, which is exactly how real lying storage presents) and
-// "snapshot.read" (short-read / bit-flip corrupt the returned bytes).
+// Failpoint seams (util/failpoint.hpp), evaluated by util/fs:
+// "snapshot.write", ahead of "fs.atomic" (enospc / fsync-fail fail loudly
+// and leave no generation file; torn-write / bit-flip corrupt the envelope
+// silently — the manifest still records the INTENDED fingerprint, which is
+// exactly how real lying storage presents) and "snapshot.read" (short-read
+// / bit-flip corrupt the returned bytes).
 #pragma once
 
 #include <cstdint>

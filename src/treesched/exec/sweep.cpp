@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "treesched/stats/bootstrap.hpp"
 #include "treesched/stats/summary.hpp"
 #include "treesched/util/fs.hpp"
+#include "treesched/util/hash.hpp"
 #include "treesched/util/log.hpp"
 #include "treesched/util/rng.hpp"
 #include "treesched/util/stopwatch.hpp"
@@ -159,35 +159,24 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   if (!spec.shed_policies.empty())
     os << "|cap=" << fmt(spec.queue_cap)
        << "|slack=" << fmt(spec.deadline_slack);
-  const std::string s = os.str();
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return util::fnv1a_64(os.str());
 }
 
-/// Append-only checkpoint journal. One flushed line per completed task, so
-/// a kill loses at most the line in flight; the trailing "ok" token lets the
-/// reader drop a torn tail instead of resurrecting a half-written double.
+/// Append-only checkpoint journal: an atomically written header, then one
+/// util::append_line_durable record per completed task. A kill tears at most
+/// the record in flight, and the next append heals that tail onto its own
+/// line; the trailing "ok" token lets the reader skip a torn record instead
+/// of resurrecting a half-written double.
 class Checkpoint {
  public:
-  Checkpoint(const std::string& path, std::uint64_t fingerprint, bool resume) {
-    bool append = false;
+  Checkpoint(const std::string& path, std::uint64_t fingerprint, bool resume)
+      : path_(path) {
     if (resume && std::filesystem::exists(path)) {
-      load(path, fingerprint);
-      append = true;
+      load(fingerprint);
+      return;
     }
-    out_.open(path, append ? (std::ios::out | std::ios::app)
-                           : (std::ios::out | std::ios::trunc));
-    if (!out_)
-      throw std::runtime_error("cannot open checkpoint journal '" + path +
-                               "' for writing");
-    if (!append) {
-      out_ << "sweepjournal 2\nfingerprint " << fingerprint << '\n';
-      out_.flush();
-    }
+    util::write_file_atomic(path, "sweepjournal 2\nfingerprint " +
+                                      std::to_string(fingerprint) + '\n');
   }
 
   const std::map<std::size_t, SweepTask>& completed() const { return done_; }
@@ -195,55 +184,54 @@ class Checkpoint {
   /// Thread-safe: called from pool workers as tasks finish.
   void record(const SweepTask& t) {
     if (t.status != TaskStatus::kOk) return;
+    std::ostringstream os;
+    os << "task " << t.index << ' ' << fmt(t.ratio) << ' ' << fmt(t.alg_flow)
+       << ' ' << fmt(t.lower_bound) << ' ' << fmt(t.mean_flow) << ' '
+       << fmt(t.goodput) << ' ' << t.completed << ' ' << t.shed_jobs << " ok";
     const std::lock_guard<std::mutex> lock(mu_);
-    out_ << "task " << t.index << ' ' << fmt(t.ratio) << ' '
-         << fmt(t.alg_flow) << ' ' << fmt(t.lower_bound) << ' '
-         << fmt(t.mean_flow) << ' ' << fmt(t.goodput) << ' ' << t.completed
-         << ' ' << t.shed_jobs << " ok\n";
-    out_.flush();
+    util::append_line_durable(path_, os.str());
   }
 
  private:
-  void load(const std::string& path, std::uint64_t fingerprint) {
-    std::ifstream in(path);
-    if (!in)
-      throw std::runtime_error("cannot read checkpoint journal '" + path +
+  void load(std::uint64_t fingerprint) {
+    const std::optional<util::FileLines> journal = util::read_lines(path_);
+    if (!journal)
+      throw std::runtime_error("cannot read checkpoint journal '" + path_ +
                                "'");
-    std::string line;
+    const std::vector<std::string>& lines = journal->lines;
     // Version 2 added goodput / completed / shed-count columns; resuming a
     // version-1 journal would silently drop them, so it is refused.
-    if (!std::getline(in, line) || line != "sweepjournal 2")
+    if (lines.empty() || lines[0] != "sweepjournal 2")
       throw std::invalid_argument(
-          "'" + path +
+          "'" + path_ +
           "' is not a sweepjournal-2 checkpoint (pre-overload journals "
           "cannot be resumed; rerun without --resume)");
     std::uint64_t fp = 0;
     {
       std::string tag;
-      if (!std::getline(in, line))
-        throw std::invalid_argument("checkpoint journal '" + path +
-                                    "' is missing its fingerprint");
-      std::istringstream ls(line);
+      std::istringstream ls(lines.size() > 1 ? lines[1] : std::string());
       if (!(ls >> tag >> fp) || tag != "fingerprint")
-        throw std::invalid_argument("checkpoint journal '" + path +
+        throw std::invalid_argument("checkpoint journal '" + path_ +
                                     "' is missing its fingerprint");
     }
     if (fp != fingerprint)
       throw std::invalid_argument(
-          "checkpoint journal '" + path +
+          "checkpoint journal '" + path_ +
           "' belongs to a different sweep grid; rerun without --resume or "
           "point --checkpoint elsewhere");
-    while (std::getline(in, line)) {
-      std::istringstream ls(line);
+    for (std::size_t i = 2; i < lines.size(); ++i) {
+      std::istringstream ls(lines[i]);
       std::string tag, tail;
       // Doubles go through stod, not operator>>: a fully-shed cell journals
       // its mean flow as "nan", which stream extraction need not accept.
       std::string ratio, alg_flow, lower_bound, mean_flow, goodput;
       SweepTask t;
+      // A malformed record is a torn one: appends heal torn tails, so it is
+      // its own line and the records after it are whole.
       if (!(ls >> tag >> t.index >> ratio >> alg_flow >> lower_bound >>
             mean_flow >> goodput >> t.completed >> t.shed_jobs >> tail) ||
           tag != "task" || tail != "ok")
-        break;  // torn tail from a killed run: everything after is suspect
+        continue;
       try {
         t.ratio = std::stod(ratio);
         t.alg_flow = std::stod(alg_flow);
@@ -251,15 +239,15 @@ class Checkpoint {
         t.mean_flow = std::stod(mean_flow);
         t.goodput = std::stod(goodput);
       } catch (const std::exception&) {
-        break;
+        continue;
       }
       t.status = TaskStatus::kOk;
       done_[t.index] = t;
     }
   }
 
+  std::string path_;
   std::mutex mu_;
-  std::ofstream out_;
   std::map<std::size_t, SweepTask> done_;
 };
 

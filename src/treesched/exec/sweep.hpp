@@ -77,9 +77,10 @@ struct SweepSpec {
   /// retry_backoff_ms * min(2^(k-1), 32) before re-running.
   int retries = 0;
   double retry_backoff_ms = 5.0;
-  /// Append-only checkpoint journal; empty disables checkpointing. Written
-  /// line-by-line (flushed) as tasks finish, so a killed sweep loses at most
-  /// the line being written — which the tolerant reader skips.
+  /// Append-only checkpoint journal; empty disables checkpointing. One
+  /// fsynced util::append_line_durable record per finished task, so a killed
+  /// sweep loses at most the record being written — which the tolerant
+  /// reader skips, and the next append heals onto its own line.
   std::string checkpoint;
   /// Load `checkpoint` and skip every task it already covers. The journal's
   /// spec fingerprint must match (resuming under a different grid throws).

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -255,11 +255,9 @@ FaultPlan parse_plan_json(const std::string& text) {
 }
 
 FaultPlan read_plan_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::invalid_argument("cannot open fault plan: " + path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return parse_plan_json(buf.str());
+  const std::optional<std::string> json = util::read_file(path);
+  if (!json) throw std::invalid_argument("cannot open fault plan: " + path);
+  return parse_plan_json(*json);
 }
 
 void write_plan_file(const std::string& path, const FaultPlan& plan) {

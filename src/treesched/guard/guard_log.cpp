@@ -1,7 +1,6 @@
 #include "treesched/guard/guard_log.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -27,9 +26,8 @@ std::string fmt_seconds(double s) {
 }  // namespace
 
 GuardLogWriter::GuardLogWriter(std::string path) : path_(std::move(path)) {
-  std::ifstream in(path_, std::ios::binary);
-  const bool has_content = in.good() && in.peek() != std::ifstream::traits_type::eof();
-  if (!has_content) util::append_line_durable(path_, kMagic);
+  const std::optional<std::string> existing = util::read_file(path_);
+  if (!existing || existing->empty()) util::append_line_durable(path_, kMagic);
 }
 
 void GuardLogWriter::append(const std::string& line) {
@@ -290,51 +288,30 @@ bool audit_line(AuditState& st, std::size_t line_no, const std::string& line,
 
 GuardAuditResult audit_guard_log(const std::string& path) {
   AuditState st;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  const std::optional<util::FileLines> log = util::read_lines(path);
+  if (!log) {
     st.violate(0, "cannot open guard log '" + path + "'");
     return std::move(st.result);
   }
 
-  std::string line;
-  std::size_t line_no = 0;
   bool saw_magic = false;
-  // A line the crash tore (no trailing newline) is tolerated ONLY at the
-  // very end of the file; buffer one line of lookahead to know which is last.
-  std::optional<std::pair<std::size_t, std::string>> pending;
-  bool file_ends_in_newline = true;
-  {
-    in.seekg(0, std::ios::end);
-    const auto size = in.tellg();
-    if (size > 0) {
-      in.seekg(-1, std::ios::end);
-      file_ends_in_newline = in.get() == '\n';
-    }
-    in.clear();
-    in.seekg(0, std::ios::beg);
-  }
-
-  auto process = [&](std::size_t no, const std::string& text, bool is_last) {
-    if (text.empty()) return;
+  for (std::size_t i = 0; i < log->lines.size(); ++i) {
+    const std::size_t no = i + 1;
+    const std::string& text = log->lines[i];
+    if (text.empty()) continue;
     if (!saw_magic) {
       if (text != kMagic)
         st.violate(no, std::string("first record is not '") + kMagic + "'");
       saw_magic = true;
-      return;  // the header line carries no event, valid or not
+      continue;  // the header line carries no event, valid or not
     }
     std::string why;
-    if (!audit_line(st, no, text, why)) {
-      if (is_last && !file_ends_in_newline) return;  // torn tail: tolerated
-      st.violate(no, why);
-    }
-  };
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (pending) process(pending->first, pending->second, false);
-    pending = {line_no, line};
+    if (audit_line(st, no, text, why)) continue;
+    // A line the crash tore (no trailing newline) is tolerated ONLY at the
+    // very end of the file.
+    const bool torn_tail = no == log->lines.size() && !log->ends_in_newline;
+    if (!torn_tail) st.violate(no, why);
   }
-  if (pending) process(pending->first, pending->second, true);
 
   if (!saw_magic) st.violate(0, "guard log is empty");
   st.result.ok = st.result.violations.empty();

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "treesched/util/fs.hpp"
@@ -15,14 +14,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 }  // namespace
@@ -78,7 +69,7 @@ void write_child_status(const std::string& path, const ChildStatus& s) {
 }
 
 std::optional<ChildStatus> read_child_status(const std::string& path) {
-  const auto doc = slurp(path);
+  const auto doc = util::read_file(path);
   if (!doc) return std::nullopt;
   const auto schema = json_string_field(*doc, "schema");
   if (!schema || *schema != "treesched-child-status-v1") return std::nullopt;
@@ -129,7 +120,7 @@ void write_health(const std::string& path, const HealthStatus& h) {
 }
 
 std::optional<HealthStatus> read_health(const std::string& path) {
-  const auto doc = slurp(path);
+  const auto doc = util::read_file(path);
   if (!doc) return std::nullopt;
   const auto schema = json_string_field(*doc, "schema");
   if (!schema || *schema != "treesched-health-v1") return std::nullopt;

@@ -7,11 +7,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "treesched/lint/lint.hpp"
+#include "treesched/util/fs.hpp"
 #include "treesched/util/table.hpp"
 
 namespace treesched::lint {
@@ -44,11 +45,9 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string read_file(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + p.string());
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
+  std::optional<std::string> bytes = util::read_file(p.string());
+  if (!bytes) throw std::runtime_error("cannot read " + p.string());
+  return std::move(*bytes);
 }
 
 bool lintable(const fs::path& p) {

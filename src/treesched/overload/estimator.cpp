@@ -79,8 +79,7 @@ std::string SaturationEstimator::payload() const {
 }
 
 void SaturationEstimator::save_state(std::ostream& os) const {
-  const std::string p = payload();
-  os << p << "satcsum " << util::fnv1a_64(p) << '\n';
+  util::seal(os, "satcsum", payload());
 }
 
 void SaturationEstimator::load_state(std::istream& is) {
@@ -109,12 +108,7 @@ void SaturationEstimator::load_state(std::istream& is) {
     }
   }
   TS_REQUIRE(static_cast<bool>(is), "estimator load: truncated state");
-  std::uint64_t csum = 0;
-  is >> tag >> csum;
-  TS_REQUIRE(is && tag == "satcsum",
-             "estimator load: missing checksum line (truncated state)");
-  TS_REQUIRE(csum == util::fnv1a_64(tmp.payload()),
-             "estimator load: checksum mismatch (corrupt state)");
+  util::expect_seal(is, "satcsum", tmp.payload(), "estimator load");
   arrivals_ = std::move(tmp.arrivals_);
   sums_ = std::move(tmp.sums_);
 }

@@ -84,8 +84,7 @@ std::string acc_head(const StreamAccumulator& a) {
 }  // namespace
 
 void StreamAccumulator::save(std::ostream& os) const {
-  const std::string head = acc_head(*this);
-  os << head << "acccsum " << util::fnv1a_64(head) << '\n';
+  util::seal(os, "acccsum", acc_head(*this));
   flow_digest.save(os);
   p99_marker.save(os);
 }
@@ -105,15 +104,7 @@ void StreamAccumulator::load(std::istream& is) {
   // Reject corrupt bytes before they become state: re-serialize what was
   // parsed and require the recorded checksum to reproduce (truncations die
   // above or on the missing tag; flipped digits re-serialize differently).
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == "acccsum",
-             "accumulator load: missing checksum line (truncated state)");
-  std::uint64_t csum = 0;
-  is >> csum;
-  TS_REQUIRE(static_cast<bool>(is), "accumulator load: truncated checksum");
-  TS_REQUIRE(csum == util::fnv1a_64(acc_head(tmp)),
-             "accumulator load: checksum mismatch (corrupt state)");
+  util::expect_seal(is, "acccsum", acc_head(tmp), "accumulator load");
   tmp.flow_digest.load(is);
   tmp.p99_marker.load(is);
   *this = tmp;

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "treesched/sim/run_log.hpp"
 #include "treesched/util/assert.hpp"
 #include "treesched/util/csum.hpp"
-#include "treesched/util/failpoint.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
 #include "treesched/util/string_util.hpp"
@@ -112,13 +111,14 @@ void SegmentedRunLogWriter::resume(std::size_t next_index,
   TS_REQUIRE(!started_ && pending_.empty() && next_index_ == 0 && !finalized_,
              "resume must precede start_fresh and all event feeding");
   started_ = true;
-  std::ifstream in(cfg_.base_path);
-  TS_REQUIRE(static_cast<bool>(in),
+  const std::optional<util::FileLines> manifest =
+      util::read_lines(cfg_.base_path);
+  TS_REQUIRE(manifest.has_value(),
              "resume: cannot open manifest " + cfg_.base_path);
   std::ostringstream kept;
   std::size_t seg_lines = 0;
-  std::string line;
-  while (std::getline(in, line) && seg_lines < next_index) {
+  for (const std::string& line : manifest->lines) {
+    if (seg_lines == next_index) break;
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
@@ -210,44 +210,13 @@ void SegmentedRunLogWriter::commit(bool force) {
   chain_ = chain_step(chain_, fp);
   util::write_file_atomic(segment_log_path(cfg_.base_path, next_index_),
                           content);
-  // Manifest entry: append + flush, so at worst a crash tears this one line
-  // (which readers drop as a torn tail).
+  // Manifest entry: one fsynced append (failpoint site "manifest.append"),
+  // so at worst a crash tears this one line — which readers drop as a torn
+  // tail, and the next append heals.
   std::ostringstream entry;
   entry << "segment " << next_index_ << ' ' << pending_.size() << ' ' << fp
-        << ' ' << chain_ << '\n';
-  std::string entry_line = entry.str();
-  // Failpoint seam "manifest.append": enospc / fsync-fail fail loudly;
-  // torn-write appends only a prefix of the entry line SILENTLY — the torn
-  // tail readers must tolerate, and the resume ladder must detect as a
-  // too-short manifest.
-  if (const auto hit = util::failpoint_hit("manifest.append")) {
-    switch (hit->kind) {
-      case util::FailKind::kEnospc:
-        throw std::runtime_error("cannot append to manifest " +
-                                 cfg_.base_path +
-                                 ": injected ENOSPC (failpoint "
-                                 "manifest.append)");
-      case util::FailKind::kFsyncFail:
-        throw std::runtime_error("manifest append failed: " + cfg_.base_path +
-                                 ": injected fsync failure (failpoint "
-                                 "manifest.append)");
-      case util::FailKind::kTornWrite:
-        entry_line = util::apply_torn(entry_line);
-        break;
-      case util::FailKind::kBitFlip:
-        entry_line = util::apply_bit_flip(entry_line);
-        break;
-      case util::FailKind::kShortRead:
-        break;  // a read-side kind; meaningless at the append seam
-    }
-  }
-  std::ofstream manifest(cfg_.base_path, std::ios::app);
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "cannot append to manifest " + cfg_.base_path);
-  manifest << entry_line;
-  manifest.flush();
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "manifest append failed: " + cfg_.base_path);
+        << ' ' << chain_;
+  util::append_line_durable(cfg_.base_path, entry.str(), "manifest.append");
   pending_.clear();
   ++next_index_;
 }
@@ -260,15 +229,11 @@ void SegmentedRunLogWriter::write_final(std::uint64_t arrivals,
   commit(true);
   TS_REQUIRE(!finalized_, "segmented log already finalized");
   finalized_ = true;
-  std::ofstream manifest(cfg_.base_path, std::ios::app);
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "cannot append to manifest " + cfg_.base_path);
-  manifest << std::setprecision(17);
-  manifest << "final " << arrivals << ' ' << completed << ' ' << shed << ' '
-           << rejected << ' ' << total_flow << ' ' << makespan << '\n';
-  manifest.flush();
-  TS_REQUIRE(static_cast<bool>(manifest),
-             "manifest finalize failed: " + cfg_.base_path);
+  std::ostringstream trailer;
+  trailer << std::setprecision(17);
+  trailer << "final " << arrivals << ' ' << completed << ' ' << shed << ' '
+          << rejected << ' ' << total_flow << ' ' << makespan;
+  util::append_line_durable(cfg_.base_path, trailer.str(), "manifest.append");
 }
 
 // ---------------------------------------------------------------------------
@@ -344,14 +309,13 @@ class SegmentAuditor {
   }
 
   bool parse_manifest(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
+    std::optional<util::FileLines> manifest = util::read_lines(path);
+    if (!manifest) {
       fail(0, "cannot open manifest: " + path);
       return false;
     }
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(util::trim(line));
+    std::vector<std::string>& lines = manifest->lines;
+    for (std::string& line : lines) line = util::trim(line);
     bool header = false;
     for (std::size_t i = 0; i < lines.size(); ++i) {
       const bool last = i + 1 == lines.size();
@@ -409,9 +373,8 @@ class SegmentAuditor {
         ok = false;
       }
       if (!ok) {
-        // Torn-tail tolerance (PR 3 journal rule): a malformed FINAL line is
-        // the expected residue of a kill mid-append; anything earlier is
-        // corruption.
+        // Torn-tail tolerance: a malformed FINAL line is the expected
+        // residue of a kill mid-append; anything earlier is corruption.
         if (!last) {
           fail(m_.entries.size(), "malformed manifest line: " + lines[i]);
           return false;
@@ -460,23 +423,16 @@ class SegmentAuditor {
   void check_segment(const std::string& manifest_path, std::size_t idx) {
     const ManifestEntry& entry = m_.entries[idx];
     const std::string seg_path = segment_log_path(manifest_path, idx);
-    std::ifstream in(seg_path, std::ios::binary);
-    if (!in) {
+    // Failpoint site "segment.read": short-read / bit-flip corrupt the
+    // slurped bytes — the fingerprint check below must catch both.
+    const std::optional<std::string> bytes =
+        util::read_file(seg_path, "segment.read");
+    if (!bytes) {
       fail(idx, "missing segment file: " + seg_path);
       note_broken(idx, seg_path);
       return;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string content = buf.str();
-    // Failpoint seam "segment.read": short-read / bit-flip corrupt the
-    // slurped bytes — the fingerprint check below must catch both.
-    if (const auto hit = util::failpoint_hit("segment.read")) {
-      if (hit->kind == util::FailKind::kShortRead)
-        content = util::apply_torn(content);
-      else if (hit->kind == util::FailKind::kBitFlip)
-        content = util::apply_bit_flip(content);
-    }
+    const std::string& content = *bytes;
     const std::uint64_t fp = fnv1a_64(content);
     if (fp != entry.fp) {
       fail(idx, "segment fingerprint mismatch (tampered or truncated)");

@@ -39,9 +39,10 @@
 //
 // Chain rule: chain_i = fnv1a(decimal(chain_{i-1}) + ":" + decimal(fp_i)),
 // chain_{-1} = the FNV offset basis. Segment files are written atomically;
-// the manifest is append+flush per segment, so a crash can tear at most its
-// final line — readers tolerate (ignore) a torn tail, mirroring the PR 3
-// sweep journal.
+// each manifest entry and the final trailer is one fsynced
+// util::append_line_durable record (failpoint site "manifest.append"), so a
+// crash can tear at most the final line — readers tolerate (ignore) a torn
+// tail, and the next append heals it onto its own line.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +59,8 @@ namespace treesched::sim {
 /// Streaming writer. Feed events in engine order (global job ids — window
 /// bases already applied by the driver); call commit() at safe points
 /// (after a full recorder drain) to close segments; finish with
-/// write_final(). All file writes go through util/fs atomics or
-/// append+flush as documented above.
+/// write_final(). All file writes go through util/fs (atomic replace or
+/// durable append) as documented above.
 class SegmentedRunLogWriter {
  public:
   struct Config {

@@ -20,25 +20,6 @@ namespace {
 
 double quiet_nan() { return std::numeric_limits<double>::quiet_NaN(); }
 
-/// Reads and verifies the "<tag> <fnv>" self-checksum line against the
-/// re-serialized canonical payload. A mutation that parses to the same
-/// doubles re-serializes identically and passes — the value is unchanged,
-/// so that is not a mis-load; anything else is rejected here.
-void expect_checksum(std::istream& is, const char* tag,
-                     const std::string& payload, const char* what) {
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == tag,
-             std::string(what) + ": missing '" + tag +
-                 "' checksum line (truncated or corrupt state)");
-  std::uint64_t csum = 0;
-  is >> csum;
-  TS_REQUIRE(static_cast<bool>(is),
-             std::string(what) + ": truncated checksum");
-  TS_REQUIRE(csum == util::fnv1a_64(payload),
-             std::string(what) + ": checksum mismatch (corrupt state)");
-}
-
 void expect_tag(std::istream& is, const char* tag) {
   std::string got;
   is >> got;
@@ -148,8 +129,7 @@ std::string P2Quantile::payload() const {
 }
 
 void P2Quantile::save(std::ostream& os) const {
-  const std::string p = payload();
-  os << p << "p2csum " << util::fnv1a_64(p) << '\n';
+  util::seal(os, "p2csum", payload());
 }
 
 void P2Quantile::load(std::istream& is) {
@@ -161,7 +141,7 @@ void P2Quantile::load(std::istream& is) {
   for (int i = 0; i < 5; ++i)
     is >> tmp.height_[i] >> tmp.pos_[i] >> tmp.desired_[i];
   TS_REQUIRE(static_cast<bool>(is), "p2 load: truncated state");
-  expect_checksum(is, "p2csum", tmp.payload(), "p2 load");
+  util::expect_seal(is, "p2csum", tmp.payload(), "p2 load");
   *this = tmp;
 }
 
@@ -288,8 +268,7 @@ std::string QuantileDigest::payload() const {
 }
 
 void QuantileDigest::save(std::ostream& os) const {
-  const std::string p = payload();
-  os << p << "digestcsum " << util::fnv1a_64(p) << '\n';
+  util::seal(os, "digestcsum", payload());
 }
 
 void QuantileDigest::load(std::istream& is) {
@@ -314,7 +293,7 @@ void QuantileDigest::load(std::istream& is) {
     is >> tmp.buffer_[i];
   }
   TS_REQUIRE(static_cast<bool>(is), "digest load: truncated state");
-  expect_checksum(is, "digestcsum", tmp.payload(), "digest load");
+  util::expect_seal(is, "digestcsum", tmp.payload(), "digest load");
   *this = tmp;
 }
 

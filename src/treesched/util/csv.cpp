@@ -1,8 +1,7 @@
 #include "treesched/util/csv.hpp"
 
-#include <stdexcept>
-
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fs.hpp"
 
 namespace treesched::util {
 
@@ -43,10 +42,7 @@ std::string CsvWriter::str() const {
 }
 
 void CsvWriter::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot open CSV output file: " + path);
-  f << str();
-  if (!f) throw std::runtime_error("failed writing CSV output file: " + path);
+  write_file_atomic(path, str());
 }
 
 }  // namespace treesched::util

@@ -4,7 +4,6 @@
 // emit machine-readable CSV so results can be post-processed.
 #pragma once
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,7 +32,8 @@ class CsvWriter {
   /// Serializes header + rows.
   std::string str() const;
 
-  /// Writes to a file; throws std::runtime_error on I/O failure.
+  /// Writes the file atomically (util::write_file_atomic); throws
+  /// std::runtime_error on I/O failure.
   void write_file(const std::string& path) const;
 
   std::size_t row_count() const { return rows_.size(); }

@@ -1,8 +1,12 @@
 // Deterministic I/O fault injection for the durability chaos harness.
 //
-// A failpoint is a named site in an I/O seam (write_file_atomic, the
-// snapshot reader, the segment reader, the manifest appender) that can be
-// armed to fail on a specific evaluation. The schedule is fully explicit —
+// A failpoint is a named site that can be armed to fail on a specific
+// evaluation. Every site is evaluated inside util/fs (write_file_atomic,
+// read_file, append_line_durable — each call names its caller's site), and
+// one private helper there is the only place a hit's kind is turned into an
+// effect; see docs/MODEL.md for the site -> caller table. Sites:
+// fs.atomic, snapshot.write, snapshot.read, segment.read, manifest.append,
+// quarantine.append. The schedule is fully explicit —
 // no randomness, no wall clock — so every chaos run is reproducible from
 // its spec string:
 //
@@ -13,8 +17,8 @@
 // entry fires exactly once (on the nth evaluation of its site, 1-based)
 // and is recorded in a fired log the tests assert against.
 //
-// Fault kinds (what the site does with a hit is seam-specific; see the
-// seam's documentation):
+// Fault kinds (a kind with no meaning at a seam — a read kind at a write,
+// a write kind at a read — is a no-op there):
 //   enospc      write fails with ENOSPC before any byte lands
 //   fsync-fail  the data fsync fails with EIO
 //   torn-write  only a prefix of the payload reaches the file — and the
@@ -84,9 +88,9 @@ class ScopedFailpoints {
   ScopedFailpoints& operator=(const ScopedFailpoints&) = delete;
 };
 
-// Helpers seams share so every site mutates payloads the same way (half the
-// bytes for torn/short, one inverted bit in the middle byte for flips).
-// Exposed for tests that need to predict the corrupted bytes exactly.
+// The byte mutations util/fs applies (half the bytes for torn/short, one
+// inverted bit in the middle byte for flips). Exposed for tests that need
+// to predict the corrupted bytes exactly.
 std::string apply_torn(const std::string& bytes);
 std::string apply_bit_flip(const std::string& bytes);
 

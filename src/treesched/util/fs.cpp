@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -41,37 +44,53 @@ void fsync_parent_dir(const std::string& path) {
   ::close(dfd);
 }
 
+enum class Seam { kWrite, kRead };
+
+/// The one FailKind switch: evaluates `site` (nullable) and applies a hit to
+/// `bytes` — torn-write (write seams) and short-read (read seams) keep the
+/// first half, bit-flip inverts one bit. Returns the loud kind (enospc /
+/// fsync-fail) a write seam must fail with at the matching stage; nullopt
+/// on a miss, a silent fault, or a kind that has no meaning at the seam.
+std::optional<FailKind> inject(const char* site, Seam seam,
+                               std::string& bytes) {
+  if (site == nullptr) return std::nullopt;
+  const auto hit = failpoint_hit(site);
+  if (!hit) return std::nullopt;
+  switch (hit->kind) {
+    case FailKind::kEnospc:
+    case FailKind::kFsyncFail:
+      if (seam == Seam::kWrite) return hit->kind;
+      break;
+    case FailKind::kTornWrite:
+      if (seam == Seam::kWrite) bytes = apply_torn(bytes);
+      break;
+    case FailKind::kShortRead:
+      if (seam == Seam::kRead) bytes = apply_torn(bytes);
+      break;
+    case FailKind::kBitFlip:
+      bytes = apply_bit_flip(bytes);
+      break;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
-void write_file_atomic(const std::string& path, const std::string& content) {
-  // Failpoint seam (site "fs.atomic", one evaluation per call): enospc and
-  // fsync-fail abort loudly at the matching stage; torn-write and bit-flip
-  // corrupt the payload and SUCCEED silently — modeling storage that lied
-  // about durability, which is exactly what checksummed readers must catch.
-  bool inject_enospc = false;
-  bool inject_fsync_fail = false;
+void write_file_atomic(const std::string& path, const std::string& content,
+                       const char* failpoint_site) {
+  // Disarmed failpoints evaluate nothing, so the copy is only paid when a
+  // chaos run may corrupt it.
   const std::string* payload = &content;
   std::string corrupted;
-  if (const auto hit = failpoint_hit("fs.atomic")) {
-    switch (hit->kind) {
-      case FailKind::kEnospc:
-        inject_enospc = true;
-        break;
-      case FailKind::kFsyncFail:
-        inject_fsync_fail = true;
-        break;
-      case FailKind::kTornWrite:
-        corrupted = apply_torn(content);
-        payload = &corrupted;
-        break;
-      case FailKind::kBitFlip:
-        corrupted = apply_bit_flip(content);
-        payload = &corrupted;
-        break;
-      case FailKind::kShortRead:
-        break;  // a read fault has no meaning at a write seam
-    }
+  std::optional<FailKind> loud;
+  if (failpoints_armed()) {
+    corrupted = content;
+    payload = &corrupted;
+    loud = inject(failpoint_site, Seam::kWrite, corrupted);
+    if (!loud) loud = inject("fs.atomic", Seam::kWrite, corrupted);
   }
+  const bool inject_enospc = loud == FailKind::kEnospc;
+  const bool inject_fsync_fail = loud == FailKind::kFsyncFail;
 
   // Same-directory temporary: rename() is only atomic within a filesystem,
   // and a pid suffix keeps concurrent writers off each other's temp file.
@@ -128,36 +147,52 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   fsync_parent_dir(path);
 }
 
+std::optional<std::string> read_file(const std::string& path,
+                                     const char* failpoint_site) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  std::string bytes = buf.str();
+  inject(failpoint_site, Seam::kRead, bytes);
+  return bytes;
+}
+
+std::optional<FileLines> read_lines(const std::string& path) {
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) return std::nullopt;
+  FileLines out;
+  std::size_t pos = 0;
+  while (pos < bytes->size()) {
+    const std::size_t nl = bytes->find('\n', pos);
+    if (nl == std::string::npos) {
+      out.lines.push_back(bytes->substr(pos));
+      out.ends_in_newline = false;
+      break;
+    }
+    out.lines.push_back(bytes->substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return out;
+}
+
 void append_line_durable(const std::string& path, const std::string& line,
                          const char* failpoint_site) {
   if (line.find('\n') != std::string::npos)
     throw std::runtime_error("append_line_durable: record for '" + path +
                              "' contains a newline");
-  bool inject_fsync_fail = false;
-  std::string record = line + '\n';
-  if (failpoint_site != nullptr) {
-    if (const auto hit = failpoint_hit(failpoint_site)) {
-      switch (hit->kind) {
-        case FailKind::kEnospc:
-          errno = ENOSPC;
-          fail("append failed for", path);
-        case FailKind::kFsyncFail:
-          inject_fsync_fail = true;
-          break;
-        case FailKind::kTornWrite:
-          // Storage lied: a newline-less prefix reaches the file and the
-          // call SUCCEEDS — the torn tail the next append must heal.
-          record = apply_torn(record);
-          if (!record.empty() && record.back() == '\n') record.pop_back();
-          break;
-        case FailKind::kBitFlip:
-          record = apply_bit_flip(record);
-          break;
-        case FailKind::kShortRead:
-          break;  // a read fault has no meaning at a write seam
-      }
-    }
+  // A torn record keeps the first half of "line\n", so it never carries the
+  // newline: storage lied, and the next append must heal the tail.
+  std::string record;
+  record.reserve(line.size() + 1);
+  record.append(line).push_back('\n');
+  const std::optional<FailKind> loud =
+      inject(failpoint_site, Seam::kWrite, record);
+  if (loud == FailKind::kEnospc) {
+    errno = ENOSPC;
+    fail("append failed for", path);
   }
+  const bool inject_fsync_fail = loud == FailKind::kFsyncFail;
 
   // O_RDWR, not O_WRONLY: the tail-heal below preads the last byte, which a
   // write-only descriptor refuses.

@@ -429,6 +429,24 @@ TEST_F(DurabilityChaosTest, TornManifestAppendNeverDivergesSilently) {
   }
 }
 
+TEST_F(DurabilityChaosTest, EnospcOnManifestTrailerFailsLoud) {
+  // The final trailer is an append like every segment entry, so it answers
+  // to the same seam: the evaluation after the last entry is the trailer's.
+  const RefRun ref = reference_run("chaos_ref_trailer");
+  ASSERT_GT(ref.res.segments_written, 0u);
+  const std::string dir = fresh_dir("chaos_trailer_enospc");
+  const auto cfg = chaos_config(dir);
+  util::ScopedFailpoints guard(
+      "manifest.append:enospc:" +
+      std::to_string(ref.res.segments_written + 1));
+  EXPECT_THROW(
+      exec::run_stream(test_tree(),
+                       SpeedProfile::paper_identical(*test_tree(), 0.5), cfg),
+      std::runtime_error);
+  EXPECT_EQ(util::failpoints_fired(),
+            std::vector<std::string>{"manifest.append:enospc"});
+}
+
 // ------------------------------------------- durable overload state bytes
 
 TEST_F(DurabilityChaosTest, AdmissionControllerRoundTripsByteIdentically) {

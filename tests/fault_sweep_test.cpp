@@ -121,6 +121,46 @@ TEST(FaultSweep, ResumeFromPartialJournalIsByteIdentical) {
   std::filesystem::remove(ckpt);
 }
 
+TEST(FaultSweep, SecondResumeAfterTornTailKeepsAllRecords) {
+  SweepSpec spec = tiny_spec();
+  const std::string baseline_json = sweep_json(run_sweep(spec), false);
+
+  // Same torn journal as above: two whole records, then a torn third.
+  const std::string ckpt = temp_path("fault_sweep_second_resume.ckpt");
+  std::filesystem::remove(ckpt);
+  SweepSpec journaled = spec;
+  journaled.checkpoint = ckpt;
+  run_sweep(journaled);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(ckpt);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u + 4u);
+  {
+    std::ofstream out(ckpt, std::ios::trunc);
+    for (std::size_t i = 0; i < 4; ++i) out << lines[i] << '\n';
+    out << "task 3 0.5 truncat";
+  }
+
+  // The first resume re-runs tasks 2 and 3 and journals them; their records
+  // must not merge into the torn tail, so a second resume finds all four.
+  SweepSpec resumed = journaled;
+  resumed.resume = true;
+  EXPECT_EQ(run_sweep(resumed).resumed, 2u);
+  const SweepResult again = run_sweep(resumed);
+  EXPECT_EQ(again.resumed, 4u);
+  EXPECT_EQ(sweep_json(again, false), baseline_json);
+
+  std::ifstream in(ckpt);
+  std::string line;
+  while (std::getline(in, line))
+    EXPECT_EQ(line.find("task", 1), std::string::npos)
+        << "two records merged into one line: " << line;
+  std::filesystem::remove(ckpt);
+}
+
 TEST(FaultSweep, ResumeRejectsForeignJournal) {
   const std::string ckpt = temp_path("fault_sweep_foreign.ckpt");
   std::filesystem::remove(ckpt);

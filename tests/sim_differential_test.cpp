@@ -3,6 +3,8 @@
 // divergence in completion times flags a bug in one of them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "treesched/algo/policies.hpp"
 #include "treesched/core/tree_builders.hpp"
 #include "treesched/sim/engine.hpp"
@@ -14,9 +16,13 @@ namespace {
 
 using sim::NodePolicy;
 
+// gtest prints a parameter type without a PrintTo overload as its raw
+// bytes, and that dump is part of each case's listed (and ctest) name, so
+// the padding is an explicit zeroed field.
 struct DiffCase {
-  int tree_id;
+  std::int32_t tree_id;
   NodePolicy policy;
+  std::uint8_t zero_pad[3] = {};
   double load;
   std::uint64_t seed;
   double chunk = 0.0;  ///< >0: pipelined-routing differential
@@ -81,15 +87,20 @@ TEST_P(Differential, EngineMatchesReference) {
 std::vector<DiffCase> diff_cases() {
   std::vector<DiffCase> cases;
   std::uint64_t seed = 100;
-  for (int tree = 0; tree < 5; ++tree)
+  for (std::int32_t tree = 0; tree < 5; ++tree)
     for (const NodePolicy p : {NodePolicy::kSjf, NodePolicy::kFifo})
       for (const double load : {0.6, 0.95})
-        cases.push_back({tree, p, load, ++seed, 0.0});
+        cases.push_back(
+            {.tree_id = tree, .policy = p, .load = load, .seed = ++seed});
   // Pipelined-routing differentials.
-  for (int tree = 0; tree < 5; ++tree)
+  for (std::int32_t tree = 0; tree < 5; ++tree)
     for (const NodePolicy p : {NodePolicy::kSjf, NodePolicy::kFifo})
       for (const double chunk : {2.0, 0.5})
-        cases.push_back({tree, p, 0.8, ++seed, chunk});
+        cases.push_back({.tree_id = tree,
+                         .policy = p,
+                         .load = 0.8,
+                         .seed = ++seed,
+                         .chunk = chunk});
   return cases;
 }
 

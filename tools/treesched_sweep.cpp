@@ -18,8 +18,8 @@
 // keeps the default output deterministic.
 //
 // Robustness: --retries N re-runs transiently failing tasks with capped
-// exponential backoff; --checkpoint journals every finished task (flushed
-// per line); --resume skips everything the journal already covers and still
+// exponential backoff; --checkpoint journals every finished task (one
+// fsynced append each); --resume skips everything the journal covers and still
 // produces JSON byte-identical to an uninterrupted run. SIGINT/SIGTERM
 // cancel the sweep cleanly: pending tasks are dropped, in-flight tasks
 // finish and land in the journal, and no final JSON is written.
