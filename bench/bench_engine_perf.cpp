@@ -136,7 +136,10 @@ BENCHMARK(BM_SrptLowerBound)->Arg(1000)->Arg(10000);
 // Dispatch stress on a genuinely wide topology: 100 racks x 100 machines
 // (10^4 leaves), overloaded (rho = 4) so queues build up and assignment
 // cost — not event processing — dominates. The CI perf leg gates on this
-// benchmark's allocs_per_job counter, which is exact (no timing noise).
+// benchmark's allocs_per_job counter, which is exact (no timing noise), and
+// pins its total_flow counter bit for bit: the 10^4-leaf tree is where the
+// greedy rule's tie and smallest-job cases fire, which the golden tests'
+// small trees do not reach.
 void BM_DispatchWideTree(benchmark::State& state) {
   util::Rng rng(42);
   const Tree tree = builders::fat_tree(100, 1, 100);
@@ -150,13 +153,16 @@ void BM_DispatchWideTree(benchmark::State& state) {
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
 #endif
+  double total_flow = 0.0;
   for (auto _ : state) {
     algo::PaperGreedyPolicy policy(0.5);
     sim::Engine engine(inst, speeds);
     engine.run(policy);
-    benchmark::DoNotOptimize(engine.metrics().total_flow_time());
+    total_flow = engine.metrics().total_flow_time();
+    benchmark::DoNotOptimize(total_flow);
   }
   state.SetItemsProcessed(state.iterations() * spec.jobs);
+  state.counters["total_flow"] = total_flow;
 #ifdef TREESCHED_BENCH_COUNT_ALLOCS
   const std::uint64_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -26,15 +25,18 @@ PaperGreedyPolicy::PaperGreedyPolicy(double eps, double depth_penalty_coeff,
   TS_REQUIRE(depth_penalty_coeff >= 0.0, "penalty must be non-negative");
 }
 
-double PaperGreedyPolicy::F(const sim::Engine& engine, const Job& job,
-                            NodeId leaf) {
-  const Tree& tree = engine.tree();
-  const NodeId rc = tree.root_child_of(leaf);
+double PaperGreedyPolicy::F_at(const sim::Engine& engine, const Job& job,
+                               NodeId rc) {
   // S_{R(v),j} includes the arriving job itself (full size), the queued
   // higher-priority volume, and one p_j per queued strictly-larger job.
-  return engine.higher_priority_remaining(rc, job.size, job.release, job.id) +
-         job.size +
-         job.size * engine.count_larger(rc, job.size);
+  const sim::Engine::PrioritySplit s =
+      engine.priority_split(rc, job.size, job.release, job.id);
+  return s.higher_remaining + job.size + job.size * s.larger;
+}
+
+double PaperGreedyPolicy::F(const sim::Engine& engine, const Job& job,
+                            NodeId leaf) {
+  return F_at(engine, job, engine.tree().root_child_of(leaf));
 }
 
 double PaperGreedyPolicy::F_prime(const sim::Engine& engine, const Job& job,
@@ -46,23 +48,25 @@ double PaperGreedyPolicy::F_prime(const sim::Engine& engine, const Job& job,
          p_jv * engine.larger_residual_fraction(leaf, p_jv);
 }
 
-double PaperGreedyPolicy::cached_F(const sim::Engine& engine, const Job& job,
-                                   NodeId leaf) const {
-  const Tree& tree = engine.tree();
-  const NodeId rc = tree.root_child_of(leaf);
-  if (cache_engine_ != &engine || cache_now_ != engine.now() ||
-      cache_job_ != job.id) {
-    cache_engine_ = &engine;
-    cache_now_ = engine.now();
-    cache_job_ = job.id;
-    ++cache_gen_;
-    const std::size_t n = uidx(tree.node_count());
-    if (cache_f_.size() < n) {
-      cache_f_.resize(n);
-      cache_stamp_.resize(n, 0);
-      cache_rc_epoch_.resize(n, 0);
-    }
+void PaperGreedyPolicy::sync_cache(const sim::Engine& engine,
+                                   const Job& job) const {
+  if (cache_engine_ == engine.serial() && cache_now_ == engine.now() &&
+      cache_job_ == job.id)
+    return;
+  cache_engine_ = engine.serial();
+  cache_now_ = engine.now();
+  cache_job_ = job.id;
+  ++cache_gen_;
+  const std::size_t n = uidx(engine.tree().node_count());
+  if (cache_f_.size() < n) {
+    cache_f_.resize(n);
+    cache_stamp_.resize(n, 0);
+    cache_rc_epoch_.resize(n, 0);
   }
+}
+
+double PaperGreedyPolicy::F_cached_at(const sim::Engine& engine,
+                                      const Job& job, NodeId rc) const {
   // Slot validity is per root child: the generation covers (engine, now,
   // job), and the subtree epoch covers mutations under this root child — F
   // reads nothing outside it, so mutations under OTHER root children (a
@@ -70,43 +74,55 @@ double PaperGreedyPolicy::cached_F(const sim::Engine& engine, const Job& job,
   const std::size_t r = uidx(rc);
   const std::uint64_t epoch = engine.subtree_mutation_count(rc);
   if (cache_stamp_[r] != cache_gen_ || cache_rc_epoch_[r] != epoch) {
-    cache_f_[r] = F(engine, job, leaf);
+    cache_f_[r] = F_at(engine, job, rc);
     cache_stamp_[r] = cache_gen_;
     cache_rc_epoch_[r] = epoch;
   }
   return cache_f_[r];
 }
 
+double PaperGreedyPolicy::F_cached(const sim::Engine& engine, const Job& job,
+                                   NodeId leaf) const {
+  sync_cache(engine, job);
+  return F_cached_at(engine, job, engine.tree().root_child_of(leaf));
+}
+
 double PaperGreedyPolicy::assignment_cost(const sim::Engine& engine,
                                           const Job& job, NodeId leaf) const {
-  const Tree& tree = engine.tree();
-  const double depth_penalty = penalty_ * tree.d(leaf) * job.size;
   // F' is identically zero for identical endpoints; skip the per-leaf
   // queries entirely there.
   const double f_prime = engine.instance().model() == EndpointModel::kIdentical
                              ? 0.0
                              : F_prime(engine, job, leaf);
-  return cached_F(engine, job, leaf) + f_prime + depth_penalty;
+  return cost_of(F_cached(engine, job, leaf), f_prime, engine.tree().d(leaf),
+                 job.size);
 }
 
 void PaperGreedyPolicy::build_groups(const sim::Engine& engine) const {
-  if (group_engine_ == &engine) return;
-  group_engine_ = &engine;
+  if (group_engine_ == engine.serial()) return;
+  group_engine_ = engine.serial();
   const Tree& tree = engine.tree();
   const auto& leaves = tree.leaves();
   groups_.clear();
   group_of_pos_.assign(leaves.size(), -1);
-  std::map<std::pair<NodeId, int>, std::int32_t> gid;
+  // Groups are found through a per-root-child chain (a root child has few
+  // distinct leaf depths); every container keeps its capacity, so a rebuild
+  // for a same-shaped tree allocates nothing.
+  group_last_of_rc_.assign(uidx(tree.node_count()), -1);
   for (std::size_t pos = 0; pos < leaves.size(); ++pos) {
     const NodeId v = leaves[pos];
-    const auto key = std::make_pair(tree.root_child_of(v), tree.d(v));
-    auto it = gid.find(key);
-    if (it == gid.end()) {
-      it = gid.emplace(key, static_cast<std::int32_t>(groups_.size())).first;
-      groups_.push_back({v, 0});
+    const NodeId rc = tree.root_child_of(v);
+    const int depth = tree.d(v);
+    std::int32_t g = group_last_of_rc_[uidx(rc)];
+    while (g >= 0 && groups_[uidx(g)].depth != depth)
+      g = groups_[uidx(g)].prev_same_rc;
+    if (g < 0) {
+      g = static_cast<std::int32_t>(groups_.size());
+      groups_.push_back({v, rc, depth, 0, group_last_of_rc_[uidx(rc)]});
+      group_last_of_rc_[uidx(rc)] = g;
     }
-    ++groups_[uidx(it->second)].count;
-    group_of_pos_[pos] = it->second;
+    ++groups_[uidx(g)].count;
+    group_of_pos_[pos] = g;
   }
   group_tied_stamp_.assign(groups_.size(), 0);
   group_tie_gen_ = 0;
@@ -115,6 +131,14 @@ void PaperGreedyPolicy::build_groups(const sim::Engine& engine) const {
 NodeId PaperGreedyPolicy::assign_grouped(const sim::Engine& engine,
                                          const Job& job) {
   build_groups(engine);
+  sync_cache(engine, job);
+  // The identical model has no F' term; each group's cost is its root
+  // child's cached F plus the group's depth penalty — assignment_cost of
+  // any member, without re-deriving R(v) and d_v per group.
+  const auto group_cost = [&](const LeafGroup& grp) {
+    return cost_of(F_cached_at(engine, job, grp.root_child), 0.0, grp.depth,
+                   job.size);
+  };
   // Pass 1 over group representatives. Groups are ordered by their first
   // position in leaves(), so a strict-< scan selects the same leaf the
   // per-leaf sweep would: the first leaf (in leaves() order) attaining the
@@ -122,7 +146,7 @@ NodeId PaperGreedyPolicy::assign_grouped(const sim::Engine& engine,
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_g = groups_.size();
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const double cost = assignment_cost(engine, job, groups_[g].first_leaf);
+    const double cost = group_cost(groups_[g]);
     if (cost < best) {
       best = cost;
       best_g = g;
@@ -137,7 +161,7 @@ NodeId PaperGreedyPolicy::assign_grouped(const sim::Engine& engine,
   ++group_tie_gen_;
   std::size_t count = 0;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (assignment_cost(engine, job, groups_[g].first_leaf) <= best + tol) {
+    if (group_cost(groups_[g]) <= best + tol) {
       group_tied_stamp_[g] = group_tie_gen_;
       count += uidx(groups_[g].count);
     }

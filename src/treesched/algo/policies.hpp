@@ -59,10 +59,16 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   /// probes the same F at the same decision instant. Always bit-equal to the
   /// uncached F(engine, job, leaf); the tests pin this with a per-leaf
   /// reference policy and an uncached-F admission check.
+  ///
+  /// F depends on the leaf only through R(v), so one evaluation per root
+  /// child suffices for the whole leaves() sweep. The global key (engine
+  /// serial, now, job) starts a fresh generation; within a generation each
+  /// slot additionally carries the root child's own mutation epoch
+  /// (Engine::subtree_mutation_count), so a mutation under one root child —
+  /// a shed cascade, a re-dispatch — invalidates only that slot instead of
+  /// every cached congestion term.
   double F_cached(const sim::Engine& engine, const Job& job,
-                  NodeId leaf) const {
-    return cached_F(engine, job, leaf);
-  }
+                  NodeId leaf) const;
 
   /// kRotate carries a tie cursor across decisions; snapshot it so resumed
   /// streaming runs break ties identically. (The epoch cache is pure
@@ -71,15 +77,21 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   void restore_stream_state(const std::string& state) override;
 
  private:
-  /// F evaluated through a per-root-child epoch cache: F depends on the leaf
-  /// only through R(v), so one evaluation per root child suffices for the
-  /// whole leaves() sweep. The global key (engine identity, now, job) starts
-  /// a fresh generation; within a generation each slot additionally carries
-  /// the root child's own mutation epoch (Engine::subtree_mutation_count),
-  /// so a mutation under one root child — a shed cascade, a re-dispatch —
-  /// invalidates only that slot instead of every cached congestion term.
-  double cached_F(const sim::Engine& engine, const Job& job,
-                  NodeId leaf) const;
+  /// F at root child rc: the one place the Lemma-4 formula is written.
+  static double F_at(const sim::Engine& engine, const Job& job, NodeId rc);
+
+  /// The minimized cost from its parts; shared by assignment_cost and the
+  /// grouped sweep so both associate the additions identically.
+  double cost_of(double f, double f_prime, int depth, double size) const {
+    return f + f_prime + penalty_ * depth * size;
+  }
+
+  /// Starts a fresh cache generation unless (engine, now, job) is the
+  /// current one.
+  void sync_cache(const sim::Engine& engine, const Job& job) const;
+  /// F_cached by root child; requires sync_cache(engine, job) first.
+  double F_cached_at(const sim::Engine& engine, const Job& job,
+                     NodeId rc) const;
 
   /// Identical-model fast path of assign(): in that model every leaf of a
   /// (root child, depth) group has the bit-identical assignment cost, so the
@@ -97,7 +109,7 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   std::size_t rotation_ = 0;
 
   // Epoch-cache state (mutable: assignment_cost is const and hot).
-  mutable const sim::Engine* cache_engine_ = nullptr;
+  mutable std::uint64_t cache_engine_ = 0;  ///< Engine::serial(); 0 = none
   mutable Time cache_now_ = 0.0;
   mutable JobId cache_job_ = kInvalidJob;
   mutable std::uint64_t cache_gen_ = 0;        ///< bumped on every epoch change
@@ -109,11 +121,15 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   // first position in leaves(); rebuilt only when the engine changes.
   struct LeafGroup {
     NodeId first_leaf = kInvalidNode;  ///< first member in leaves() order
+    NodeId root_child = kInvalidNode;  ///< R(v) shared by the members
+    std::int32_t depth = 0;            ///< d_v shared by the members
     std::int32_t count = 0;            ///< member leaves
+    std::int32_t prev_same_rc = -1;    ///< earlier group of R(v); -1 = none
   };
-  mutable const sim::Engine* group_engine_ = nullptr;
+  mutable std::uint64_t group_engine_ = 0;  ///< Engine::serial(); 0 = none
   mutable std::vector<LeafGroup> groups_;
   mutable std::vector<std::int32_t> group_of_pos_;  ///< leaves() pos -> group
+  mutable std::vector<std::int32_t> group_last_of_rc_;  ///< rc -> newest group
   mutable std::vector<std::uint64_t> group_tied_stamp_;  ///< tie-scan marks
   mutable std::uint64_t group_tie_gen_ = 0;
 };

@@ -116,8 +116,8 @@ void AdmissionController::load_state(std::istream& is) {
 }
 
 bool AdmissionController::admit_deadline(sim::Engine& engine, const Job& job) {
-  if (rep_engine_ != &engine) {
-    rep_engine_ = &engine;
+  if (rep_engine_ != engine.serial()) {
+    rep_engine_ = engine.serial();
     rep_leaves_.clear();
     std::vector<char> seen(uidx(engine.tree().node_count()), 0);
     for (const NodeId leaf : engine.tree().leaves()) {

@@ -23,6 +23,7 @@
 // degraded runs are byte-reproducible across thread counts.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -71,7 +72,7 @@ class AdmissionController : public sim::AdmissionPolicy {
 
   /// Durable state round-trip: delegates to the estimator (the policies
   /// themselves are stateless; PaperGreedyPolicy's epoch cache is keyed by
-  /// engine identity + mutation count and recomputes deterministically, so
+  /// engine serial + mutation count and recomputes deterministically, so
   /// it is deliberately not serialized). Same checksum-reject contract as
   /// SaturationEstimator::load_state.
   void save_state(std::ostream& os) const;
@@ -91,7 +92,7 @@ class AdmissionController : public sim::AdmissionPolicy {
   // through R(v), and min over doubles is order-independent, so sweeping the
   // representatives yields the bit-identical fmin of the full leaves() sweep.
   // Rebuilt lazily when the engine changes.
-  const sim::Engine* rep_engine_ = nullptr;
+  std::uint64_t rep_engine_ = 0;  ///< Engine::serial(); 0 = none
   std::vector<NodeId> rep_leaves_;
 };
 

@@ -1,5 +1,7 @@
 #include "treesched/sim/dispatch_index.hpp"
 
+#include <algorithm>
+
 #include "treesched/util/assert.hpp"
 
 namespace treesched::sim {
@@ -106,6 +108,7 @@ void DispatchIndex::insert(const SjfKey& key, double remaining) {
   split(root_, key, left, right);
   // The key must be new: the smallest entry of `right`, if any, differs.
   root_ = merge(merge(left, fresh), right);
+  min_size_ = std::min(min_size_, key.size);
 }
 
 DispatchIndex::Ref DispatchIndex::erase_rec(Ref t, const SjfKey& key,
@@ -130,6 +133,11 @@ void DispatchIndex::erase(const SjfKey& key) {
   bool erased = false;
   root_ = erase_rec(root_, key, erased);
   TS_CHECK(erased, "dispatch index: erase of a missing key");
+  if (key.size != min_size_) return;
+  // The minimum may have left: re-read it from the end of the left spine.
+  min_size_ = std::numeric_limits<double>::infinity();
+  for (Ref t = root_; t != kNil; t = pool_->node(t).left)
+    min_size_ = pool_->node(t).key.size;
 }
 
 bool DispatchIndex::update_rec(Ref t, const SjfKey& key, double remaining) {
@@ -152,9 +160,8 @@ void DispatchIndex::update(const SjfKey& key, double remaining) {
   TS_CHECK(found, "dispatch index: update of a missing key");
 }
 
-double DispatchIndex::remaining_before(const SjfKey& key) const {
-  double acc = 0.0;
-  Ref t = root_;
+double DispatchIndex::remaining_before_from(Ref t, const SjfKey& key,
+                                            double acc) const {
   while (t != kNil) {
     const Node& n = pool_->node(t);
     if (n.key < key) {
@@ -168,9 +175,8 @@ double DispatchIndex::remaining_before(const SjfKey& key) const {
   return acc;
 }
 
-int DispatchIndex::count_size_greater(double size) const {
-  int acc = 0;
-  Ref t = root_;
+int DispatchIndex::count_size_greater_from(Ref t, double size,
+                                           int acc) const {
   while (t != kNil) {
     const Node& n = pool_->node(t);
     if (n.key.size > size) {
@@ -185,6 +191,50 @@ int DispatchIndex::count_size_greater(double size) const {
     }
   }
   return acc;
+}
+
+double DispatchIndex::remaining_before(const SjfKey& key) const {
+  return remaining_before_from(root_, key, 0.0);
+}
+
+int DispatchIndex::count_size_greater(double size) const {
+  return count_size_greater_from(root_, size, 0);
+}
+
+DispatchIndex::Split DispatchIndex::split_at(const SjfKey& cand) const {
+  Split out;
+  // Every entry is larger than the candidate: nothing precedes it, all of
+  // them count. (Also the empty index: min_size_ is +infinity, size() 0.)
+  if (cand.size < min_size_) {
+    out.size_greater = static_cast<int>(size());
+    return out;
+  }
+  // Shared prefix: an entry smaller than cand in size precedes it and sends
+  // both walks right; a larger one follows it and sends both walks left; an
+  // entry of equal size that precedes cand sends both right. Each step makes
+  // exactly the additions the separate descent would.
+  Ref t = root_;
+  while (t != kNil) {
+    const Node& n = pool_->node(t);
+    if (n.key.size > cand.size) {
+      out.size_greater += 1;
+      if (n.right != kNil) out.size_greater += pool_->node(n.right).cnt;
+      t = n.left;
+    } else if (n.key < cand) {
+      if (n.left != kNil) out.remaining_before += pool_->node(n.left).sum_rem;
+      out.remaining_before += n.rem;
+      t = n.right;
+    } else {
+      // Equal size, key >= cand: the walks part here — the priority sum
+      // continues left, the size count right.
+      out.remaining_before =
+          remaining_before_from(n.left, cand, out.remaining_before);
+      out.size_greater =
+          count_size_greater_from(n.right, cand.size, out.size_greater);
+      break;
+    }
+  }
+  return out;
 }
 
 double DispatchIndex::fraction_size_greater(double size) const {

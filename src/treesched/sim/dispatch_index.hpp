@@ -2,7 +2,7 @@
 // priority triple (original size on the node, release time, job id).
 //
 // The engine maintains one DispatchIndex per node so the paper's aggregate
-// queries (Engine::higher_priority_remaining, count_larger,
+// queries (Engine::higher_priority_remaining, count_larger, priority_split,
 // larger_residual_fraction, alpha_leaf) answer in O(log n) instead of
 // rescanning Q_v. Keys are immutable for a given (job, node) — only the
 // remaining-work value changes — so the structure is an augmented treap
@@ -14,7 +14,11 @@
 // Because the key's primary component IS the size, both "all entries with
 // strictly higher SJF priority than a candidate key" and "all entries with
 // size strictly greater than a threshold" are contiguous key ranges, and
-// every query is a single root-to-leaf descent.
+// every query is a single root-to-leaf descent. The Lemma-4 term F needs
+// both ranges for the same candidate; split_at walks them in one descent
+// (the two paths coincide down to the first entry of the candidate's size
+// that does not precede it), and answers without descending at all when the
+// candidate is smaller than every entry (the index keeps its minimum size).
 //
 // Treap priorities are a deterministic hash of the job id, so the tree
 // shape — and therefore the floating-point association of the aggregate
@@ -23,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -123,6 +128,21 @@ class DispatchIndex {
   /// Number of entries with size strictly greater than `size`. O(log n).
   int count_size_greater(double size) const;
 
+  /// Both aggregates of the Lemma-4 term F for one candidate.
+  struct Split {
+    double remaining_before = 0.0;  ///< == remaining_before(cand)
+    int size_greater = 0;           ///< == count_size_greater(cand.size)
+  };
+
+  /// remaining_before(cand) and count_size_greater(cand.size) in one
+  /// descent, bit-equal to the two separate calls: the sum receives the
+  /// same additions in the same order. O(1) when cand.size < min_size(),
+  /// O(log n) otherwise.
+  Split split_at(const SjfKey& cand) const;
+
+  /// Smallest key size present; +infinity when empty. O(1).
+  double min_size() const { return min_size_; }
+
   /// Sum of remaining / size over entries with size strictly greater than
   /// `size`. O(log n).
   double fraction_size_greater(double size) const;
@@ -150,10 +170,16 @@ class DispatchIndex {
   Ref merge(Ref left, Ref right);
   Ref erase_rec(Ref t, const SjfKey& key, bool& erased);
   bool update_rec(Ref t, const SjfKey& key, double remaining);
+  /// The descents behind remaining_before / count_size_greater, started at
+  /// an arbitrary subtree with a running total — split_at finishes its two
+  /// tails through them.
+  double remaining_before_from(Ref t, const SjfKey& key, double acc) const;
+  int count_size_greater_from(Ref t, double size, int acc) const;
 
   TreapPool* pool_ = nullptr;
   std::unique_ptr<TreapPool> owned_;  ///< lazy fallback for standalone use
   Ref root_ = kNil;
+  double min_size_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace treesched::sim

@@ -1,6 +1,7 @@
 #include "treesched/sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -14,10 +15,18 @@ namespace {
 // subtract elapsed*speed, so residuals accumulate a few ulps per event.
 constexpr double kWorkTol = 1e-6;
 constexpr Time kNever = std::numeric_limits<Time>::infinity();
+
+std::uint64_t next_engine_serial() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 }  // namespace
 
 Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
-    : inst_(&instance), speeds_(std::move(speeds)), cfg_(cfg) {
+    : inst_(&instance),
+      serial_(next_engine_serial()),
+      speeds_(std::move(speeds)),
+      cfg_(cfg) {
   TS_REQUIRE(speeds_.speeds().size() ==
                  uidx(instance.tree().node_count()),
              "speed profile does not match the tree");
@@ -334,15 +343,7 @@ void Engine::resched(NodeId v, Time t) {
     ns.has_running = false;
     return;
   }
-  const AvailEntry top = ns.avail.front();
-  ns.running = top.key;
-  ns.has_running = true;
-  ns.running_idx = top.idx;
-  ns.burst_start = t;
-  const JobState& js = jobs_[uidx(top.key.job)];
-  const double rem = stored_remaining_item(js, top.idx);
-  ns.running_rem = stored_remaining_total(js, top.idx);
-  events_.push({t + rem / node_speed(v), seq_++, v, ns.version});
+  start_burst(v, t);
 }
 
 void Engine::force_resched(NodeId v, Time t) {
@@ -353,8 +354,14 @@ void Engine::force_resched(NodeId v, Time t) {
   ++ns.version;
   ns.has_running = false;
   if (ns.down || ns.avail.empty()) return;
+  start_burst(v, t);
+}
+
+void Engine::start_burst(NodeId v, Time t) {
+  NodeState& ns = nodes_[uidx(v)];
   const AvailEntry top = ns.avail.front();
   ns.running = top.key;
+  ns.running_sjf = index_key(top.key.job, v);
   ns.has_running = true;
   ns.running_idx = top.idx;
   ns.burst_start = t;
@@ -987,17 +994,29 @@ double Engine::higher_priority_remaining(NodeId v, double cand_size,
                                          JobId cand_id) const {
   const NodeState& ns = nodes_[uidx(v)];
   const SjfKey cand{cand_size, cand_release, cand_id};
-  double sum = ns.index.remaining_before(cand);
+  return drained_before(ns, v, cand, ns.index.remaining_before(cand));
+}
+
+double Engine::drained_before(const NodeState& ns, NodeId v,
+                              const SjfKey& cand, double index_sum) const {
   // Index entries hold stored (as-of-burst-start) totals; at most one of
   // them — the running item — is stale by the elapsed drain.
-  if (ns.has_running && ns.running.job != cand_id &&
-      index_key(ns.running.job, v) < cand)
-    sum -= running_drain(ns, v);
-  return std::max(sum, 0.0);
+  if (ns.has_running && ns.running.job != cand.job && ns.running_sjf < cand)
+    index_sum -= running_drain(ns, v);
+  return std::max(index_sum, 0.0);
 }
 
 int Engine::count_larger(NodeId v, double size) const {
   return nodes_[uidx(v)].index.count_size_greater(size);
+}
+
+Engine::PrioritySplit Engine::priority_split(NodeId v, double cand_size,
+                                             Time cand_release,
+                                             JobId cand_id) const {
+  const NodeState& ns = nodes_[uidx(v)];
+  const SjfKey cand{cand_size, cand_release, cand_id};
+  const DispatchIndex::Split s = ns.index.split_at(cand);
+  return {drained_before(ns, v, cand, s.remaining_before), s.size_greater};
 }
 
 double Engine::larger_residual_fraction(NodeId v, double size) const {

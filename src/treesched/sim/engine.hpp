@@ -17,9 +17,10 @@
 // available work items form a flat binary min-heap with back-pointers in the
 // job arena; and all per-(job, path-index) state is structure-of-arrays in
 // per-run arenas indexed by a span per job, so admission and delivery do not
-// allocate. The five aggregate queries have one implementation, the
-// incremental per-node dispatch indices; tests shadow them per event with a
-// naive rescan of Q_v (tests/support/query_oracle.hpp).
+// allocate. The aggregate queries (the five of the paper, plus the fused
+// priority_split behind F) have one implementation, the incremental
+// per-node dispatch indices; tests shadow them per event with a naive
+// rescan of Q_v (tests/support/query_oracle.hpp).
 //
 // Fault extension (set_fault_plan): the engine consumes a declarative
 // fault::FaultPlan and interleaves its events deterministically with the
@@ -280,6 +281,11 @@ class Engine {
   const SpeedProfile& speeds() const { return speeds_; }
   const EngineConfig& config() const { return cfg_; }
 
+  /// Process-unique identity of this engine, distinct for every engine ever
+  /// constructed. Policy caches key on it rather than on the engine's
+  /// address, which a later engine may reuse.
+  std::uint64_t serial() const { return serial_; }
+
   // --- per-job state (as of now()) ----------------------------------------
 
   bool admitted(JobId j) const { return jobs_[uidx(j)].admitted; }
@@ -345,6 +351,20 @@ class Engine {
 
   /// |{ i in Q_v : p_{i,v} > size }| (strictly larger original size).
   int count_larger(NodeId v, double size) const;
+
+  /// Both aggregates of the Lemma-4 term F for one candidate.
+  struct PrioritySplit {
+    /// == higher_priority_remaining(v, cand_size, cand_release, cand_id)
+    double higher_remaining = 0.0;
+    /// == count_larger(v, cand_size)
+    int larger = 0;
+  };
+
+  /// higher_priority_remaining and count_larger in one index descent,
+  /// bit-equal to the two separate calls; O(1) when the candidate is
+  /// smaller than everything queued at v.
+  PrioritySplit priority_split(NodeId v, double cand_size, Time cand_release,
+                               JobId cand_id) const;
 
   /// sum_{i in Q_v, p_{i,v} > size} remaining_on(i,v) / p_{i,v} — the weight
   /// used by F' in the unrelated assignment rule (Section 3.6).
@@ -431,6 +451,10 @@ class Engine {
     /// running item's live drain.
     DispatchIndex index;
     PriorityKey running{};         ///< cached top at burst start
+    /// Dispatch-index key of the running item's job, cached at burst start
+    /// (derived, not serialized) so the queries' drain adjustment compares
+    /// keys without re-reading the instance.
+    SjfKey running_sjf{};
     bool has_running = false;
     std::int32_t running_idx = 0;  ///< path index of the running item
     /// Stored remaining-on-v of the running item's job (whole job, pending
@@ -541,6 +565,14 @@ class Engine {
   /// Work the running burst of v has drained off its item since burst
   /// start, clamped the way remaining_on clamps (never below zero).
   double running_drain(const NodeState& ns, NodeId v) const;
+  /// Index sum of the entries preceding `cand`, corrected for the running
+  /// item's live drain and clamped at zero — the value
+  /// higher_priority_remaining answers.
+  double drained_before(const NodeState& ns, NodeId v, const SjfKey& cand,
+                        double index_sum) const;
+  /// Marks the avail-heap top as v's running item from burst start t and
+  /// schedules its completion event (resched / force_resched).
+  void start_burst(NodeId v, Time t);
 
   /// Effective processing speed of v right now (base speed x slowdown).
   double node_speed(NodeId v) const {
@@ -589,6 +621,7 @@ class Engine {
   void reassign_leaf(JobId j, NodeId new_leaf, Time t);
 
   const Instance* inst_;
+  std::uint64_t serial_;
   SpeedProfile speeds_;
   EngineConfig cfg_;
   std::vector<NodeState> nodes_;

@@ -240,9 +240,11 @@ void Engine::load_state(std::istream& is) {
     if (ns.has_running) {
       is >> ns.running.a >> ns.running.b >> ns.running.job >>
           ns.running.chunk >> ns.running_rem;
-      // Derived, not serialized: the running item's path index.
+      // Derived, not serialized: the running item's path index and
+      // dispatch-index key.
       ns.running_idx =
           path_index(jobs_[uidx(ns.running.job)], static_cast<NodeId>(v));
+      ns.running_sjf = index_key(ns.running.job, static_cast<NodeId>(v));
     }
   }
 

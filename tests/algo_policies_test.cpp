@@ -1,6 +1,8 @@
 // Assignment policies: the paper's greedy rule and the baselines.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "treesched/algo/policies.hpp"
 #include "treesched/algo/potential.hpp"
 #include "treesched/algo/runner.hpp"
@@ -51,6 +53,29 @@ TEST(PaperGreedy, FFormulaMatchesHandComputation) {
   EXPECT_NEAR(policy.assignment_cost(eng, j1, leaf1), 2.0 + 6.0 * 2 * 2, 1e-9);
   EXPECT_NEAR(algo::lemma4_bound(eng, j1, leaf1, 1.0),
               policy.assignment_cost(eng, j1, leaf1), 1e-12);
+}
+
+TEST(PaperGreedy, CachesFollowTheEngineNotItsAddress) {
+  // A policy outlives the engine it first served, and the next engine is
+  // built at the same address (std::optional re-emplacement). The policy's
+  // leaf groups and F cache must be rebuilt for the new tree: node 3 is a
+  // leaf of fat_tree(2, 1, 2) but a router of fat_tree(3, 1, 4).
+  const Instance small(builders::fat_tree(2, 1, 2), {Job(0, 0.0, 1.0)},
+                       EndpointModel::kIdentical);
+  const Instance big(builders::fat_tree(3, 1, 4), {Job(0, 0.0, 1.0)},
+                     EndpointModel::kIdentical);
+  algo::PaperGreedyPolicy reused(0.5);
+  std::optional<sim::Engine> eng;
+  eng.emplace(small, SpeedProfile::uniform(small.tree(), 1.0));
+  const sim::Engine* first_address = &*eng;
+  EXPECT_TRUE(small.tree().is_leaf(reused.assign(*eng, small.job(0))));
+
+  eng.emplace(big, SpeedProfile::uniform(big.tree(), 1.0));
+  ASSERT_EQ(&*eng, first_address);
+  algo::PaperGreedyPolicy fresh(0.5);
+  const NodeId want = fresh.assign(*eng, big.job(0));
+  EXPECT_TRUE(big.tree().is_leaf(want));
+  EXPECT_EQ(reused.assign(*eng, big.job(0)), want);
 }
 
 TEST(PaperGreedy, UnrelatedRuleWeighsLeafCongestion) {

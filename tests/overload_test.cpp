@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "treesched/treesched.hpp"
@@ -160,6 +161,36 @@ TEST(Deadline, GenerousSlackAdmitsEverything) {
   eng.run(policy);
   EXPECT_TRUE(eng.metrics().all_completed());
   EXPECT_EQ(eng.metrics().rejected_count(), 0u);
+}
+
+TEST(Deadline, RepresentativesFollowTheEngineNotItsAddress) {
+  // The controller first serves an engine over fat_tree(2, 1, 2), then one
+  // over fat_tree(3, 1, 4) built at the same address. Its per-root-child
+  // representative leaves must be rebuilt: root children 1 and 3 of the new
+  // tree carry a larger queued job (F = 2 for a unit arrival), root child 2
+  // is empty (F = 1). With slack 1 the unit arrival fits only via rack 2.
+  const Instance small(builders::fat_tree(2, 1, 2), {Job(0, 0.0, 1.0)},
+                       EndpointModel::kIdentical);
+  const Instance big(builders::fat_tree(3, 1, 4),
+                     {Job(0, 0.0, 4.0), Job(1, 0.0, 4.0), Job(2, 0.0, 1.0)},
+                     EndpointModel::kIdentical);
+  const auto cfg = shed_cfg(overload::ShedPolicy::kDeadline, 0.0, 1.0);
+  overload::AdmissionController ctl(cfg.shed, 0.5);
+  std::optional<sim::Engine> eng;
+  eng.emplace(small, SpeedProfile::uniform(small.tree(), 1.0), cfg);
+  const sim::Engine* first_address = &*eng;
+  EXPECT_TRUE(ctl.admit(*eng, small.job(0)));
+
+  eng.emplace(big, SpeedProfile::uniform(big.tree(), 1.0), cfg);
+  ASSERT_EQ(&*eng, first_address);
+  const auto& rcs = big.tree().root_children();
+  ASSERT_EQ(rcs.size(), 3u);
+  eng->admit(0, big.tree().leaves_under(rcs[0]).front());
+  eng->admit(1, big.tree().leaves_under(rcs[2]).front());
+  EXPECT_TRUE(ctl.admit(*eng, big.job(2)));
+  ASSERT_EQ(eng->shed_log().size(), 1u);
+  EXPECT_EQ(eng->shed_log()[0].kind, sim::ShedRecord::Kind::kAdmit);
+  EXPECT_DOUBLE_EQ(eng->shed_log()[0].f, 1.0);
 }
 
 TEST(RunLog, ShedRecordsRoundTripAndAuditPasses) {

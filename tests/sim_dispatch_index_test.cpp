@@ -1,11 +1,13 @@
 // DispatchIndex differential test: random insert/update/erase traffic
 // checked after every operation against a naive flat-vector model. Sums are
 // compared with a relative tolerance (the treap reassociates additions);
-// counts and membership are exact.
+// counts, membership and the minimum size are exact, and the fused split_at
+// query is bit-equal to the two separate descents it replaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "treesched/sim/dispatch_index.hpp"
@@ -54,6 +56,18 @@ class NaiveIndex {
     for (const Entry& e : entries_) sum += e.rem / e.key.size;
     return sum;
   }
+  double min_size() const {
+    double m = std::numeric_limits<double>::infinity();
+    for (const Entry& e : entries_) m = std::min(m, e.key.size);
+    return m;
+  }
+  /// True iff split_at(cand) must finish two separate tails: some entry has
+  /// the candidate's size and does not precede it.
+  bool ties_with(const SjfKey& cand) const {
+    for (const Entry& e : entries_)
+      if (e.key.size == cand.size && !(e.key < cand)) return true;
+    return false;
+  }
 
   const std::vector<Entry>& entries() const { return entries_; }
 
@@ -71,9 +85,27 @@ void expect_near_rel(double fast, double naive) {
   EXPECT_NEAR(fast, naive, tol);
 }
 
+/// Which split_at paths the probes reached, so the tests can require both
+/// the tie tail and the smallest-candidate shortcut to have run.
+struct SplitCoverage {
+  int ties = 0;
+  int below_min = 0;
+};
+
+/// split_at must be == (not near) the two separate descents.
+void check_split(const DispatchIndex& fast, const NaiveIndex& naive,
+                 const SjfKey& probe, SplitCoverage& cov) {
+  const DispatchIndex::Split s = fast.split_at(probe);
+  EXPECT_EQ(s.remaining_before, fast.remaining_before(probe));
+  EXPECT_EQ(s.size_greater, fast.count_size_greater(probe.size));
+  if (naive.ties_with(probe)) ++cov.ties;
+  if (probe.size < naive.min_size()) ++cov.below_min;
+}
+
 void check_queries(const DispatchIndex& fast, const NaiveIndex& naive,
-                   util::Rng& rng) {
+                   util::Rng& rng, SplitCoverage& cov) {
   ASSERT_EQ(fast.size(), naive.size());
+  EXPECT_EQ(fast.min_size(), naive.min_size());
   expect_near_rel(fast.total_remaining(), naive.total_remaining());
   expect_near_rel(fast.total_fraction(), naive.total_fraction());
   for (int q = 0; q < 4; ++q) {
@@ -88,10 +120,12 @@ void check_queries(const DispatchIndex& fast, const NaiveIndex& naive,
                        static_cast<JobId>(rng.uniform_int(0, 400))};
     expect_near_rel(fast.remaining_before(probe),
                     naive.remaining_before(probe));
+    check_split(fast, naive, probe, cov);
   }
 }
 
 TEST(DispatchIndex, MatchesNaiveModelUnderRandomTraffic) {
+  SplitCoverage cov;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     util::Rng rng(seed);
     DispatchIndex fast;
@@ -121,17 +155,81 @@ TEST(DispatchIndex, MatchesNaiveModelUnderRandomTraffic) {
           naive.erase(key);
         }
       }
-      check_queries(fast, naive, rng);
+      check_queries(fast, naive, rng, cov);
     }
     // Drain completely: erase-path coverage down to the empty tree.
     while (naive.size() > 0) {
       const SjfKey key = naive.entries().back().key;
       fast.erase(key);
       naive.erase(key);
-      check_queries(fast, naive, rng);
+      check_queries(fast, naive, rng, cov);
     }
     EXPECT_TRUE(fast.empty());
   }
+  EXPECT_GT(cov.ties, 0);
+  EXPECT_GT(cov.below_min, 0);
+}
+
+TEST(DispatchIndex, MinSizeAndSplitOnSharedPool) {
+  // Three indices share one node pool, as the engine's per-node indices do.
+  // Erasures prefer the current minimum, so the left-spine re-read runs
+  // often, and every index is emptied and refilled along the way.
+  constexpr int kIndices = 3;
+  SplitCoverage cov;
+  util::Rng rng(7);
+  TreapPool pool;
+  std::vector<DispatchIndex> fast(kIndices);
+  for (DispatchIndex& d : fast) d.attach_pool(&pool);
+  std::vector<NaiveIndex> naive(kIndices);
+  JobId next_job = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const std::size_t i = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    DispatchIndex& f = fast[i];
+    NaiveIndex& n = naive[i];
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind < 4 || n.size() == 0) {
+      const SjfKey key{static_cast<double>(rng.uniform_int(1, 6)),
+                       static_cast<Time>(rng.uniform_int(0, 3)), next_job++};
+      const double rem = key.size * rng.uniform01();
+      f.insert(key, rem);
+      n.insert(key, rem);
+    } else if (kind < 7) {
+      // Erase an entry of minimum size (the one the spine re-read replaces).
+      const auto& es = n.entries();
+      const auto it = std::min_element(
+          es.begin(), es.end(),
+          [](const Entry& a, const Entry& b) { return a.key.size < b.key.size; });
+      const SjfKey key = it->key;
+      f.erase(key);
+      n.erase(key);
+    } else if (kind < 8) {
+      // Empty the index completely.
+      while (n.size() > 0) {
+        const SjfKey key = n.entries().front().key;
+        f.erase(key);
+        n.erase(key);
+        EXPECT_EQ(f.min_size(), n.min_size());
+      }
+      EXPECT_TRUE(f.empty());
+    } else {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n.size()) - 1));
+      const SjfKey key = n.entries()[pick].key;
+      f.erase(key);
+      n.erase(key);
+    }
+    for (int k = 0; k < kIndices; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      ASSERT_EQ(fast[ku].size(), naive[ku].size());
+      EXPECT_EQ(fast[ku].min_size(), naive[ku].min_size());
+      const SjfKey probe{static_cast<double>(rng.uniform_int(0, 12)) / 2.0,
+                         static_cast<Time>(rng.uniform_int(0, 4)),
+                         static_cast<JobId>(rng.uniform_int(0, 400))};
+      check_split(fast[ku], naive[ku], probe, cov);
+    }
+  }
+  EXPECT_GT(cov.ties, 0);
+  EXPECT_GT(cov.below_min, 0);
 }
 
 TEST(DispatchIndex, DeterministicAcrossInsertionOrders) {

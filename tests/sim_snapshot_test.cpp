@@ -89,6 +89,44 @@ TEST(SimSnapshotTest, MidRunRestoreFinishesByteIdentically) {
   EXPECT_EQ(resumed.metrics().makespan(), cont.metrics().makespan());
 }
 
+TEST(SimSnapshotTest, RestoredEngineAnswersPrioritySplitExactly) {
+  // Snapshot mid-burst (the clock sits between events, so running items
+  // have drained since their burst start) and compare the restored engine
+  // with the original at the same instant: the fused Lemma-4 query must
+  // agree bit for bit on every node, for every job size as the candidate.
+  // This pins the running item's key, which load_state re-derives.
+  auto tree = test_tree();
+  const auto jobs = stream_jobs(120, 0x5eed);
+  const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
+  const Instance inst(tree, jobs, EndpointModel::kIdentical);
+  algo::PaperGreedyPolicy policy(0.5);
+  sim::Engine orig(inst, speeds, sim::EngineConfig{});
+  admit_range(orig, policy, inst, 0, 70);
+  orig.advance_to((inst.jobs()[69].release + inst.jobs()[70].release) / 2.0);
+  std::ostringstream snap;
+  orig.save_state(snap);
+  sim::Engine restored(inst, speeds, sim::EngineConfig{});
+  std::istringstream in(snap.str());
+  restored.load_state(in);
+
+  std::size_t compared = 0;
+  for (NodeId v = 0; v < tree->node_count(); ++v) {
+    if (v == tree->root()) continue;
+    for (const Job& cand : inst.jobs()) {
+      const double p = orig.size_on(cand.id, v);
+      const sim::Engine::PrioritySplit a =
+          orig.priority_split(v, p, cand.release, cand.id);
+      const sim::Engine::PrioritySplit b =
+          restored.priority_split(v, p, cand.release, cand.id);
+      EXPECT_EQ(b.higher_remaining, a.higher_remaining)
+          << "node " << v << " candidate " << cand.id;
+      EXPECT_EQ(b.larger, a.larger) << "node " << v << " candidate " << cand.id;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
 TEST(SimSnapshotTest, RestoreThenContinueUnderQueryOracle) {
   auto tree = test_tree();
   const auto jobs = stream_jobs(120, 0x77);

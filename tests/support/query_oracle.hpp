@@ -12,6 +12,11 @@
 // additions differently from a left-to-right rescan, so the two differ by
 // a few ulps.
 //
+// The fused priority_split query is shadowed for the same candidates plus
+// one foreign candidate per node smaller than every queued job (the index's
+// no-descent case): its two parts must equal higher_priority_remaining and
+// count_larger bit for bit, which makes them match the rescan like those.
+//
 // The first mismatch fails the running test, naming the event time, node,
 // query, candidate, naive value and engine value: the first divergent query
 // and event, not just a differing end result.
@@ -22,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -86,34 +92,53 @@ class QueryOracle : public sim::EngineObserver {
       if (tree.is_leaf(v))
         compare(t, v, "alpha_leaf", kInvalidJob, alpha, engine.alpha_leaf(v),
                 false);
+      double min_size = std::numeric_limits<double>::infinity();
       for (const JobId c : q) {
         const double pc = engine.size_on(c, v);
         const Time rc = engine.instance().job(c).release;
-        double higher = 0.0;
-        double larger_frac = 0.0;
-        int larger = 0;
-        for (const JobId i : q) {
-          const double pi = engine.size_on(i, v);
-          const Time ri = engine.instance().job(i).release;
-          const bool before =
-              pi < pc || (pi == pc && (ri < rc || (ri == rc && i < c)));
-          if (i != c && before) higher += engine.remaining_on(i, v);
-          if (pi > pc) {
-            ++larger;
-            larger_frac += engine.remaining_on(i, v) / pi;
-          }
-        }
-        compare(t, v, "higher_priority_remaining", c, higher,
-                engine.higher_priority_remaining(v, pc, rc, c), false);
-        compare(t, v, "count_larger", c, larger, engine.count_larger(v, pc),
-                true);
-        compare(t, v, "larger_residual_fraction", c, larger_frac,
-                engine.larger_residual_fraction(v, pc), false);
+        min_size = std::min(min_size, pc);
+        check_candidate(engine, t, v, pc, rc, c);
       }
+      if (!q.empty())
+        check_candidate(engine, t, v, min_size / 2.0, engine.now(),
+                        kInvalidJob);
     }
   }
 
  private:
+  /// Rescans Q_v for one candidate (size on v, release, id) — an inflight
+  /// job, or a foreign one (id kInvalidJob) — and compares the candidate
+  /// queries with it.
+  void check_candidate(const sim::Engine& engine, Time t, NodeId v, double pc,
+                       Time rc, JobId c) {
+    double higher = 0.0;
+    double larger_frac = 0.0;
+    int larger = 0;
+    for (const JobId i : engine.inflight_at(v)) {
+      const double pi = engine.size_on(i, v);
+      const Time ri = engine.instance().job(i).release;
+      const bool before =
+          pi < pc || (pi == pc && (ri < rc || (ri == rc && i < c)));
+      if (i != c && before) higher += engine.remaining_on(i, v);
+      if (pi > pc) {
+        ++larger;
+        larger_frac += engine.remaining_on(i, v) / pi;
+      }
+    }
+    const double hpr = engine.higher_priority_remaining(v, pc, rc, c);
+    const int cnt = engine.count_larger(v, pc);
+    compare(t, v, "higher_priority_remaining", c, higher, hpr, false);
+    compare(t, v, "count_larger", c, larger, cnt, true);
+    compare(t, v, "larger_residual_fraction", c, larger_frac,
+            engine.larger_residual_fraction(v, pc), false);
+    const sim::Engine::PrioritySplit split =
+        engine.priority_split(v, pc, rc, c);
+    compare(t, v, "priority_split.higher_remaining == higher_priority_remaining",
+            c, hpr, split.higher_remaining, true);
+    compare(t, v, "priority_split.larger == count_larger", c, cnt,
+            split.larger, true);
+  }
+
   void compare(Time t, NodeId v, const char* query, JobId cand, double naive,
                double engine_value, bool exact) {
     ++answers_;
