@@ -80,6 +80,13 @@ std::string spec_string(const Tree& tree, const SpeedProfile& speeds,
   return os.str();
 }
 
+/// Engine ticks between two rounds of wall-clock housekeeping (heartbeat,
+/// status file, watchdog poll). Each round reads the clock; a healthy
+/// stream ticks about a million times a second, so reading it on every
+/// tick would be the largest cost of supervision. Watchdog deadlines are
+/// seconds, and 64 ticks are tens of microseconds.
+constexpr std::uint32_t kClockTicks = 64;
+
 void expect_tag(std::istream& is, const char* tag) {
   std::string got;
   is >> got;
@@ -197,6 +204,8 @@ class StreamRunner {
   void on_tick(const sim::Engine& engine) {
     if (writer_ && engine.recorder().segments().size() >= cfg_.segment_cap)
       drain();
+    if (++ticks_ < kClockTicks) return;
+    ticks_ = 0;
     heartbeat(engine.now());
     write_status();
     poll_watchdog();
@@ -227,50 +236,51 @@ class StreamRunner {
     base_ = gen_cursor_.index;
     window_cursor_ = gen_cursor_;
     window_jobs_.clear();
-    const std::uint64_t remaining = cfg_.total_jobs - base_;
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(window_quantum_,
-                                                         remaining));
-    for (std::size_t i = 0; i < n; ++i) {
-      const workload::StreamJob sj = stream_.next(gen_cursor_);
-      window_jobs_.emplace_back(static_cast<JobId>(i), sj.release, sj.size);
-    }
     processed_ = 0;
     shed_consumed_ = 0;
-    rebuild_engine(nullptr, &acc);
+    rebuild_engine(grow_window(step_size()), nullptr, &acc);
   }
 
-  /// Grows the current window by one quantum and moves the live engine
-  /// state over byte-exactly.
+  /// Grows the current window by one quantum in place: the engine rebinds
+  /// to the larger instance and keeps every piece of live state.
   void extend_window() {
-    std::ostringstream blob;
-    engine_->save_state(blob);
-    const std::uint64_t generated = base_ + window_jobs_.size();
-    const std::uint64_t remaining = cfg_.total_jobs - generated;
-    const std::size_t grow =
-        static_cast<std::size_t>(std::min<std::uint64_t>(window_quantum_,
-                                                         remaining));
-    TS_REQUIRE(grow > 0, "extend_window with no arrivals left");
-    for (std::size_t i = 0; i < grow; ++i) {
+    const std::size_t n = step_size();
+    TS_REQUIRE(n > 0, "extend_window with no arrivals left");
+    std::unique_ptr<Instance> larger = grow_window(n);
+    engine_->extend(*larger);
+    inst_ = std::move(larger);  // the engine no longer references the old one
+  }
+
+  /// Arrivals one window step takes: a quantum, or what is left of the run.
+  std::size_t step_size() const {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        window_quantum_, cfg_.total_jobs - gen_cursor_.index));
+  }
+
+  /// Appends the next `n` arrivals to the window (window-local ids) and
+  /// returns an instance over the whole window.
+  std::unique_ptr<Instance> grow_window(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
       const workload::StreamJob sj = stream_.next(gen_cursor_);
       window_jobs_.emplace_back(static_cast<JobId>(window_jobs_.size()),
                                 sj.release, sj.size);
     }
-    std::istringstream in(blob.str());
-    rebuild_engine(&in, nullptr);
+    result_.max_window = std::max(result_.max_window, window_jobs_.size());
+    return std::make_unique<Instance>(tree_, window_jobs_,
+                                      EndpointModel::kIdentical);
   }
 
-  /// (Re)creates instance + engine over window_jobs_. Exactly one of
-  /// `state` (load_state blob) / `acc` (fresh streaming window) is given.
-  void rebuild_engine(std::istream* state, sim::StreamAccumulator* acc) {
+  /// Creates the engine over `inst`. Exactly one of `state` (snapshot engine
+  /// section) / `acc` (fresh streaming window) is given.
+  void rebuild_engine(std::unique_ptr<Instance> inst, std::istream* state,
+                      sim::StreamAccumulator* acc) {
     // Carry the retiring engine's arena footprint forward so the next
     // window's job arenas start at their steady-state size instead of
     // re-growing from zero on every rotation.
     const std::size_t arena_hint =
         engine_ != nullptr ? engine_->arena_size() : 0;
     engine_.reset();  // references the old instance — must go first
-    inst_ = std::make_unique<Instance>(tree_, window_jobs_,
-                                       EndpointModel::kIdentical);
+    inst_ = std::move(inst);
     sim::EngineConfig ecfg;
     ecfg.arena_reserve = arena_hint;
     ecfg.node_policy = cfg_.node_policy;
@@ -284,7 +294,6 @@ class StreamRunner {
     else
       engine_->metrics().enable_streaming(std::move(*acc));
     engine_->set_observer(&feed_);
-    result_.max_window = std::max(result_.max_window, window_jobs_.size());
   }
 
   void step_one_arrival() {
@@ -578,15 +587,12 @@ class StreamRunner {
     // generation by the per-index RNG-stream construction.
     gen_cursor_ = window_cursor_;
     window_jobs_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const workload::StreamJob sj = stream_.next(gen_cursor_);
-      window_jobs_.emplace_back(static_cast<JobId>(i), sj.release, sj.size);
-    }
+    std::unique_ptr<Instance> inst = grow_window(count);
     TS_REQUIRE(gen_cursor_.index == gcur.index &&
                    gen_cursor_.clock == gcur.clock,
                "regenerated window does not land on the saved cursor");
     std::istringstream es(find_snapshot_section(sections, "engine"));
-    rebuild_engine(&es, nullptr);
+    rebuild_engine(std::move(inst), &es, nullptr);
     if (admission_) {
       std::istringstream as(find_snapshot_section(sections, "overload"));
       admission_->load_state(as);
@@ -702,6 +708,7 @@ class StreamRunner {
   std::optional<guard::GuardLogWriter> glog_;
   std::size_t window_quantum_ = 0;  ///< runtime quantum (governor may shrink)
   double last_status_ = -1.0;
+  std::uint32_t ticks_ = 0;  ///< engine ticks since the last clock round
   bool stalled_ = false;  ///< test stall already performed
 };
 

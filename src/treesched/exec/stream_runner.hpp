@@ -11,24 +11,27 @@
 //    the next window carries the metrics forward through the streaming
 //    accumulator (sim::Metrics::enable_streaming);
 //  * extends when the next arrival lands while work is in flight: the live
-//    state moves to an engine over a larger window via Engine::save_state /
-//    load_state, which is byte-exact.
+//    engine grows in memory (Engine::extend) to an instance over a window
+//    one quantum longer, keeping every piece of its state.
 //
-// Because rotation happens only at quiescent instants and extension is
-// byte-exact, every schedule decision, metric bit, and run-log byte is
-// INDEPENDENT of the window quantum — the windowing is invisible.
+// Because rotation happens only at quiescent instants and extension keeps
+// the engine as it is, every schedule decision, metric bit, and run-log
+// byte is INDEPENDENT of the window quantum — the windowing is invisible.
+// Window memory follows the busy period: a stream that never drains keeps
+// every job since the last rotation in its window.
 //
 // Snapshots: every `snapshot_every` arrivals the runner force-commits the
 // segmented run log and writes one checksummed snapshot GENERATION
 // (exec/snapshot_store.hpp): a treesched-snapshot-v2 envelope holding the
-// stream cursors, policy decision state, writer chain position, full engine
-// state, and — when shedding is on — the admission controller's saturation
-// estimator. Generations rotate under a manifest with a keep budget. A run
-// resumed from a snapshot replays byte-identically: same metrics bits, same
-// segment files, same manifest — the kill-and-resume differential the
-// endurance CI leg checks. Snapshot points sit at arrival boundaries, after
-// a full recorder drain, which is what makes them safe commit points for
-// the segment writer.
+// stream cursors, policy decision state, writer chain position, the engine
+// state (live jobs only; retired ones are a status letter — see
+// sim/snapshot.cpp), and — when shedding is on — the admission controller's
+// saturation estimator. Generations rotate under a manifest with a keep
+// budget. A run resumed from a snapshot replays byte-identically: same
+// metrics bits, same segment files, same manifest — the kill-and-resume
+// differential the endurance CI leg checks. Snapshot points sit at arrival
+// boundaries, after a full recorder drain, which is what makes them safe
+// commit points for the segment writer.
 //
 // Resume walks a SELF-HEALING LADDER: generations are verified newest
 // first; a missing or corrupt generation is skipped (corrupt files are

@@ -27,7 +27,10 @@ enum class Stage : std::uint8_t {
   /// still logged so the audited ladder order is the same everywhere.
   kStreamingMetrics = 1,
   /// Stream window quantum halved (results are window-invariant, so this
-  /// only trims memory, never changes a schedule byte).
+  /// never changes a schedule byte). It trims memory only at the next
+  /// rotation: on a stream that never drains, the window holds every job
+  /// since the last rotation whatever the quantum, so it saves at most the
+  /// not-yet-arrived tail of one quantum.
   kShrunkWindow = 2,
   /// Admission control tightened (effective queue cap / deadline slack
   /// halved) so the shed policy drains backlog harder.

@@ -3,19 +3,28 @@
 namespace treesched::guard {
 
 Watchdog::Watchdog(WatchdogConfig cfg, Clock* clock)
-    : cfg_(cfg), clock_(clock), last_progress_t_(clock->now_s()) {}
+    : cfg_(cfg),
+      clock_(clock),
+      last_read_t_(clock->now_s()),
+      last_progress_t_(last_read_t_) {}
 
-void Watchdog::progress(std::uint64_t arrivals) {
-  arrivals_ = arrivals;
-  last_progress_t_ = clock_->now_s();
-  fired_rank_ = 0;
+double Watchdog::observe() {
+  const double now = clock_->now_s();
+  if (arrivals_ != seen_arrivals_) {
+    seen_arrivals_ = arrivals_;
+    last_progress_t_ = last_read_t_;
+    fired_rank_ = 0;
+  }
+  last_read_t_ = now;
+  return now - last_progress_t_;
 }
 
-double Watchdog::stalled_s() { return clock_->now_s() - last_progress_t_; }
+double Watchdog::stalled_s() { return observe(); }
 
 Watchdog::Action Watchdog::poll() {
-  if (!cfg_.enabled() || fired_rank_ >= 3) return Action::kNone;
-  const double stalled = stalled_s();
+  if (!cfg_.enabled()) return Action::kNone;
+  const double stalled = observe();
+  if (fired_rank_ >= 3) return Action::kNone;
   // Fire the next rank the moment its deadline multiple passes; one rank per
   // poll keeps the log -> snapshot -> abort order even if polls are sparse
   // and the stall already overshot several multiples.

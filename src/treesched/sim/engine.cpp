@@ -45,6 +45,16 @@ Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
   metrics_.reset(uidx(instance.job_count()));
 }
 
+void Engine::extend(const Instance& larger) {
+  TS_REQUIRE(&larger.tree() == &tree() && larger.model() == inst_->model(),
+             "extend: the larger instance must share the tree and model");
+  TS_REQUIRE(larger.job_count() >= inst_->job_count(),
+             "extend: the instance cannot shrink");
+  inst_ = &larger;
+  jobs_.resize(uidx(larger.job_count()));
+  metrics_.extend(uidx(larger.job_count()));
+}
+
 // ---------------------------------------------------------------------------
 // Internal helpers
 // ---------------------------------------------------------------------------

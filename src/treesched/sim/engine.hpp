@@ -260,6 +260,16 @@ class Engine {
   /// that takes the per-job paths.
   void admit_via_path(JobId j, std::vector<NodeId> path);
 
+  /// Window extension: rebinds the engine to `larger`, an instance over the
+  /// same tree and endpoint model whose first job_count() jobs are this
+  /// instance's jobs, and appends fresh per-job state for the new ones.
+  /// Everything else — clock, serial, dispatch indices, heaps, pending
+  /// events, metrics — carries on in place, so the run continues exactly as
+  /// if it had been built over `larger` from the start (job ids do not
+  /// change, and the treap priorities hash them). The caller keeps `larger`
+  /// alive; the old instance may be dropped afterwards.
+  void extend(const Instance& larger);
+
   /// Offline convenience: admits every job of the instance in release order
   /// using `policy` for leaf assignment, then drains all events. Arrivals
   /// sharing a release instant form one batch epoch: the clock advances once
@@ -411,22 +421,25 @@ class Engine {
 
   // --- snapshot / restore --------------------------------------------------
 
-  /// Serializes the full live simulation state (clock, per-job stored
-  /// arrays, per-node running bursts and availability sets, pending event
+  /// Serializes the live simulation state (clock, a status letter per job,
+  /// the stored arrays of live jobs, per-node running bursts, pending event
   /// queue, shed log, metrics incl. streaming accumulator) as text at full
   /// double precision, such that load_state + replay is byte-identical to
-  /// the uninterrupted run. Dispatch-index treaps are NOT serialized — their
-  /// shape is a pure function of the key set, so load_state rebuilds them.
-  /// Restrictions (TS_REQUIREd): no fault plan, no custom admit_via_path
-  /// paths, whole-job forwarding or chunked both fine.
+  /// the uninterrupted run. Retired (done/shed) jobs are only a letter in
+  /// the status chart; per-job lines scale with the live jobs. Dispatch-index
+  /// treaps are NOT serialized — their shape is a pure function of the key
+  /// set, so load_state rebuilds them. Restrictions (TS_REQUIREd): no fault
+  /// plan, no live custom admit_via_path paths, whole-job forwarding or
+  /// chunked both fine.
   void save_state(std::ostream& os) const;
 
   /// Restores state captured by save_state into a PRISTINE engine (nothing
   /// admitted, clock at 0) built over the same tree/speeds/policy config.
-  /// The instance may have MORE jobs than the snapshot (window extension);
-  /// the extra jobs must all be untouched in the snapshot. The dispatch
-  /// indices are rebuilt from the restored inflight keys. Arm set_admission
-  /// BEFORE calling load_state.
+  /// The instance may have MORE jobs than the snapshot; the extra jobs start
+  /// untouched. The dispatch indices are rebuilt from the restored inflight
+  /// keys. Retired jobs come back as flags only (no path, no per-hop state).
+  /// Arm set_admission BEFORE calling load_state. Throws
+  /// std::invalid_argument on any other enginestate version than 3.
   void load_state(std::istream& is);
 
  private:
@@ -632,8 +645,8 @@ class Engine {
   /// node (the calendar-queue PR extended the treap's pool idiom this way).
   TreapPool index_pool_;
   // Per-run job-state arenas (see JobState). One shared offset space; reset
-  // happens by engine teardown — streaming drivers rebuild the engine per
-  // window and carry arena_size() forward as the arena_reserve hint.
+  // happens by engine teardown — streaming drivers rebuild the engine when a
+  // window rotates and carry arena_size() forward as the arena_reserve hint.
   std::vector<std::int32_t> a_chunks_done_;
   std::vector<double> a_head_rem_;
   std::vector<PriorityKey> a_key_;

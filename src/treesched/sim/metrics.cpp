@@ -115,10 +115,17 @@ void StreamAccumulator::load(std::istream& is) {
 // ---------------------------------------------------------------------------
 
 void Metrics::reset(std::size_t job_count) {
-  jobs_.assign(job_count, JobRecord{});
-  for (std::size_t j = 0; j < job_count; ++j)
-    jobs_[j].id = static_cast<JobId>(j);
+  jobs_.clear();
+  extend(job_count);
   acc_ = StreamAccumulator();
+}
+
+void Metrics::extend(std::size_t job_count) {
+  TS_REQUIRE(job_count >= jobs_.size(), "metrics extend: window cannot shrink");
+  const std::size_t old = jobs_.size();
+  jobs_.resize(job_count);
+  for (std::size_t j = old; j < job_count; ++j)
+    jobs_[j].id = static_cast<JobId>(j);
 }
 
 void Metrics::enable_streaming(StreamAccumulator acc) {
@@ -295,15 +302,19 @@ void Metrics::save(std::ostream& os) const {
   const auto flags = os.flags();
   const auto prec = os.precision();
   os << std::setprecision(17);
+  const auto written = [](const JobRecord& r) {
+    return r.touched() && !r.finalized;
+  };
   os << "metrics " << (mode_ == MetricsMode::kStreaming ? "streaming" : "full")
-     << ' ' << jobs_.size() << '\n';
+     << ' ' << jobs_.size() << ' '
+     << std::count_if(jobs_.begin(), jobs_.end(), written) << '\n';
   if (mode_ == MetricsMode::kStreaming) acc_.save(os);
   for (const auto& r : jobs_) {
+    if (!written(r)) continue;
     os << "jr " << r.id << ' ' << r.release << ' ' << r.weight << ' '
        << r.size << ' ' << r.leaf << ' ' << r.completion << ' '
        << r.fractional_area << ' ' << (r.shed ? 1 : 0) << ' '
-       << (r.rejected ? 1 : 0) << ' ' << (r.finalized ? 1 : 0) << ' '
-       << r.node_completion.size();
+       << (r.rejected ? 1 : 0) << ' ' << r.node_completion.size();
     for (const Time t : r.node_completion) os << ' ' << t;
     os << '\n';
   }
@@ -314,28 +325,33 @@ void Metrics::save(std::ostream& os) const {
 void Metrics::load(std::istream& is) {
   expect_tag(is, "metrics");
   std::string mode;
-  std::size_t n = 0;
-  is >> mode >> n;
+  std::size_t n = 0, nrec = 0;
+  is >> mode >> n >> nrec;
   TS_REQUIRE(is && (mode == "streaming" || mode == "full"),
              "metrics load: bad mode");
   TS_REQUIRE(jobs_.size() >= n,
              "metrics load: window smaller than serialized record count");
+  TS_REQUIRE(nrec <= n, "metrics load: more records than the window");
   mode_ = mode == "streaming" ? MetricsMode::kStreaming : MetricsMode::kFull;
   if (mode_ == MetricsMode::kStreaming) acc_.load(is);
-  for (std::size_t j = 0; j < n; ++j) {
+  JobId prev = kInvalidJob;
+  for (std::size_t i = 0; i < nrec; ++i) {
     expect_tag(is, "jr");
-    JobRecord& r = jobs_[j];
-    int shed = 0, rejected = 0, finalized = 0;
-    std::size_t nc = 0;
-    is >> r.id >> r.release >> r.weight >> r.size >> r.leaf >> r.completion >>
-        r.fractional_area >> shed >> rejected >> finalized >> nc;
-    TS_REQUIRE(is && r.id == static_cast<JobId>(j),
+    JobId id = kInvalidJob;
+    is >> id;
+    TS_REQUIRE(is && id > prev && uidx(id) < n,
                "metrics load: record id out of order");
+    prev = id;
+    JobRecord& r = jobs_[uidx(id)];
+    int shed = 0, rejected = 0;
+    std::size_t nc = 0;
+    is >> r.release >> r.weight >> r.size >> r.leaf >> r.completion >>
+        r.fractional_area >> shed >> rejected >> nc;
+    TS_REQUIRE(static_cast<bool>(is), "metrics load: truncated record");
     r.shed = shed != 0;
     r.rejected = rejected != 0;
-    r.finalized = finalized != 0;
     r.node_completion.assign(nc, 0.0);
-    for (std::size_t i = 0; i < nc; ++i) is >> r.node_completion[i];
+    for (std::size_t k = 0; k < nc; ++k) is >> r.node_completion[k];
   }
   TS_REQUIRE(static_cast<bool>(is), "metrics load: truncated state");
 }

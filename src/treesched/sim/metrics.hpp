@@ -30,6 +30,9 @@ struct JobRecord {
   Time flow() const { return completed() ? completion - release : -1.0; }
   /// Admitted = the job entered the system (completed or shed, not rejected).
   bool admitted() const { return leaf != kInvalidNode; }
+  /// Touched = the engine wrote this record (the job was admitted or
+  /// rejected); untouched records are still in their reset state.
+  bool touched() const { return admitted() || rejected; }
 };
 
 /// How Metrics stores results. kFull keeps every JobRecord queryable forever
@@ -81,6 +84,10 @@ class Metrics {
   /// with the carried accumulator after the owning engine resets.
   void reset(std::size_t job_count);
 
+  /// Appends fresh records up to `job_count` (window extension); existing
+  /// records, the mode and the accumulator are untouched.
+  void extend(std::size_t job_count);
+
   JobRecord& job(JobId j) { return jobs_[uidx(j)]; }
   const JobRecord& job(JobId j) const { return jobs_[uidx(j)]; }
   /// In streaming mode this is only the current window, not history.
@@ -103,9 +110,12 @@ class Metrics {
 
   const StreamAccumulator& stream_accumulator() const { return acc_; }
 
-  /// Text round-trip of mode + accumulator + all window records, for engine
-  /// snapshots. load() requires reset() with at least the serialized record
-  /// count first (extra records stay fresh — window extension).
+  /// Text round-trip of mode + accumulator + the touched, unfinalized window
+  /// records (each with its id), for engine snapshots. Finalized records are
+  /// already folded into the accumulator and are not written; load() leaves
+  /// every record it does not name in its reset state. load() requires
+  /// reset() with at least the serialized window size first (extra records
+  /// stay fresh — window extension).
   void save(std::ostream& os) const;
   void load(std::istream& is);
 

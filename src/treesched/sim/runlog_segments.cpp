@@ -145,52 +145,40 @@ void SegmentedRunLogWriter::resume(std::size_t next_index,
   chain_ = chain;
 }
 
-void SegmentedRunLogWriter::push(double key, int rank, std::string line) {
+template <class... Fields>
+void SegmentedRunLogWriter::push(double key, int rank, const char* tag,
+                                 Fields... fields) {
   TS_REQUIRE(started_ && !finalized_,
              "segmented log not started or already finalized");
-  pending_.push_back({key, rank, std::move(line)});
+  const std::size_t offset = lines_.size();
+  lines_ += tag;
+  ((lines_ += ' ', util::append_number(lines_, fields)), ...);
+  pending_.push_back({key, rank, offset, lines_.size() - offset});
 }
 
 void SegmentedRunLogWriter::on_admit(std::uint64_t job, double release,
                                      double weight, double size,
                                      NodeId leaf) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "jobrec " << job << ' ' << release << ' ' << weight << ' ' << size
-     << ' ' << leaf;
-  push(release, kRankJobrec, os.str());
+  push(release, kRankJobrec, "jobrec", job, release, weight, size, leaf);
 }
 
 void SegmentedRunLogWriter::on_burst(const Segment& s, std::uint64_t job) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "seg " << s.node << ' ' << job << ' ' << s.chunk << ' ' << s.t0
-     << ' ' << s.t1 << ' ' << s.rate;
   // A burst becomes final at its recording instant t1 — the key that stays
   // monotone across drains (t0 does not: a long burst can start before
   // short ones that were recorded earlier).
-  push(s.t1, kRankSeg, os.str());
+  push(s.t1, kRankSeg, "seg", s.node, job, s.chunk, s.t0, s.t1, s.rate);
 }
 
 void SegmentedRunLogWriter::on_done(std::uint64_t job, double t) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "done " << job << ' ' << t;
-  push(t, kRankDone, os.str());
+  push(t, kRankDone, "done", job, t);
 }
 
 void SegmentedRunLogWriter::on_shed(double t, std::uint64_t job) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "shed " << t << ' ' << job;
-  push(t, kRankRetire, os.str());
+  push(t, kRankRetire, "shed", t, job);
 }
 
 void SegmentedRunLogWriter::on_reject(double t, std::uint64_t job) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "reject " << t << ' ' << job;
-  push(t, kRankRetire, os.str());
+  push(t, kRankRetire, "reject", t, job);
 }
 
 void SegmentedRunLogWriter::commit(bool force) {
@@ -201,15 +189,23 @@ void SegmentedRunLogWriter::commit(bool force) {
                      if (a.key != b.key) return a.key < b.key;
                      return a.rank < b.rank;
                    });
-  std::ostringstream os;
-  os << "runlogseg-part 1 " << next_index_ << '\n';
-  for (const Pending& p : pending_) os << p.line << '\n';
-  os << "end " << next_index_ << ' ' << pending_.size() << '\n';
-  const std::string content = os.str();
-  const std::uint64_t fp = fnv1a_64(content);
+  content_.clear();
+  content_ += "runlogseg-part 1 ";
+  util::append_number(content_, next_index_);
+  content_ += '\n';
+  for (const Pending& p : pending_) {
+    content_.append(lines_, p.offset, p.length);
+    content_ += '\n';
+  }
+  content_ += "end ";
+  util::append_number(content_, next_index_);
+  content_ += ' ';
+  util::append_number(content_, pending_.size());
+  content_ += '\n';
+  const std::uint64_t fp = fnv1a_64(content_);
   chain_ = chain_step(chain_, fp);
   util::write_file_atomic(segment_log_path(cfg_.base_path, next_index_),
-                          content);
+                          content_);
   // Manifest entry: one fsynced append (failpoint site "manifest.append"),
   // so at worst a crash tears this one line — which readers drop as a torn
   // tail, and the next append heals.
@@ -218,6 +214,7 @@ void SegmentedRunLogWriter::commit(bool force) {
         << ' ' << chain_;
   util::append_line_durable(cfg_.base_path, entry.str(), "manifest.append");
   pending_.clear();
+  lines_.clear();
   ++next_index_;
 }
 

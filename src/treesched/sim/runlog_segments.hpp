@@ -28,6 +28,10 @@
 //   reject <t> <job>
 //   end <idx> <payload_lines>
 //
+// Lines are formatted with std::to_chars into one reused buffer
+// (util::append_number); the bytes are those of an ostream at
+// setprecision(17), which tests pin.
+//
 // Canonical payload order: stable sort by (time key, kind rank) where the
 // time key is the instant the event became final (jobrec: release; seg: t1,
 // its recording instant; done/shed/reject: t) and the rank orders
@@ -111,13 +115,19 @@ class SegmentedRunLogWriter {
   std::size_t pending() const { return pending_.size(); }
 
  private:
+  /// One payload line awaiting its segment: the sort key and the line's
+  /// slice [offset, offset + length) of lines_.
   struct Pending {
     double key = 0.0;
     int rank = 0;
-    std::string line;
+    std::size_t offset = 0;
+    std::size_t length = 0;
   };
 
-  void push(double key, int rank, std::string line);
+  /// Formats "<tag> <field> <field> ..." onto lines_ (numbers as
+  /// util::append_number writes them) and queues it under (key, rank).
+  template <class... Fields>
+  void push(double key, int rank, const char* tag, Fields... fields);
   std::string header_text() const;
 
   Config cfg_;
@@ -128,6 +138,8 @@ class SegmentedRunLogWriter {
   double chunk_;
   overload::ShedConfig shed_;
   std::vector<Pending> pending_;
+  std::string lines_;    ///< pending payload lines, back to back
+  std::string content_;  ///< segment file image, reused across commits
   std::size_t next_index_ = 0;
   std::uint64_t chain_;
   bool started_ = false;

@@ -1,10 +1,18 @@
-// Engine snapshot/restore (treesched-enginestate-v2; v2 added the
-// self-checksummed metrics/sketch serialization, so v1 blobs are rejected).
+// Engine snapshot/restore (treesched-enginestate-v3; v3 writes live jobs
+// only, so v2 blobs — one line per touched job — are rejected, as are v1
+// blobs without the self-checksummed metrics/sketch serialization).
 //
-// Serializes the complete live simulation state as text at full double
-// precision so that load_state + replay of the remaining arrivals is
-// byte-identical to an uninterrupted run. Two deliberate non-goals keep the
-// format small and the determinism argument simple:
+// Serializes the live simulation state as text at full double precision so
+// that load_state + replay of the remaining arrivals is byte-identical to an
+// uninterrupted run. Snapshots are the only user: a streaming window grows
+// in memory (Engine::extend), not through this text. Three deliberate
+// non-goals keep the format small and the determinism argument simple:
+//
+//  * Retired jobs carry no state. A done or shed job appears only as its
+//    letter in the status chart, and its metrics record either sits in the
+//    streaming accumulator already (streaming mode) or is written by
+//    Metrics::save (full mode). So a snapshot's size follows the live jobs,
+//    not the window.
 //
 //  * Dispatch-index treaps are NOT serialized. Their shape and float
 //    association depend only on the key set (deterministic hashed
@@ -19,7 +27,7 @@
 //    entries), because completion event times are sums that cannot be
 //    re-derived bit-exactly from the restored remaining work.
 //
-// Restrictions (TS_REQUIREd at save): no fault plan consumed, no
+// Restrictions (TS_REQUIREd at save): no fault plan consumed, no live
 // custom-path jobs, all nodes in nominal fault state. Streaming endurance
 // runs satisfy all three by construction.
 #include <algorithm>
@@ -36,7 +44,7 @@ namespace treesched::sim {
 namespace {
 
 constexpr char kMagic[] = "enginestate";
-constexpr int kVersion = 2;
+constexpr int kVersion = 3;
 
 void expect_tag(std::istream& is, const char* tag) {
   std::string got;
@@ -55,8 +63,8 @@ void Engine::save_state(std::ostream& os) const {
                    ns.deferred.empty(),
                "save_state requires nodes in nominal fault state");
   for (const JobState& js : jobs_)
-    TS_REQUIRE(!has_custom_path(js),
-               "save_state does not support custom-path jobs");
+    TS_REQUIRE(!has_custom_path(js) || js.done || js.shed,
+               "save_state does not support live custom-path jobs");
 
   const auto flags = os.flags();
   const auto prec = os.precision();
@@ -71,8 +79,8 @@ void Engine::save_state(std::ostream& os) const {
      << static_cast<long long>(rejected_count_) << '\n';
 
   // Per-job status chart: '.' untouched, 'R' rejected, 'L' live (admitted,
-  // unfinished, not shed), 'D' done, 'S' shed. Touched-but-not-rejected jobs
-  // get a full state line below.
+  // unfinished, not shed), 'D' done, 'S' shed. Only live jobs get a state
+  // line below; the chart alone restores the retired ones.
   std::string status(jobs_.size(), '.');
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const JobState& js = jobs_[j];
@@ -89,11 +97,11 @@ void Engine::save_state(std::ostream& os) const {
 
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const JobState& js = jobs_[j];
-    if (status[j] == '.' || status[j] == 'R') continue;
+    if (status[j] != 'L') continue;
     const std::size_t len = js.len;
-    os << "job " << j << ' ' << status[j] << ' ' << js.leaf << ' '
-       << js.chunks << ' ' << js.chunk_size << ' ' << js.leaf_rem << ' '
-       << js.frac << ' ' << js.frac_touch << ' ' << len;
+    os << "job " << j << ' ' << js.leaf << ' ' << js.chunks << ' '
+       << js.chunk_size << ' ' << js.leaf_rem << ' ' << js.frac << ' '
+       << js.frac_touch << ' ' << len;
     for (std::size_t i = 0; i + 1 < len; ++i)
       os << ' ' << chunks_done(js, i) << ' ' << head_rem(js, i);
     for (std::size_t i = 0; i < len; ++i) {
@@ -147,7 +155,10 @@ void Engine::load_state(std::istream& is) {
   expect_tag(is, kMagic);
   int version = 0;
   is >> version;
-  TS_REQUIRE(is && version == kVersion, "engine load: unsupported version");
+  TS_REQUIRE(is && version == kVersion,
+             "engine load: unsupported enginestate version " +
+                 std::to_string(version) + " (want " +
+                 std::to_string(kVersion) + ")");
 
   expect_tag(is, "config");
   std::string policy;
@@ -174,26 +185,36 @@ void Engine::load_state(std::istream& is) {
   TS_REQUIRE(is && status.size() == n, "engine load: malformed status chart");
   TS_REQUIRE(n <= jobs_.size(),
              "engine load: snapshot has more jobs than the instance");
-  for (std::size_t j = 0; j < n; ++j)
-    if (status[j] == 'R') jobs_[j].rejected = true;
+  std::size_t live = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    JobState& js = jobs_[j];
+    switch (status[j]) {
+      case '.': break;
+      case 'R': js.rejected = true; break;
+      case 'D': js.admitted = js.done = true; break;
+      case 'S': js.admitted = js.shed = true; break;
+      case 'L': ++live; break;
+      default: TS_REQUIRE(false, "engine load: bad status letter");
+    }
+  }
 
-  std::string tag;
-  while (is >> tag && tag == "job") {
+  std::size_t prev = 0;
+  for (std::size_t line = 0; line < live; ++line) {
+    expect_tag(is, "job");
     std::size_t j = 0;
-    char st = 0;
     std::size_t len = 0;
     is >> j;
-    TS_REQUIRE(is && j < n, "engine load: job id out of range");
+    TS_REQUIRE(is && j < n && status[j] == 'L' && (line == 0 || j > prev),
+               "engine load: job line is not the next live job");
+    prev = j;
     JobState& js = jobs_[j];
-    is >> st >> js.leaf >> js.chunks >> js.chunk_size >> js.leaf_rem >>
-        js.frac >> js.frac_touch >> len;
-    TS_REQUIRE(is && status[j] == st, "engine load: bad job line");
+    is >> js.leaf >> js.chunks >> js.chunk_size >> js.leaf_rem >> js.frac >>
+        js.frac_touch >> len;
+    TS_REQUIRE(static_cast<bool>(is), "engine load: bad job line");
     TS_REQUIRE(tree().is_leaf(js.leaf), "engine load: job leaf is no machine");
     js.path = &tree().path_to(js.leaf);
     TS_REQUIRE(js.path->size() == len, "engine load: path length mismatch");
     js.admitted = true;
-    js.done = st == 'D';
-    js.shed = st == 'S';
     js.span = alloc_span(len);
     js.len = static_cast<std::uint32_t>(len);
     for (std::size_t i = 0; i + 1 < len; ++i)
@@ -202,7 +223,6 @@ void Engine::load_state(std::istream& is) {
       int avail = 0;
       is >> avail;
       if (avail == 0) continue;
-      TS_REQUIRE(st == 'L', "engine load: retired job has available work");
       PriorityKey k;
       k.job = static_cast<JobId>(j);
       is >> k.a >> k.b >> k.chunk;
@@ -213,24 +233,19 @@ void Engine::load_state(std::istream& is) {
       avail_push((*js.path)[i], k, static_cast<int>(i));
     }
     TS_REQUIRE(static_cast<bool>(is), "engine load: truncated job line");
-    if (st == 'L') {
-      // Queue membership mirrors unfinished work per hop; the dispatch-index
-      // treaps rebuild bit-identically from the restored key set.
-      for (std::size_t i = 0; i + 1 < len; ++i) {
-        if (chunks_done(js, i) >= js.chunks) continue;
-        nodes_[uidx((*js.path)[i])].inflight.insert(static_cast<JobId>(j));
-        index_insert((*js.path)[i], static_cast<JobId>(j),
-                     static_cast<int>(i));
-      }
-      nodes_[uidx(js.leaf)].inflight.insert(static_cast<JobId>(j));
-      index_insert(js.leaf, static_cast<JobId>(j),
-                   static_cast<int>(len - 1));
+    // Queue membership mirrors unfinished work per hop; the dispatch-index
+    // treaps rebuild bit-identically from the restored key set.
+    for (std::size_t i = 0; i + 1 < len; ++i) {
+      if (chunks_done(js, i) >= js.chunks) continue;
+      nodes_[uidx((*js.path)[i])].inflight.insert(static_cast<JobId>(j));
+      index_insert((*js.path)[i], static_cast<JobId>(j), static_cast<int>(i));
     }
+    nodes_[uidx(js.leaf)].inflight.insert(static_cast<JobId>(j));
+    index_insert(js.leaf, static_cast<JobId>(j), static_cast<int>(len - 1));
   }
 
-  TS_REQUIRE(tag == "node", "engine load: expected node section");
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    if (v > 0) expect_tag(is, "node");
+    expect_tag(is, "node");
     std::size_t id = 0;
     int has_running = 0;
     NodeState& ns = nodes_[v];
@@ -272,6 +287,12 @@ void Engine::load_state(std::istream& is) {
   }
 
   metrics_.load(is);
+  // A retired job whose record was not written had been folded into the
+  // streaming accumulator: mark it so, exactly as the saved engine had it.
+  for (std::size_t j = 0; j < n; ++j) {
+    JobRecord& r = metrics_.job(static_cast<JobId>(j));
+    if (status[j] != '.' && status[j] != 'L' && !r.touched()) r.finalized = true;
+  }
   expect_tag(is, "end");
   TS_REQUIRE(static_cast<bool>(is), "engine load: truncated snapshot");
 }

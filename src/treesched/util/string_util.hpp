@@ -1,7 +1,9 @@
 // Small string helpers shared across modules.
 #pragma once
 
+#include <charconv>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace treesched::util {
@@ -18,5 +20,18 @@ std::string join(const std::vector<std::string>& parts,
 
 /// True if s starts with the given prefix.
 bool starts_with(const std::string& s, const std::string& prefix);
+
+/// Appends v in the bytes `os << std::setprecision(17) << v` writes (printf
+/// "%.17g") — without a stream or an allocation per number.
+void append_number(std::string& out, double v);
+
+/// Appends an integer in decimal, the bytes `os << v` writes.
+template <class Int,
+          std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+void append_number(std::string& out, Int v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
 
 }  // namespace treesched::util

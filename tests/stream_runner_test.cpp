@@ -4,18 +4,27 @@
 // differential in-process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "treesched/algo/policies.hpp"
 #include "treesched/core/tree_builders.hpp"
+#include "treesched/exec/snapshot_store.hpp"
 #include "treesched/exec/stream_runner.hpp"
 #include "treesched/sim/engine.hpp"
 #include "treesched/sim/run_log.hpp"
 #include "treesched/sim/runlog_segments.hpp"
+#include "treesched/util/hash.hpp"
+#include "treesched/util/rng.hpp"
+#include "treesched/util/string_util.hpp"
 #include "treesched/workload/stream.hpp"
 
 using namespace treesched;
@@ -55,6 +64,20 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// Chain value of the last `segment` entry of a manifest.
+std::uint64_t manifest_chain(const std::string& manifest) {
+  std::istringstream in(manifest);
+  std::string line, tag;
+  std::uint64_t chain = 0;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::size_t idx = 0, n = 0;
+    std::uint64_t fp = 0;
+    if (ls >> tag && tag == "segment") ls >> idx >> n >> fp >> chain;
+  }
+  return chain;
 }
 
 }  // namespace
@@ -238,4 +261,125 @@ TEST(StreamRunnerTest, SheddingStreamAuditsClean) {
   EXPECT_TRUE(audit.ok) << (audit.violations.empty()
                                 ? "no violations?"
                                 : audit.violations.front().message);
+}
+
+TEST(StreamRunnerTest, RunLogBytesArePinned) {
+  // A fixed small stream that emits every payload kind (jobrec, seg, done,
+  // shed, reject) and crosses snapshot-forced commits. The chain covers every
+  // segment byte and the manifest hash covers the header and trailer, so a
+  // formatting drift of one byte anywhere fails here.
+  auto tree = test_tree();
+  const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
+  const std::string dir = fresh_dir("stream_pinned");
+  auto cfg = base_config(600, 96);
+  cfg.stream.lambda = 1.2;
+  cfg.shed.policy = overload::ShedPolicy::kLargestFirst;
+  cfg.shed.queue_cap = 48.0;
+  cfg.record_path = dir + "/manifest.log";
+  cfg.snapshot_every = 250;
+  cfg.snapshot_path = dir + "/snap.bin";
+  const auto res = exec::run_stream(tree, speeds, cfg);
+  ASSERT_GT(res.acc.shed, 0u);
+  ASSERT_GT(res.acc.rejected, 0u);
+  ASSERT_GT(res.max_window, cfg.window);  // in-flight window extension
+  const std::string manifest = slurp(cfg.record_path);
+  EXPECT_EQ(manifest_chain(manifest), 0x2568f1dfcfc87d51ULL);
+  EXPECT_EQ(util::fnv1a_64(manifest), 0x4572a8daeb5053d5ULL);
+}
+
+TEST(StreamRunnerTest, RunLogNumbersFormatLikeTheStream) {
+  // Run-log lines are built with util::append_number; its bytes must be
+  // those of an ostream at setprecision(17), which the golden logs pin.
+  const auto streamed = [](auto v) {
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+  };
+  const auto appended = [](auto v) {
+    std::string out;
+    util::append_number(out, v);
+    return out;
+  };
+  const double table[] = {0.0,
+                          -0.0,
+                          5e-324,
+                          DBL_MIN,
+                          1e16,
+                          1e17,
+                          1e21,
+                          0.1,
+                          1.0 / 3.0,
+                          -2.5,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          1.0,
+                          42.0,
+                          4096.0,
+                          123456789.0,
+                          9007199254740992.0,
+                          1e-5,
+                          0.0001,
+                          123456.78901234567,
+                          std::numeric_limits<double>::infinity()};
+  for (const double v : table) EXPECT_EQ(appended(v), streamed(v)) << v;
+  util::Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    // Uniform bit patterns cover every exponent; skip NaN payloads.
+    const std::uint64_t bits = rng.next_u64();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (v != v) continue;
+    ASSERT_EQ(appended(v), streamed(v)) << "bits " << bits;
+    const double t = rng.uniform01() * 1e4;  // simulation-time-like values
+    ASSERT_EQ(appended(t), streamed(t));
+  }
+  const NodeId no_node = kInvalidNode;
+  EXPECT_EQ(appended(no_node), streamed(no_node));
+  EXPECT_EQ(appended(std::numeric_limits<std::uint64_t>::max()),
+            streamed(std::numeric_limits<std::uint64_t>::max()));
+  EXPECT_EQ(appended(std::int32_t{0}), "0");
+}
+
+TEST(StreamRunnerTest, ResumeFromOlderEngineStateIsUnrecoverable) {
+  // Every generation verifies clean, but its engine section is the previous
+  // enginestate version (2, one line per touched job), which load_state
+  // rejects with std::invalid_argument. The ladder must walk all of them
+  // and end in SnapshotUnrecoverableError — treesched_run's documented exit
+  // code for an exhausted ladder — without crashing.
+  auto tree = test_tree();
+  const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
+  const std::string dir = fresh_dir("stream_resume_v2");
+  auto cfg = base_config(600, 128);
+  cfg.snapshot_every = 150;
+  cfg.snapshot_path = dir + "/snap.bin";
+  cfg.die_after_snapshot = 3;
+  exec::run_stream(tree, speeds, cfg);
+
+  exec::SnapshotStore current(cfg.snapshot_path, cfg.snapshot_keep);
+  std::vector<exec::SnapshotGeneration> gens = current.generations();
+  ASSERT_EQ(gens.size(), 3u);
+  std::reverse(gens.begin(), gens.end());  // oldest first, as written
+  exec::SnapshotStore old(dir + "/old.bin", cfg.snapshot_keep);
+  for (const exec::SnapshotGeneration& gen : gens) {
+    std::vector<exec::SnapshotSection> sections =
+        exec::decode_snapshot_envelope(*current.read(gen));
+    for (exec::SnapshotSection& sec : sections) {
+      if (sec.name != "engine") continue;
+      ASSERT_EQ(sec.payload.rfind("enginestate 3\n", 0), 0u);
+      sec.payload[12] = '2';
+    }
+    old.write(gen.progress, exec::encode_snapshot_envelope(sections));
+  }
+
+  auto resume = cfg;
+  resume.die_after_snapshot = 0;
+  resume.resume_snapshot = old.base_path();
+  try {
+    exec::run_stream(tree, speeds, resume);
+    ADD_FAILURE() << "resumed from v2-only generations";
+  } catch (const exec::SnapshotUnrecoverableError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported enginestate version 2"),
+              std::string::npos)
+        << e.what();
+  }
 }

@@ -1,4 +1,4 @@
-// Class rounding, float comparison, CSV, table, CLI, strings.
+// Class rounding, float comparison, CSV, table, CLI, strings, memory.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +7,7 @@
 #include "treesched/util/cli.hpp"
 #include "treesched/util/csv.hpp"
 #include "treesched/util/float_compare.hpp"
+#include "treesched/util/mem.hpp"
 #include "treesched/util/string_util.hpp"
 #include "treesched/util/table.hpp"
 
@@ -134,6 +135,16 @@ TEST(Strings, SplitTrimJoin) {
   EXPECT_EQ(join({"a", "b"}, "-"), "a-b");
   EXPECT_TRUE(starts_with("treesched", "tree"));
   EXPECT_FALSE(starts_with("tree", "treesched"));
+}
+
+TEST(Mem, CurrentRssIsPositiveAndBelowThePeak) {
+  // Current RSS comes from /proc/self/statm, the peak from
+  // /proc/self/status; read current first so the later peak bounds it.
+  const std::uint64_t current = current_rss_bytes();
+  const std::uint64_t peak = peak_rss_bytes();
+  if (peak == 0) GTEST_SKIP() << "no procfs";
+  EXPECT_GT(current, 0u);
+  EXPECT_LE(current, peak);
 }
 
 }  // namespace
