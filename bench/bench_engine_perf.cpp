@@ -10,10 +10,13 @@
 // bench/CMakeLists.txt target_compile_definitions, never set for the
 // libraries or tests) replaces the global operator new/delete with counting
 // shims, so BENCH_engine_perf.json records how many heap allocations one
-// simulated job costs. The hot-path rewrite (calendar queue, pooled avail
-// heaps, job arenas) is an allocation-count change as much as a time change;
-// the counter is what keeps a per-insert allocation from sneaking back in
-// without the time gate noticing on a fast machine.
+// simulated job costs. The engine's per-job path allocates nothing (flat
+// event heap, flat avail heaps, job and stamp arenas, Q_v only in the
+// dispatch index); what this counter still sees is first-use growth of
+// those vectors and heaps, bounded by the node count rather than the job
+// count. The counter is what keeps a per-insert allocation from sneaking
+// back in without the time gate noticing on a fast machine;
+// tests/sim_alloc_test gates the per-additional-job cost in ctest.
 #ifdef TREESCHED_BENCH_COUNT_ALLOCS
 #include <atomic>
 #include <cstdlib>

@@ -23,7 +23,7 @@ void Lemma2Monitor::on_event(const sim::Engine& engine, Time t) {
     if (tree.is_root(v)) continue;
     if (tree.parent(v) == tree.root()) continue;  // lemma excludes R
     if (tree.is_leaf(v) && !leaf_identical) continue;  // unrelated leaves
-    const std::set<JobId>& queue = engine.inflight_at(v);
+    const std::vector<JobId> queue = engine.inflight_at(v);
     if (queue.empty()) continue;
     for (const JobId j : queue) {
       // "j still needs to use v": unfinished work of j on v — all of Q_v.
@@ -57,14 +57,16 @@ InteriorWaitReport interior_wait_report(const sim::Engine& engine,
   const bool leaf_identical = inst.model() == EndpointModel::kIdentical;
   double ratio_sum = 0.0;
 
-  for (const auto& rec : engine.metrics().jobs()) {
+  const sim::Metrics& metrics = engine.metrics();
+  for (const auto& rec : metrics.jobs()) {
     if (!rec.completed()) continue;
     const auto& path = tree.path_to(rec.leaf);
     const int len = static_cast<int>(path.size());
     const int last_idx = leaf_identical ? len - 1 : len - 2;
     if (last_idx < 1) continue;  // no identical nodes beyond R(v)
-    const Time left_root_child = rec.node_completion[0];
-    const Time cleared_identical = rec.node_completion[uidx(last_idx)];
+    const auto stamps = metrics.node_completion(rec.id);
+    const Time left_root_child = stamps[0];
+    const Time cleared_identical = stamps[uidx(last_idx)];
     TS_CHECK(left_root_child >= 0.0 && cleared_identical >= 0.0,
              "missing node completion stamps");
     const double wait = cleared_identical - left_root_child;

@@ -603,15 +603,14 @@ void rule_det_sketch_merge(const FileCtx& ctx) {
 // perf-engine-hot-container — node-per-element containers in the engine
 // ---------------------------------------------------------------------------
 //
-// Guarantee protected: the engine hot path stays allocation-free in steady
-// state. PR9 replaced the engine's std::priority_queue event queue with the
-// calendar queue (event_queue.hpp) and the per-node std::set availability
-// sets with pooled flat heaps; a std::set or std::priority_queue declaration
-// creeping back into sim/engine re-introduces a node allocation per insert
-// on the path the allocs/job perf gate measures. Deliberate exceptions
-// (e.g. the inflight sets whose ordered iteration IS the public contract)
-// carry explicit suppressions with the reason the container choice is
-// load-bearing.
+// Guarantee protected: the engine's per-job path stays allocation-free.
+// The engine keeps its events in one flat heap (event_queue.hpp), each
+// node's available items in a flat heap and Q_v in the node's dispatch
+// index; a std::set or std::priority_queue declaration creeping back into
+// sim/engine re-introduces a node allocation per insert on the path the
+// allocs/job gates measure (CI's BM_DispatchWideTree gate and
+// tests/sim_alloc_test). A deliberate exception would carry an explicit
+// suppression with the reason the container choice is load-bearing.
 
 void rule_perf_engine_hot_container(const FileCtx& ctx) {
   if (ctx.path.find("sim/engine") == std::string::npos) return;

@@ -76,33 +76,30 @@ bool AdmissionController::admit_largest_first(sim::Engine& engine,
   // re-dispatched jobs are never shed (the fault-recovery invariant).
   // Ordering is largest p_j first, ties to the latest release then the
   // highest id: a deterministic function of static attributes only.
+  //
+  // That is exactly the dispatch-index key order at a root child — the tree
+  // forbids machines adjacent to the root, so a root child is a router and
+  // keys its queue by (p_j, r_j, j) — so each root child's candidate is the
+  // first job from the top of its index that was not re-dispatched.
   for (;;) {
-    double best_size = job.size;
-    Time best_release = job.release;
-    JobId best = job.id;
+    sim::SjfKey best{job.size, job.release, job.id};
     bool best_is_arrival = true;
     for (const NodeId rc : engine.tree().root_children()) {
-      for (const JobId cand : engine.inflight_at(rc)) {
-        if (engine.job_redispatched(cand)) continue;
-        const Job& cj = engine.instance().job(cand);
-        const bool larger =
-            cj.size > best_size ||
-            (cj.size == best_size &&
-             (cj.release > best_release ||
-              (cj.release == best_release && cand > best)));
-        if (larger) {
-          best_size = cj.size;
-          best_release = cj.release;
-          best = cand;
+      TS_CHECK(!engine.tree().is_leaf(rc), "machine adjacent to the root");
+      engine.find_queued_descending(rc, [&](const sim::SjfKey& key) {
+        if (engine.job_redispatched(key.job)) return false;
+        if (best < key) {
+          best = key;
           best_is_arrival = false;
         }
-      }
+        return true;
+      });
     }
     if (best_is_arrival) {
       engine.reject(job.id);
       return false;
     }
-    engine.shed(best);
+    engine.shed(best.job);
     if (root_backlog(engine) + job.size <= cfg_.queue_cap) return true;
   }
 }

@@ -130,14 +130,19 @@ DispatchIndex::Ref DispatchIndex::erase_rec(Ref t, const SjfKey& key,
 }
 
 void DispatchIndex::erase(const SjfKey& key) {
+  const bool erased = erase_if_present(key);
+  TS_CHECK(erased, "dispatch index: erase of a missing key");
+}
+
+bool DispatchIndex::erase_if_present(const SjfKey& key) {
   bool erased = false;
   root_ = erase_rec(root_, key, erased);
-  TS_CHECK(erased, "dispatch index: erase of a missing key");
-  if (key.size != min_size_) return;
+  if (!erased || key.size != min_size_) return erased;
   // The minimum may have left: re-read it from the end of the left spine.
   min_size_ = std::numeric_limits<double>::infinity();
   for (Ref t = root_; t != kNil; t = pool_->node(t).left)
     min_size_ = pool_->node(t).key.size;
+  return true;
 }
 
 bool DispatchIndex::update_rec(Ref t, const SjfKey& key, double remaining) {

@@ -115,6 +115,9 @@ class DispatchIndex {
   /// Removes an existing entry. O(log n).
   void erase(const SjfKey& key);
 
+  /// Removes the entry if present; returns whether it was. O(log n).
+  bool erase_if_present(const SjfKey& key);
+
   std::size_t size() const {
     return root_ == kNil ? 0 : uidx(pool_->node(root_).cnt);
   }
@@ -157,6 +160,14 @@ class DispatchIndex {
     return root_ == kNil ? 0.0 : pool_->node(root_).sum_frac;
   }
 
+  /// Calls visit(key) from the largest key down until it returns true;
+  /// returns whether some call did. Allocation-free (the recursion depth is
+  /// the treap height).
+  template <class Visit>
+  bool find_descending(Visit&& visit) const {
+    return find_descending_from(root_, visit);
+  }
+
  private:
   using Ref = TreapPool::Ref;
   using Node = TreapPool::Node;
@@ -175,6 +186,15 @@ class DispatchIndex {
   /// tails through them.
   double remaining_before_from(Ref t, const SjfKey& key, double acc) const;
   int count_size_greater_from(Ref t, double size, int acc) const;
+
+  template <class Visit>
+  bool find_descending_from(Ref t, Visit& visit) const {
+    for (; t != kNil; t = pool_->node(t).left) {
+      if (find_descending_from(pool_->node(t).right, visit)) return true;
+      if (visit(pool_->node(t).key)) return true;
+    }
+    return false;
+  }
 
   TreapPool* pool_ = nullptr;
   std::unique_ptr<TreapPool> owned_;  ///< lazy fallback for standalone use

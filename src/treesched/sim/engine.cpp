@@ -140,6 +140,19 @@ void Engine::index_erase(NodeId v, JobId j) {
   nodes_[uidx(v)].index.erase(index_key(j, v));
 }
 
+void Engine::tear_out(NodeId v, JobId j, int idx, Time t) {
+  NodeState& ns = nodes_[uidx(v)];
+  pause(v, t);
+  if (ns.has_running && ns.running.job == j) ns.has_running = false;
+  if (in_avail(jobs_[uidx(j)], uidx(idx))) erase_avail(v, j, idx);
+  std::erase_if(ns.deferred, [j](const std::pair<JobId, int>& d) {
+    return d.first == j;
+  });
+  // A hop the job already finished (a fully forwarded router) left Q_v at
+  // completion time.
+  ns.index.erase_if_present(index_key(j, v));
+}
+
 double Engine::running_drain(const NodeState& ns, NodeId v) const {
   if (!ns.has_running) return 0.0;
   const double w = (now_ - ns.burst_start) * node_speed(v);
@@ -403,11 +416,9 @@ void Engine::handle_completion(NodeId v, Time t) {
     accumulate_frac_to(j, t);
     js.frac = 0.0;
     js.done = true;
-    ns.inflight.erase(j);
     index_erase(v, j);
-    JobRecord& rec = metrics_.job(j);
-    rec.completion = t;
-    rec.node_completion[uidx(idx)] = t;
+    metrics_.job(j).completion = t;
+    metrics_.node_completion(j)[uidx(idx)] = t;
     if (observer_) observer_->on_job_completed(*this, j);
     // Retirement point: in streaming mode the record folds into the
     // bounded-memory accumulator now, in completion order (no-op otherwise).
@@ -441,10 +452,7 @@ void Engine::handle_completion(NodeId v, Time t) {
       deliver(path_node(js, uidx(idx) + 1), j, idx + 1, t);
     }
 
-    if (node_finished) {
-      ns.inflight.erase(j);
-      metrics_.job(j).node_completion[uidx(idx)] = t;
-    }
+    if (node_finished) metrics_.node_completion(j)[uidx(idx)] = t;
   }
   resched(v, t);
 }
@@ -580,11 +588,8 @@ void Engine::apply_slow(NodeId v, double factor, Time t) {
 }
 
 void Engine::redispatch_jobs_of(NodeId dead_leaf, Time t) {
-  NodeState& ns = nodes_[uidx(dead_leaf)];
-  if (ns.inflight.empty()) return;
-  // Snapshot ascending job ids: reassign_leaf mutates the inflight set.
-  const std::vector<JobId> stranded(ns.inflight.begin(), ns.inflight.end());
-  for (const JobId j : stranded) {
+  // A snapshot in ascending job id: reassign_leaf mutates Q_v.
+  for (const JobId j : inflight_at(dead_leaf)) {
     NodeId target = kInvalidNode;
     if (redispatch_ != nullptr) {
       target = redispatch_->reassign(*this, j, dead_leaf);
@@ -629,23 +634,8 @@ void Engine::reassign_leaf(JobId j, NodeId new_leaf, Time t) {
   // Tear the job out of every hop past the divergence point. Work already
   // performed there is lost (the segments stay recorded — the time was
   // genuinely burnt); the data reverts to the copy at new_path[shared-1].
-  for (std::size_t i = shared; i < old_len; ++i) {
-    const NodeId v = old_path[i];
-    NodeState& ns = nodes_[uidx(v)];
-    pause(v, t);
-    const int idx = static_cast<int>(i);
-    if (ns.has_running && ns.running.job == j) ns.has_running = false;
-    if (in_avail(js, i)) erase_avail(v, j, idx);
-    ns.deferred.erase(
-        std::remove_if(ns.deferred.begin(), ns.deferred.end(),
-                       [j](const std::pair<JobId, int>& d) {
-                         return d.first == j;
-                       }),
-        ns.deferred.end());
-    // A hop the job already finished (a fully forwarded router) dropped it
-    // from both structures at completion time.
-    if (ns.inflight.erase(j) == 1) index_erase(v, j);
-  }
+  for (std::size_t i = shared; i < old_len; ++i)
+    tear_out(old_path[i], j, static_cast<int>(i), t);
 
   // Rebuild the per-path job state: prefix entries survive, the rest resets.
   // A longer path moves the job to a fresh arena span; the shared-prefix
@@ -679,15 +669,11 @@ void Engine::reassign_leaf(JobId j, NodeId new_leaf, Time t) {
   js.frac = 1.0;
   js.frac_touch = t;
 
-  for (std::size_t i = shared; i < new_len; ++i) {
-    nodes_[uidx(new_path[i])].inflight.insert(j);
+  for (std::size_t i = shared; i < new_len; ++i)
     index_insert(new_path[i], j, static_cast<int>(i));
-  }
 
-  JobRecord& rec = metrics_.job(j);
-  rec.leaf = new_leaf;
-  rec.node_completion.resize(new_len);
-  for (std::size_t i = shared; i < new_len; ++i) rec.node_completion[i] = -1.0;
+  metrics_.job(j).leaf = new_leaf;
+  metrics_.open_node_completion(j, new_len, shared);
 
   // The frontier: the first hop with unfinished work. Inside the shared
   // prefix the item is already in the system (available, running, or
@@ -762,23 +748,9 @@ void Engine::shed(JobId j) {
   const std::vector<NodeId>& path = *js.path;
   bump_subtree(path[0]);
   // Tear the job out of every hop, exactly like the post-divergence half of
-  // reassign_leaf: materialize the truthful burst, drop the availability and
-  // deferred entries, and erase the queue membership + index entry.
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const NodeId v = path[i];
-    NodeState& ns = nodes_[uidx(v)];
-    pause(v, t);
-    const int idx = static_cast<int>(i);
-    if (ns.has_running && ns.running.job == j) ns.has_running = false;
-    if (in_avail(js, i)) erase_avail(v, j, idx);
-    ns.deferred.erase(
-        std::remove_if(ns.deferred.begin(), ns.deferred.end(),
-                       [j](const std::pair<JobId, int>& d) {
-                         return d.first == j;
-                       }),
-        ns.deferred.end());
-    if (ns.inflight.erase(j) == 1) index_erase(v, j);
-  }
+  // reassign_leaf.
+  for (std::size_t i = 0; i < path.size(); ++i)
+    tear_out(path[i], j, static_cast<int>(i), t);
   // Fractional flow stops accruing at the eviction instant.
   accumulate_frac_to(j, t);
   js.frac = 0.0;
@@ -884,7 +856,6 @@ void Engine::admit_on_path(JobId j, const std::vector<NodeId>* path,
   for (std::size_t i = 0; i < len; ++i) {
     const NodeId v = path_node(js, i);
     bump_subtree(v);
-    nodes_[uidx(v)].inflight.insert(j);
     index_insert(v, j, static_cast<int>(i));
   }
 
@@ -893,7 +864,7 @@ void Engine::admit_on_path(JobId j, const std::vector<NodeId>* path,
   rec.weight = job.weight;
   rec.size = job.size;
   rec.leaf = leaf;
-  rec.node_completion.assign(len, -1.0);
+  metrics_.open_node_completion(j, len);
 
   deliver(path_node(js, 0), j, 0, now_);
   ++admitted_count_;
@@ -980,6 +951,17 @@ double Engine::remaining_on(JobId j, NodeId v) const {
                     0.0);
   }
   return stored_remaining_total(js, path_index(js, v));
+}
+
+std::vector<JobId> Engine::inflight_at(NodeId v) const {
+  std::vector<JobId> q;
+  q.reserve(queue_size(v));
+  find_queued_descending(v, [&q](const SjfKey& k) {
+    q.push_back(k.job);
+    return false;
+  });
+  std::sort(q.begin(), q.end());
+  return q;
 }
 
 bool Engine::available_on(JobId j, NodeId v) const {

@@ -13,14 +13,15 @@
 // its broomstick image online.
 //
 // Hot-path layout (see MODEL.md "Event queue & memory layout"): the pending
-// events live in a calendar queue with exact (t, seq) pop order; each node's
-// available work items form a flat binary min-heap with back-pointers in the
-// job arena; and all per-(job, path-index) state is structure-of-arrays in
-// per-run arenas indexed by a span per job, so admission and delivery do not
-// allocate. The aggregate queries (the five of the paper, plus the fused
-// priority_split behind F) have one implementation, the incremental
-// per-node dispatch indices; tests shadow them per event with a naive
-// rescan of Q_v (tests/support/query_oracle.hpp).
+// events live in one flat binary heap with exact (t, seq) pop order; each
+// node's available work items form a flat binary min-heap with back-pointers
+// in the job arena; all per-(job, path-index) state is structure-of-arrays
+// in per-run arenas indexed by a span per job; and Q_v is kept once, as the
+// node's dispatch index. Once those vectors are warm, admission, delivery
+// and completion do not allocate. The aggregate queries (the five of the
+// paper, plus the fused priority_split behind F) are answered by the
+// dispatch indices; tests shadow them per event with a naive rescan of Q_v
+// rebuilt from per-job state (tests/support/query_oracle.hpp).
 //
 // Fault extension (set_fault_plan): the engine consumes a declarative
 // fault::FaultPlan and interleaves its events deterministically with the
@@ -44,7 +45,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -318,17 +318,24 @@ class Engine {
   /// job is "at"); path length if the job is done. Requires j admitted.
   int current_path_index(JobId j) const;
 
-  /// Q_v(now): admitted jobs routed through v with unfinished work on v,
-  /// by const reference in ascending job id — the allocation-free iteration
-  /// path for per-leaf policy loops and monitors.
-  // treesched-lint: allow(perf-engine-hot-container): the ordered std::set
-  // is the public Q_v iteration contract (ascending job id) that policies,
-  // monitors and the audit replay rely on; membership changes once per
-  // job-hop, not per event, so it is off the per-event hot path.
-  const std::set<JobId>& inflight_at(NodeId v) const {
-    return nodes_[uidx(v)].inflight;
+  /// Q_v(now): admitted jobs routed through v with unfinished work on v, in
+  /// ascending job id. Collected from a walk of v's dispatch index (the one
+  /// structure holding Q_v) into a fresh vector — for callers off the
+  /// per-event path (anycast routing, the Lemma-2 monitor, leaf
+  /// re-dispatch). O(|Q_v| log |Q_v|).
+  std::vector<JobId> inflight_at(NodeId v) const;
+  /// |Q_v(now)|. O(1).
+  std::size_t queue_size(NodeId v) const {
+    return nodes_[uidx(v)].index.size();
   }
-  std::size_t queue_size(NodeId v) const { return nodes_[uidx(v)].inflight.size(); }
+
+  /// Visits Q_v in descending dispatch-index key order — (size_on(j, v),
+  /// release, id), largest first — calling visit(key) until it returns true.
+  /// Returns whether some call did. Allocation-free.
+  template <class Visit>
+  bool find_queued_descending(NodeId v, Visit&& visit) const {
+    return nodes_[uidx(v)].index.find_descending(visit);
+  }
 
   /// Counts every state mutation that can change the aggregate queries
   /// (admissions, materialized bursts, completions, fault transitions,
@@ -415,7 +422,7 @@ class Engine {
   /// EngineConfig::arena_reserve when they rotate windows.
   std::size_t arena_size() const { return a_in_avail_.size(); }
 
-  /// Pending events in the calendar queue — a direct backlog/memory pressure
+  /// Pending events in the event heap — a direct backlog/memory pressure
   /// reading for the resource governor (guard/governor.hpp).
   std::size_t event_queue_size() const { return events_.size(); }
 
@@ -436,9 +443,9 @@ class Engine {
   /// Restores state captured by save_state into a PRISTINE engine (nothing
   /// admitted, clock at 0) built over the same tree/speeds/policy config.
   /// The instance may have MORE jobs than the snapshot; the extra jobs start
-  /// untouched. The dispatch indices are rebuilt from the restored inflight
-  /// keys. Retired jobs come back as flags only (no path, no per-hop state).
-  /// Arm set_admission BEFORE calling load_state. Throws
+  /// untouched. The dispatch indices are rebuilt from the restored per-hop
+  /// progress. Retired jobs come back as flags only (no path, no per-hop
+  /// state). Arm set_admission BEFORE calling load_state. Throws
   /// std::invalid_argument on any other enginestate version than 3.
   void load_state(std::istream& is);
 
@@ -455,13 +462,10 @@ class Engine {
 
   struct NodeState {
     std::vector<AvailEntry> avail;  ///< flat min-heap of available items
-    // treesched-lint: allow(perf-engine-hot-container): backing store of the
-    // public inflight_at contract (ascending-id iteration of Q_v); mutated
-    // once per job-hop, not per event — see the accessor's note.
-    std::set<JobId> inflight;      ///< Q_v: routed through, unfinished here
-    /// Incremental SJF aggregates over `inflight`; values are the stored
-    /// remaining as of the last materialized burst, so queries subtract the
-    /// running item's live drain.
+    /// Q_v (routed through, unfinished here) with incremental SJF
+    /// aggregates; values are the stored remaining as of the last
+    /// materialized burst, so queries subtract the running item's live
+    /// drain.
     DispatchIndex index;
     PriorityKey running{};         ///< cached top at burst start
     /// Dispatch-index key of the running item's job, cached at burst start
@@ -569,12 +573,16 @@ class Engine {
   double stored_remaining_total(const JobState& js, int idx) const;
   double live_remaining_item(JobId j, int idx) const;
 
-  // Dispatch-index maintenance. Membership mirrors the inflight sets
-  // exactly; values mirror stored_remaining_total.
+  // Dispatch-index maintenance. Membership is Q_v; values mirror
+  // stored_remaining_total.
   SjfKey index_key(JobId j, NodeId v) const;
   void index_insert(NodeId v, JobId j, int idx);
   void index_refresh(NodeId v, JobId j, int idx);
   void index_erase(NodeId v, JobId j);
+  /// Tears (j, idx) out of node v on its path at time t — materializes the
+  /// burst, drops the running, available and deferred entries and the Q_v
+  /// membership — the per-hop step shared by shed and reassign_leaf.
+  void tear_out(NodeId v, JobId j, int idx, Time t);
   /// Work the running burst of v has drained off its item since burst
   /// start, clamped the way remaining_on clamps (never below zero).
   double running_drain(const NodeState& ns, NodeId v) const;
@@ -642,7 +650,7 @@ class Engine {
   EventQueue events_;
   /// Shared treap node pool behind every per-node dispatch index — one
   /// contiguous allocation for the whole engine instead of one vector per
-  /// node (the calendar-queue PR extended the treap's pool idiom this way).
+  /// node.
   TreapPool index_pool_;
   // Per-run job-state arenas (see JobState). One shared offset space; reset
   // happens by engine teardown — streaming drivers rebuild the engine when a

@@ -1,192 +1,26 @@
 #include "treesched/sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "treesched/util/assert.hpp"
 
 namespace treesched::sim {
 
-namespace {
-constexpr std::size_t kMinBuckets = 64;
-constexpr std::size_t kMaxBuckets = 1u << 15;
-// Bucket indices are uint64, but the binding limit is double precision: the
-// horizon arithmetic width * (cur + nbuckets) must see the +nbuckets term,
-// which requires cur + nbuckets to be exactly representable. 2^52 keeps
-// integer doubles exact with headroom; beyond it, events degrade gracefully
-// to the overflow heap, which is a plain min-heap served directly.
-constexpr double kMaxBucketIndex = 4.5e15;
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = kMinBuckets;
-  while (p < n && p < kMaxBuckets) p <<= 1;
-  return p;
-}
-}  // namespace
-
-EventQueue::EventQueue() {
-  buckets_.resize(kMinBuckets);
-  grow_at_ = 2 * kMinBuckets;
-  shrink_at_ = 0;
-}
-
-std::uint64_t EventQueue::bucket_index(Time t) const {
-  if (!(t > 0.0)) return 0;
-  const double idx = t / width_;
-  if (idx >= kMaxBucketIndex) return static_cast<std::uint64_t>(kMaxBucketIndex);
-  return static_cast<std::uint64_t>(idx);
-}
-
-void EventQueue::push_into_ring(const SimEvent& ev) {
-  std::uint64_t idx = bucket_index(ev.t);
-  // Events at or before the drain frontier join the current bucket; its heap
-  // orders them by the full (t, seq) key, so clamping never reorders pops.
-  if (idx < cur_) idx = cur_;
-  std::vector<SimEvent>& b = bucket(idx);
-  b.push_back(ev);
-  if (idx == cur_ && cur_heaped_)
-    std::push_heap(b.begin(), b.end(), heap_cmp);
-  ++ring_count_;
-}
-
 void EventQueue::push(const SimEvent& ev) {
-  ++size_;
-  if (std::isfinite(ev.t) && ev.t < horizon()) {
-    push_into_ring(ev);
-  } else {
-    overflow_.push_back(ev);
-    std::push_heap(overflow_.begin(), overflow_.end(), heap_cmp);
-  }
-  maybe_resize();
-}
-
-void EventQueue::migrate_overflow() {
-  while (!overflow_.empty() && overflow_.front().t < horizon()) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), heap_cmp);
-    const SimEvent ev = overflow_.back();
-    overflow_.pop_back();
-    push_into_ring(ev);
-  }
-}
-
-void EventQueue::settle() {
-  migrate_overflow();
-  for (;;) {
-    std::vector<SimEvent>& b = bucket(cur_);
-    if (!b.empty()) {
-      if (!cur_heaped_) {
-        std::make_heap(b.begin(), b.end(), heap_cmp);
-        cur_heaped_ = true;
-      }
-      return;
-    }
-    if (ring_count_ == 0) {
-      // Only far-future events remain. Re-base the ring onto the pending
-      // minimum — safe because every pending and every future push is at or
-      // after it — unless its bucket index would overflow (then the heap
-      // serves directly: settle() leaves the ring empty and peek() falls
-      // through to the overflow front).
-      TS_CHECK(!overflow_.empty(), "event queue accounting out of sync");
-      const double idx = overflow_.front().t / width_;
-      if (!(idx < kMaxBucketIndex)) return;
-      cur_ = bucket_index(overflow_.front().t);
-      cur_heaped_ = true;  // empty bucket is trivially a heap
-      migrate_overflow();
-      // If rounding in the horizon comparison kept even the minimum from
-      // migrating, re-basing again would spin on the same bucket — serve
-      // the overflow heap directly instead (still exact (t, seq) order).
-      if (ring_count_ == 0) return;
-      continue;
-    }
-    ++cur_;
-    cur_heaped_ = false;  // next bucket holds plain appends until heapified
-    migrate_overflow();
-  }
-}
-
-const SimEvent* EventQueue::peek() {
-  if (size_ == 0) return nullptr;
-  settle();
-  const std::vector<SimEvent>& b = bucket(cur_);
-  if (!b.empty()) return &b.front();
-  return &overflow_.front();
+  heap_.push_back(ev);
+  std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
 }
 
 SimEvent EventQueue::pop() {
-  const SimEvent* top = peek();
-  TS_CHECK(top != nullptr, "pop from an empty event queue");
-  const SimEvent ev = *top;
-  std::vector<SimEvent>& b = bucket(cur_);
-  if (!b.empty()) {
-    std::pop_heap(b.begin(), b.end(), heap_cmp);
-    b.pop_back();
-    --ring_count_;
-  } else {
-    std::pop_heap(overflow_.begin(), overflow_.end(), heap_cmp);
-    overflow_.pop_back();
-  }
-  --size_;
-  maybe_resize();
+  TS_CHECK(!heap_.empty(), "pop from an empty event queue");
+  std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
+  const SimEvent ev = heap_.back();
+  heap_.pop_back();
   return ev;
 }
 
-void EventQueue::maybe_resize() {
-  if (size_ > grow_at_ || (size_ < shrink_at_ && buckets_.size() > kMinBuckets))
-    rebuild(pow2_at_least(size_), width_);
-}
-
-void EventQueue::rebuild(std::size_t nbuckets, double width) {
-  std::vector<SimEvent> all;
-  all.reserve(size_);
-  for (std::vector<SimEvent>& b : buckets_) {
-    all.insert(all.end(), b.begin(), b.end());
-    b.clear();
-  }
-  all.insert(all.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
-
-  double min_t = std::numeric_limits<double>::infinity();
-  double max_t = -std::numeric_limits<double>::infinity();
-  for (const SimEvent& ev : all) {
-    if (std::isfinite(ev.t)) {
-      min_t = std::min(min_t, ev.t);
-      max_t = std::max(max_t, ev.t);
-    }
-  }
-  // Aim for ~1 event per bucket over the observed span; keep the old width
-  // when the estimate degenerates (empty queue, single instant, non-finite).
-  if (!all.empty() && std::isfinite(min_t)) {
-    const double est = (max_t - min_t) / static_cast<double>(all.size());
-    if (est > 0.0 && std::isfinite(est)) width = est;
-  }
-  if (std::isfinite(min_t) && min_t / width >= kMaxBucketIndex)
-    width = min_t / (kMaxBucketIndex / 2.0);
-
-  buckets_.assign(nbuckets, {});
-  width_ = width;
-  ring_count_ = 0;
-  cur_heaped_ = false;
-  cur_ = std::isfinite(min_t) ? bucket_index(min_t) : 0;
-  // Disarm the thresholds while re-pushing (push -> maybe_resize would
-  // otherwise recurse); arm the real ones afterwards. At the bucket cap the
-  // grow trigger stays disarmed — buckets just run fuller.
-  grow_at_ = std::numeric_limits<std::size_t>::max();
-  shrink_at_ = 0;
-
-  size_ = 0;
-  for (const SimEvent& ev : all) push(ev);
-
-  if (nbuckets < kMaxBuckets) grow_at_ = 2 * nbuckets;
-  shrink_at_ = nbuckets > kMinBuckets ? nbuckets / 8 : 0;
-}
-
 std::vector<SimEvent> EventQueue::sorted_events() const {
-  std::vector<SimEvent> all;
-  all.reserve(size_);
-  for (const std::vector<SimEvent>& b : buckets_)
-    all.insert(all.end(), b.begin(), b.end());
-  all.insert(all.end(), overflow_.begin(), overflow_.end());
+  std::vector<SimEvent> all = heap_;
   std::sort(all.begin(), all.end(), event_less);
   return all;
 }

@@ -1,32 +1,12 @@
-// Calendar (bucketed) event queue for the simulator hot loop.
+// Event queue for the simulator hot loop: one flat binary min-heap.
 //
-// The engine pops events in strict (t, seq) order; a comparison heap pays
-// O(log n) per operation and scatters its storage. A calendar queue exploits
-// what the simulation guarantees — every push carries a timestamp no earlier
-// than the last popped event — to make push/pop O(1) amortized:
-//
-//  * Time is divided into fixed-width buckets; a ring of `nbuckets` vectors
-//    covers the window [cur, cur + nbuckets) of bucket indices starting at
-//    the bucket currently being drained.
-//  * Pushes into the current bucket keep it a binary min-heap on (t, seq);
-//    pushes into later ring buckets are plain appends (the bucket is heapified
-//    once, when the drain frontier reaches it).
-//  * Events past the ring's horizon land in an overflow min-heap and migrate
-//    into the ring as the frontier advances. If the ring drains empty while
-//    the overflow holds far-future events, the ring is re-based onto the
-//    overflow minimum's bucket — safe precisely because no pending or future
-//    event can precede the minimum pending event.
-//
-// Tie-order guarantee: events with equal t always share a bucket (same
-// floor(t / width)), every bucket heap and the overflow heap compare by the
-// full (t, seq) pair, and buckets are drained in ascending index order — so
-// the pop sequence is the exact total order (t, seq), bit-identical to the
-// std::priority_queue it replaces. sorted_events() exposes that order for
-// snapshot serialization.
-//
-// The structure re-sizes itself (bucket count and width) from the observed
-// event population; all re-size decisions are pure functions of the queue
-// content, so runs stay deterministic.
+// The engine pops events in strict (t, seq) order. `seq` is the engine's
+// monotone event counter, so (t, seq) is a total order and every correct
+// priority queue pops the same sequence; this one is std::push_heap /
+// std::pop_heap over a single reused vector, which allocates only while the
+// vector grows to the run's peak backlog. Since same-instant completions at
+// different nodes are logged in pop order, the exact order is what pins
+// run-log bytes. sorted_events() exposes it for snapshot serialization.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +27,16 @@ struct SimEvent {
 
 class EventQueue {
  public:
-  EventQueue();
-
   void push(const SimEvent& ev);
 
-  /// The minimum (t, seq) event, or nullptr when empty. May advance the
-  /// drain frontier / migrate overflow internally (hence non-const).
-  const SimEvent* peek();
+  /// The minimum (t, seq) event, or nullptr when empty.
+  const SimEvent* peek() const { return heap_.empty() ? nullptr : &heap_[0]; }
 
   /// Removes and returns the minimum event. Requires !empty().
   SimEvent pop();
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Every pending event in ascending (t, seq) order — the exact pop order —
   /// for snapshot serialization.
@@ -70,36 +47,12 @@ class EventQueue {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
-  // std::*_heap comparators build max-heaps; invert to get min-heaps.
+  // std::*_heap comparators build max-heaps; invert to get a min-heap.
   static bool heap_cmp(const SimEvent& a, const SimEvent& b) {
     return event_less(b, a);
   }
 
-  std::vector<SimEvent>& bucket(std::uint64_t abs_index) {
-    return buckets_[abs_index & (buckets_.size() - 1)];
-  }
-  double horizon() const {
-    return width_ * static_cast<double>(cur_ + buckets_.size());
-  }
-  std::uint64_t bucket_index(Time t) const;
-
-  void push_into_ring(const SimEvent& ev);
-  void migrate_overflow();
-  /// Moves cur_ to the next non-empty ring bucket (or serves overflow when
-  /// the ring is empty) and leaves the current bucket heapified.
-  void settle();
-  void maybe_resize();
-  void rebuild(std::size_t nbuckets, double width);
-
-  std::vector<std::vector<SimEvent>> buckets_;  ///< ring; size is a power of 2
-  std::vector<SimEvent> overflow_;              ///< min-heap past the horizon
-  std::uint64_t cur_ = 0;       ///< absolute index of the drain-frontier bucket
-  double width_ = 1.0;          ///< bucket width in simulated time
-  std::size_t size_ = 0;        ///< total pending events
-  std::size_t ring_count_ = 0;  ///< pending events inside the ring
-  bool cur_heaped_ = true;      ///< bucket(cur_) is heap-ordered
-  std::size_t grow_at_ = 0;     ///< rebuild thresholds on size_
-  std::size_t shrink_at_ = 0;
+  std::vector<SimEvent> heap_;
 };
 
 }  // namespace treesched::sim

@@ -116,6 +116,7 @@ void StreamAccumulator::load(std::istream& is) {
 
 void Metrics::reset(std::size_t job_count) {
   jobs_.clear();
+  stamps_.clear();
   extend(job_count);
   acc_ = StreamAccumulator();
 }
@@ -126,6 +127,24 @@ void Metrics::extend(std::size_t job_count) {
   jobs_.resize(job_count);
   for (std::size_t j = old; j < job_count; ++j)
     jobs_[j].id = static_cast<JobId>(j);
+}
+
+void Metrics::open_node_completion(JobId j, std::size_t len,
+                                   std::size_t keep) {
+  JobRecord& r = jobs_[uidx(j)];
+  TS_CHECK(keep <= len && keep <= r.stamp_len,
+           "node-completion stamps: cannot keep more than exist");
+  if (len > r.stamp_len) {
+    const std::size_t off = stamps_.size();
+    TS_REQUIRE(len <= std::numeric_limits<std::uint32_t>::max() - off,
+               "node-completion stamps: arena exceeds 32-bit offsets");
+    stamps_.resize(off + len);
+    std::copy_n(stamps_.data() + r.stamp_off, keep, stamps_.data() + off);
+    r.stamp_off = static_cast<std::uint32_t>(off);
+  }
+  r.stamp_len = static_cast<std::uint32_t>(len);
+  const std::span<Time> fresh = node_completion(j).subspan(keep);
+  std::fill(fresh.begin(), fresh.end(), -1.0);
 }
 
 void Metrics::enable_streaming(StreamAccumulator acc) {
@@ -314,8 +333,8 @@ void Metrics::save(std::ostream& os) const {
     os << "jr " << r.id << ' ' << r.release << ' ' << r.weight << ' '
        << r.size << ' ' << r.leaf << ' ' << r.completion << ' '
        << r.fractional_area << ' ' << (r.shed ? 1 : 0) << ' '
-       << (r.rejected ? 1 : 0) << ' ' << r.node_completion.size();
-    for (const Time t : r.node_completion) os << ' ' << t;
+       << (r.rejected ? 1 : 0) << ' ' << r.stamp_len;
+    for (const Time t : node_completion(r.id)) os << ' ' << t;
     os << '\n';
   }
   os.flags(flags);
@@ -350,8 +369,8 @@ void Metrics::load(std::istream& is) {
     TS_REQUIRE(static_cast<bool>(is), "metrics load: truncated record");
     r.shed = shed != 0;
     r.rejected = rejected != 0;
-    r.node_completion.assign(nc, 0.0);
-    for (std::size_t k = 0; k < nc; ++k) is >> r.node_completion[k];
+    open_node_completion(id, nc);
+    for (Time& t : node_completion(id)) is >> t;
   }
   TS_REQUIRE(static_cast<bool>(is), "metrics load: truncated state");
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "treesched/core/types.hpp"
@@ -23,7 +24,11 @@ struct JobRecord {
   double fractional_area = 0.0;          ///< the paper's fractional flow contribution
   bool shed = false;                     ///< evicted by the admission controller
   bool rejected = false;                 ///< refused at arrival (never admitted)
-  std::vector<Time> node_completion;     ///< completion per path index (first hop..leaf)
+  /// Span [stamp_off, stamp_off + stamp_len) of the owning Metrics' stamp
+  /// arena: completion per path index (first hop..leaf), read through
+  /// Metrics::node_completion. Length 0 until the job is admitted.
+  std::uint32_t stamp_off = 0;
+  std::uint32_t stamp_len = 0;
   bool finalized = false;                ///< streaming mode: folded into the accumulator
 
   bool completed() const { return completion >= 0.0; }
@@ -92,6 +97,25 @@ class Metrics {
   const JobRecord& job(JobId j) const { return jobs_[uidx(j)]; }
   /// In streaming mode this is only the current window, not history.
   const std::vector<JobRecord>& jobs() const { return jobs_; }
+
+  /// Completion time of job j per path index (first hop..leaf; -1 while
+  /// unfinished there): a view into the stamp arena, empty until j is
+  /// admitted. Invalidated by the next open_node_completion, reset or load.
+  std::span<Time> node_completion(JobId j) {
+    const JobRecord& r = jobs_[uidx(j)];
+    return {stamps_.data() + r.stamp_off, r.stamp_len};
+  }
+  std::span<const Time> node_completion(JobId j) const {
+    const JobRecord& r = jobs_[uidx(j)];
+    return {stamps_.data() + r.stamp_off, r.stamp_len};
+  }
+
+  /// Gives job j `len` node-completion stamps: the first `keep` current
+  /// stamps carry over, the rest read -1. A span that has to grow moves to
+  /// a fresh arena span (the old one stays as dead space, like the engine's
+  /// alloc_span), so the arena grows with the sum of path lengths and no
+  /// job allocates a block of its own.
+  void open_node_completion(JobId j, std::size_t len, std::size_t keep = 0);
 
   // --- streaming mode ------------------------------------------------------
 
@@ -199,6 +223,7 @@ class Metrics {
 
  private:
   std::vector<JobRecord> jobs_;
+  std::vector<Time> stamps_;  ///< node-completion arena (see JobRecord)
   MetricsMode mode_ = MetricsMode::kFull;
   StreamAccumulator acc_;  ///< meaningful only in streaming mode
 };

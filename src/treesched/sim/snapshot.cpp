@@ -16,7 +16,7 @@
 //
 //  * Dispatch-index treaps are NOT serialized. Their shape and float
 //    association depend only on the key set (deterministic hashed
-//    priorities), so the loader re-inserts the restored inflight keys and
+//    priorities), so the loader re-inserts the restored Q_v keys and
 //    obtains bit-identical aggregates — this is the property
 //    sim_dispatch_index_test locks down; the query-oracle tests shadow a
 //    restored engine per event to check the rebuilt aggregates.
@@ -237,10 +237,8 @@ void Engine::load_state(std::istream& is) {
     // treaps rebuild bit-identically from the restored key set.
     for (std::size_t i = 0; i + 1 < len; ++i) {
       if (chunks_done(js, i) >= js.chunks) continue;
-      nodes_[uidx((*js.path)[i])].inflight.insert(static_cast<JobId>(j));
       index_insert((*js.path)[i], static_cast<JobId>(j), static_cast<int>(i));
     }
-    nodes_[uidx(js.leaf)].inflight.insert(static_cast<JobId>(j));
     index_insert(js.leaf, static_cast<JobId>(j), static_cast<int>(len - 1));
   }
 

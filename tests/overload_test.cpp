@@ -120,6 +120,167 @@ TEST(LargestFirst, RejectsArrivalWhenItIsLargest) {
   EXPECT_DOUBLE_EQ(eng.metrics().job(0).completion, 4.0);
 }
 
+/// Victim oracle for largest-first shedding: the rule as a full scan over
+/// per-job state, independent of the dispatch index the controller walks.
+/// A root child's queue is every admitted, unfinished, unshed job still at
+/// path index 0; the victim is the largest (p_j, r_j, j) among them that
+/// was not re-dispatched, unless the arrival is larger.
+class FullScanLargestFirst : public sim::AdmissionPolicy {
+ public:
+  explicit FullScanLargestFirst(double cap) : cap_(cap) {}
+
+  bool admit(sim::Engine& engine, const Job& job) override {
+    for (;;) {
+      if (overload::AdmissionController::root_backlog(engine) + job.size <=
+          cap_)
+        return true;
+      JobId best = job.id;
+      bool best_is_arrival = true;
+      JobId top = kInvalidJob;  // largest queued job, re-dispatched or not
+      for (JobId j = 0; j < engine.instance().job_count(); ++j) {
+        if (!engine.admitted(j) || engine.completed(j) || engine.job_shed(j) ||
+            engine.current_path_index(j) != 0)
+          continue;
+        if (top == kInvalidJob || larger(engine, j, top)) top = j;
+        if (engine.job_redispatched(j)) continue;
+        if (larger(engine, j, best, job)) {
+          best = j;
+          best_is_arrival = false;
+        }
+      }
+      if (top != kInvalidJob && engine.job_redispatched(top) &&
+          larger(engine, top, job.id, job))
+        ++exempt_tops_;
+      if (best_is_arrival) {
+        engine.reject(job.id);
+        return false;
+      }
+      engine.shed(best);
+      ++evictions_;
+    }
+  }
+  const char* name() const override { return "full-scan-largest-first"; }
+
+  int evictions() const { return evictions_; }
+  /// Victim searches where the largest queued job was re-dispatched
+  /// (exempt) and outranked the arrival, so the pick came from below it.
+  int exempt_tops() const { return exempt_tops_; }
+
+ private:
+  /// Today's comparison: a > b by p_j, then release, then id. `arrival`
+  /// stands in for b when b is the not-yet-admitted arrival.
+  static bool larger(const sim::Engine& engine, JobId a, JobId b,
+                     const Job& arrival) {
+    const Job& ja = engine.instance().job(a);
+    const Job& jb = b == arrival.id ? arrival : engine.instance().job(b);
+    return ja.size > jb.size ||
+           (ja.size == jb.size &&
+            (ja.release > jb.release ||
+             (ja.release == jb.release && a > b)));
+  }
+  static bool larger(const sim::Engine& engine, JobId a, JobId b) {
+    return larger(engine, a, b, engine.instance().job(b));
+  }
+
+  double cap_;
+  int evictions_ = 0;
+  int exempt_tops_ = 0;
+};
+
+struct VictimRun {
+  std::vector<sim::ShedRecord> shed_log;
+  std::string run_log;
+};
+
+/// Runs `inst` under largest-first shedding with either the production
+/// controller or the full-scan oracle, optionally under a fault plan with
+/// greedy re-dispatch.
+VictimRun run_largest_first(const Instance& inst, double cap,
+                            const fault::FaultPlan* plan,
+                            FullScanLargestFirst* oracle) {
+  const auto cfg = shed_cfg(overload::ShedPolicy::kLargestFirst, cap);
+  sim::Engine eng(inst, SpeedProfile::uniform(inst.tree(), 1.0), cfg);
+  overload::AdmissionController ctl(cfg.shed);
+  eng.set_admission(oracle != nullptr
+                        ? static_cast<sim::AdmissionPolicy*>(oracle)
+                        : &ctl);
+  algo::FaultAwareGreedy greedy(0.5);
+  if (plan != nullptr) eng.set_fault_plan(plan, &greedy);
+  eng.run(greedy);
+  std::stringstream ss;
+  sim::write_run_log(ss, sim::make_run_log(inst, eng));
+  return {eng.shed_log(), ss.str()};
+}
+
+/// Every eviction of the index-walking controller must name the victim the
+/// full scan names. Both runs are deterministic, so identical decisions up
+/// to eviction k leave identical engine states for eviction k + 1: the
+/// first differing shed-log record is the first divergent victim.
+void expect_same_victims(const Instance& inst, double cap,
+                         const fault::FaultPlan* plan,
+                         FullScanLargestFirst& oracle) {
+  const VictimRun got = run_largest_first(inst, cap, plan, nullptr);
+  const VictimRun want = run_largest_first(inst, cap, plan, &oracle);
+  const std::size_t n = std::min(got.shed_log.size(), want.shed_log.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::ShedRecord& a = got.shed_log[i];
+    const sim::ShedRecord& b = want.shed_log[i];
+    ASSERT_TRUE(a.kind == b.kind && a.job == b.job && a.t == b.t)
+        << "decision " << i << " at t=" << b.t << ": controller "
+        << (a.kind == sim::ShedRecord::Kind::kShed ? "shed" : "rejected")
+        << " job " << a.job << ", full scan "
+        << (b.kind == sim::ShedRecord::Kind::kShed ? "shed" : "rejected")
+        << " job " << b.job;
+  }
+  EXPECT_EQ(got.shed_log.size(), want.shed_log.size());
+  EXPECT_EQ(got.run_log, want.run_log);
+  EXPECT_GT(oracle.evictions(), 0);
+}
+
+Instance overload_instance(const Tree& tree, int jobs,
+                           EndpointModel endpoints, std::uint64_t seed) {
+  util::Rng rng(seed);
+  workload::WorkloadSpec spec;
+  spec.jobs = jobs;
+  spec.load = 2.5;  // sustained overload
+  spec.sizes.dist = workload::SizeDistribution::kBoundedPareto;
+  spec.endpoints = endpoints;
+  return workload::generate(rng, tree, spec);
+}
+
+TEST(LargestFirstVictims, FatTreeMatchesFullScan) {
+  const Instance inst = overload_instance(
+      builders::fat_tree(3, 2, 2), 300,
+      EndpointModel::kIdentical, 5);
+  FullScanLargestFirst oracle(12.0);
+  expect_same_victims(inst, 12.0, nullptr, oracle);
+}
+
+TEST(LargestFirstVictims, ReDispatchedJobsAtTheTopAreSkipped) {
+  const Instance inst = overload_instance(
+      builders::fat_tree(2, 1, 3), 300,
+      EndpointModel::kIdentical, 9);
+  fault::FaultModel model;
+  model.node_failure_rate = 0.05;
+  model.node_mttr = 6.0;
+  model.fail_routers = false;  // leaf crashes re-dispatch queued jobs
+  model.horizon = 150.0;
+  const fault::FaultPlan plan = fault::generate_plan(inst.tree(), model, 3);
+  FullScanLargestFirst oracle(30.0);
+  expect_same_victims(inst, 30.0, &plan, oracle);
+  EXPECT_GT(oracle.exempt_tops(), 0);
+}
+
+TEST(LargestFirstVictims, UnrelatedLeavesDoNotReorderCandidates) {
+  // Every root child of a star is a router keyed by p_j; the machines'
+  // unrelated sizes must not leak into the victim order.
+  const Instance inst = overload_instance(
+      builders::star_of_paths(4, 1), 300,
+      EndpointModel::kUnrelated, 13);
+  FullScanLargestFirst oracle(10.0);
+  expect_same_victims(inst, 10.0, nullptr, oracle);
+}
+
 TEST(Deadline, AdmitsIffLemma4BoundWithinSlack) {
   // Two unit jobs at t=0, slack 1.5: the first sees an empty system
   // (F = p_j <= 1.5), the second queues behind it (F > 1.5) and is rejected.

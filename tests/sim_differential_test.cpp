@@ -76,9 +76,10 @@ TEST_P(Differential, EngineMatchesReference) {
     ASSERT_TRUE(rec.completed());
     EXPECT_NEAR(rec.completion, ref.completion[uidx(j)], 1e-6)
         << "job " << j << " diverges";
-    ASSERT_EQ(rec.node_completion.size(), ref.node_completion[uidx(j)].size());
-    for (std::size_t i = 0; i < rec.node_completion.size(); ++i)
-      EXPECT_NEAR(rec.node_completion[i], ref.node_completion[uidx(j)][i], 1e-6)
+    const auto stamps = engine.metrics().node_completion(j);
+    ASSERT_EQ(stamps.size(), ref.node_completion[uidx(j)].size());
+    for (std::size_t i = 0; i < stamps.size(); ++i)
+      EXPECT_NEAR(stamps[i], ref.node_completion[uidx(j)][i], 1e-6)
           << "job " << j << " node " << i;
   }
   EXPECT_NEAR(engine.metrics().total_flow_time(), ref.total_flow, 1e-4);

@@ -135,8 +135,9 @@ TEST_P(EngineProperty, ScheduleIsFeasibleAndConservative) {
     EXPECT_LE(rec.fractional_area, rec.flow() + 1e-9);
     EXPECT_GT(rec.fractional_area, 0.0);
     // Node completions strictly increase along the path.
-    for (std::size_t i = 1; i < rec.node_completion.size(); ++i)
-      EXPECT_GE(rec.node_completion[i], rec.node_completion[i - 1] - 1e-9);
+    const auto stamps = engine.metrics().node_completion(job.id);
+    for (std::size_t i = 1; i < stamps.size(); ++i)
+      EXPECT_GE(stamps[i], stamps[i - 1] - 1e-9);
     // The job never finishes before release + its own work.
     EXPECT_GE(rec.completion, job.release);
   }

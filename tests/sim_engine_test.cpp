@@ -29,10 +29,10 @@ TEST(Engine, SingleJobStoreAndForward) {
   const auto& rec = eng.metrics().job(0);
   EXPECT_DOUBLE_EQ(rec.completion, 6.0);
   EXPECT_DOUBLE_EQ(rec.flow(), 6.0);
-  ASSERT_EQ(rec.node_completion.size(), 3u);
-  EXPECT_DOUBLE_EQ(rec.node_completion[0], 2.0);
-  EXPECT_DOUBLE_EQ(rec.node_completion[1], 4.0);
-  EXPECT_DOUBLE_EQ(rec.node_completion[2], 6.0);
+  ASSERT_EQ(eng.metrics().node_completion(0).size(), 3u);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(0)[0], 2.0);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(0)[1], 4.0);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(0)[2], 6.0);
   // Fractional: fraction 1 during [0,4), then linear drain over [4,6].
   EXPECT_NEAR(rec.fractional_area, 4.0 + 2.0 * 0.5, 1e-9);
 }
@@ -65,8 +65,8 @@ TEST(Engine, SjfTieBreaksByRelease) {
   Engine eng(inst, SpeedProfile::uniform(inst.tree(), 1.0));
   eng.run_with_assignment({leaf, leaf});
   // Equal sizes: the earlier job never gets preempted.
-  EXPECT_DOUBLE_EQ(eng.metrics().job(0).node_completion[0], 2.0);
-  EXPECT_DOUBLE_EQ(eng.metrics().job(1).node_completion[0], 4.0);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(0)[0], 2.0);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(1)[0], 4.0);
 }
 
 TEST(Engine, FifoDoesNotPreempt) {
@@ -123,8 +123,8 @@ TEST(Engine, PipelinedRoutingOverlapsHops) {
   Engine eng(inst, SpeedProfile::uniform(inst.tree(), 1.0), cfg);
   eng.run_with_assignment({inst.tree().leaves()[0]});
   const auto& rec = eng.metrics().job(0);
-  EXPECT_DOUBLE_EQ(rec.node_completion[0], 2.0);
-  EXPECT_DOUBLE_EQ(rec.node_completion[1], 3.0);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(0)[0], 2.0);
+  EXPECT_DOUBLE_EQ(eng.metrics().node_completion(0)[1], 3.0);
   EXPECT_DOUBLE_EQ(rec.completion, 5.0);
 }
 

@@ -1,10 +1,10 @@
-// Unit tests for the calendar event queue (sim/event_queue.hpp): the pop
-// sequence must be the exact total order (t, seq) — bit-identical to the
-// std::priority_queue the PR9 rewrite replaced — under every structural
-// regime the calendar can enter: same-instant storms inside one bucket,
-// far-future events crossing the ring horizon into the overflow heap,
-// ring re-bases after the ring drains dry, and adaptive rebuilds as the
-// population grows and shrinks.
+// Unit tests for the event queue (sim/event_queue.hpp), a flat binary heap:
+// the pop sequence must be the exact total order (t, seq) — the order that
+// pins run-log and snapshot bytes — and sorted_events() must equal it.
+// The inputs are the regimes an earlier bucketed (calendar) queue had to
+// survive and that the engine still produces: same-instant storms where
+// only seq breaks ties, exponentially spread far-future timestamps,
+// interleaved monotone push/pop, and large grow-then-drain populations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,9 +64,9 @@ TEST(EventQueue, StartsEmpty) {
 }
 
 TEST(EventQueue, SameInstantStormPopsInSeqOrder) {
-  // A dense burst at one instant: every event shares t, so the full burst
-  // sits in one bucket and the heap must fall back to seq order. Push in a
-  // scrambled (deterministic) order to rule out insertion-order luck.
+  // A dense burst at one instant: every event shares t, so the heap must
+  // fall back to seq order. Push in a scrambled (deterministic) order to
+  // rule out insertion-order luck.
   EventQueue q;
   std::vector<SimEvent> reference;
   treesched::util::Rng rng(7);
@@ -84,9 +84,8 @@ TEST(EventQueue, SameInstantStormPopsInSeqOrder) {
 }
 
 TEST(EventQueue, FarFutureEventsCrossBucketBoundaries) {
-  // Exponentially spread timestamps: most pushes land far past the ring
-  // horizon (overflow heap), and draining forces migration and ring
-  // re-bases across empty stretches.
+  // Exponentially spread timestamps, up to ~1e31: long empty stretches
+  // between consecutive events.
   EventQueue q;
   std::vector<SimEvent> reference;
   double t = 0.0;
@@ -116,7 +115,7 @@ TEST(EventQueue, RandomizedInterleavedPushPopMatchesReference) {
       if (r > 0.7)
         t += rng.uniform_real(0.0, 5.0);
       else if (r > 0.6)
-        t += rng.uniform_real(0.0, 5000.0);  // beyond most ring horizons
+        t += rng.uniform_real(0.0, 5000.0);  // far future
       const SimEvent e = ev(t, seq++);
       q.push(e);
       pending.push_back(e);
@@ -138,8 +137,8 @@ TEST(EventQueue, RandomizedInterleavedPushPopMatchesReference) {
 }
 
 TEST(EventQueue, GrowAndShrinkKeepsOrder) {
-  // Push enough to force calendar rebuilds (growth), drain most of it
-  // (shrink rebuilds), then refill — order must hold across every resize.
+  // Grow to 30k pending events, drain most of them, then refill — order
+  // must hold across the whole population swing.
   treesched::util::Rng rng(3);
   EventQueue q;
   std::vector<SimEvent> pending;
@@ -178,7 +177,7 @@ TEST(EventQueue, SortedEventsIsTheExactPopOrder) {
         r > 0.8 ? rng.uniform_real(0.0, 1e6) : rng.uniform_real(0.0, 50.0);
     q.push(ev(t, seq++));
   }
-  // Drain a prefix so the frontier is mid-ring (partially drained bucket).
+  // Drain a prefix so the snapshot is taken mid-run.
   double frontier = 0.0;
   for (int i = 0; i < 700; ++i) frontier = q.pop().t;
   q.push(ev(frontier + 1.0, seq++));

@@ -202,11 +202,10 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, FastSlow, testing::ValuesIn(all_cases()),
                          case_name);
 
 // ---------------------------------------------------------------------------
-// Calendar-queue stress battery: workloads crafted to push the event queue
-// through its structural regimes — dense same-instant bursts (one bucket,
-// seq-order ties, batched release epochs), far-future fault events
-// (overflow heap, ring re-bases) — plus snapshot round-trips, all shadowed
-// by the query oracle.
+// Event-queue stress battery: workloads crafted around the event order —
+// dense same-instant bursts (seq-order ties, batched release epochs),
+// far-future fault events long after the completion traffic — plus
+// snapshot round-trips, all shadowed by the query oracle.
 // ---------------------------------------------------------------------------
 
 /// Jobs in bursts: `per_burst` jobs share each release instant exactly.
@@ -243,8 +242,8 @@ TEST(FastSlowStress, SameInstantReleaseStorms) {
 
 TEST(FastSlowStress, FarFutureFaultEventsCrossBucketBoundaries) {
   // A long, sparse fault horizon: recovery events land thousands of time
-  // units past the job events, so they sit in the calendar's overflow heap
-  // and surface through ring re-bases after the completion traffic drains.
+  // units past the job events and surface after the completion traffic
+  // drains.
   const auto tree = std::make_shared<const Tree>(builders::fat_tree(3, 2, 2));
   util::Rng rng(0xfafa);
   workload::WorkloadSpec spec;

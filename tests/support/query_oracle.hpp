@@ -4,13 +4,20 @@
 // the overload controller read (higher_priority_remaining, count_larger,
 // larger_residual_fraction, alpha_leaf, pending_remaining) from incremental
 // dispatch indices. QueryOracle is an EngineObserver that, after every
-// processed event and every admission, rescans Q_v = inflight_at(v) at every
-// non-root node through the public size_on / remaining_on accessors and
-// compares the naive values with the engine's answers, using each inflight
-// job as the candidate. count_larger must match exactly; the four sums must
-// match within kRelTol * max(1, |naive|) — the index associates its float
+// processed event and every admission, rescans Q_v at every non-root node
+// through the public size_on / remaining_on accessors and compares the
+// naive values with the engine's answers, using each queued job as the
+// candidate. count_larger must match exactly; the four sums must match
+// within kRelTol * max(1, |naive|) — the index associates its float
 // additions differently from a left-to-right rescan, so the two differ by
 // a few ulps.
+//
+// Q_v comes from per-job state, never from the index under test (which is
+// also what Engine::inflight_at reads): job j is in Q_v iff it is admitted,
+// neither completed nor shed, and v sits at path index >= its
+// current_path_index. engine.queue_size(v) must equal that count exactly.
+// Paths are tree().path_to(assigned_leaf(j)), so the oracle shadows runs of
+// root-dispatched jobs (admit / run), not admit_via_path.
 //
 // The fused priority_split query is shadowed for the same candidates plus
 // one foreign candidate per node smaller than every queued job (the index's
@@ -30,6 +37,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "treesched/sim/engine.hpp"
 
@@ -77,9 +85,12 @@ class QueryOracle : public sim::EngineObserver {
   /// Rescans every non-root node once and compares all five queries.
   void check(const sim::Engine& engine, Time t) {
     const Tree& tree = engine.tree();
+    rebuild_queues(engine);
     for (NodeId v = 0; v < tree.node_count(); ++v) {
       if (v == tree.root()) continue;
-      const auto& q = engine.inflight_at(v);
+      const std::vector<JobId>& q = queues_[uidx(v)];
+      compare(t, v, "queue_size", kInvalidJob, static_cast<double>(q.size()),
+              static_cast<double>(engine.queue_size(v)), true);
       double pending = 0.0;
       double alpha = 0.0;
       for (const JobId i : q) {
@@ -97,24 +108,40 @@ class QueryOracle : public sim::EngineObserver {
         const double pc = engine.size_on(c, v);
         const Time rc = engine.instance().job(c).release;
         min_size = std::min(min_size, pc);
-        check_candidate(engine, t, v, pc, rc, c);
+        check_candidate(engine, t, v, q, pc, rc, c);
       }
       if (!q.empty())
-        check_candidate(engine, t, v, min_size / 2.0, engine.now(),
+        check_candidate(engine, t, v, q, min_size / 2.0, engine.now(),
                         kInvalidJob);
     }
   }
 
  private:
-  /// Rescans Q_v for one candidate (size on v, release, id) — an inflight
-  /// job, or a foreign one (id kInvalidJob) — and compares the candidate
-  /// queries with it.
-  void check_candidate(const sim::Engine& engine, Time t, NodeId v, double pc,
-                       Time rc, JobId c) {
+  /// Rebuilds every Q_v, each in ascending job id, from per-job state.
+  void rebuild_queues(const sim::Engine& engine) {
+    const Tree& tree = engine.tree();
+    queues_.resize(uidx(tree.node_count()));
+    for (std::vector<JobId>& q : queues_) q.clear();
+    for (JobId j = 0; j < engine.instance().job_count(); ++j) {
+      if (!engine.admitted(j) || engine.completed(j) || engine.job_shed(j))
+        continue;
+      const std::vector<NodeId>& path = tree.path_to(engine.assigned_leaf(j));
+      for (std::size_t k = uidx(engine.current_path_index(j)); k < path.size();
+           ++k)
+        queues_[uidx(path[k])].push_back(j);
+    }
+  }
+
+  /// Rescans Q_v (`q`) for one candidate (size on v, release, id) — a
+  /// queued job, or a foreign one (id kInvalidJob) — and compares the
+  /// candidate queries with it.
+  void check_candidate(const sim::Engine& engine, Time t, NodeId v,
+                       const std::vector<JobId>& q, double pc, Time rc,
+                       JobId c) {
     double higher = 0.0;
     double larger_frac = 0.0;
     int larger = 0;
-    for (const JobId i : engine.inflight_at(v)) {
+    for (const JobId i : q) {
       const double pi = engine.size_on(i, v);
       const Time ri = engine.instance().job(i).release;
       const bool before =
@@ -150,6 +177,7 @@ class QueryOracle : public sim::EngineObserver {
     ADD_FAILURE() << msg;
   }
 
+  std::vector<std::vector<JobId>> queues_;  ///< Q_v per node, rebuilt per check
   std::uint64_t answers_ = 0;
   bool failed_ = false;
 };
