@@ -1,8 +1,8 @@
 // Adversarial scenarios: bursty (MMPP) arrivals plus the hand-crafted
-// gadget instances, each designed to defeat one naive heuristic. Also runs
-// the Lemma 1/2 monitors live so the structural guarantees can be watched
-// holding (or failing, if you drop the speed below the premises with
-// --starve).
+// gadget instances, each designed to defeat one naive heuristic. Also
+// records a bursty run and audits its Lemma 1/2 margins so the structural
+// guarantees can be watched holding (or failing, if you drop the speed
+// below the premises with --starve).
 //
 //   ./adversarial_burst [--waves W] [--eps E] [--starve]
 #include <iostream>
@@ -30,7 +30,7 @@ void compare_on(const std::string& title, const Instance& inst, double eps) {
 int main(int argc, char** argv) {
   util::Cli cli("adversarial_burst",
                 "Gadget instances that defeat naive assignment policies, "
-                "plus live lemma monitors under bursty load.");
+                "plus audited lemma margins under bursty load.");
   auto& waves = cli.add_int("waves", 40, "gadget length (waves of jobs)");
   auto& eps = cli.add_double("eps", 1.0, "speed augmentation epsilon");
   auto& starve = cli.add_flag(
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   compare_on("unrelated trap (defeats leaf-blind rules)",
              workload::unrelated_trap(static_cast<int>(waves)), eps);
 
-  // Bursty MMPP load with live Lemma 1/2 monitoring.
+  // Bursty MMPP load, recorded and audited for the Lemma 1/2 margins.
   const Tree tree = builders::caterpillar(2, 3, 2);
   util::Rng rng(13);
   workload::WorkloadSpec spec;
@@ -57,31 +57,39 @@ int main(int argc, char** argv) {
   const double interior = starve ? 1.0 : 1.0 + eps;
   const SpeedProfile speeds = SpeedProfile::layered(tree, 1.0, interior);
   algo::PaperGreedyPolicy policy(eps);
-  algo::Lemma2Monitor monitor(eps, /*check_every=*/4);
   sim::QueueSampler sampler(/*min_gap=*/2.0);
-  struct Fanout : sim::EngineObserver {
-    std::vector<sim::EngineObserver*> sinks;
-    void on_event(const sim::Engine& e, Time t) override {
-      for (auto* s : sinks) s->on_event(e, t);
-    }
-  } fanout;
-  fanout.sinks = {&monitor, &sampler};
-  sim::Engine engine(inst, speeds);
-  engine.set_observer(&fanout);
+  sim::EngineConfig cfg;
+  cfg.record_schedule = true;
+  sim::Engine engine(inst, speeds, cfg);
+  engine.set_observer(&sampler);
   engine.run(policy);
-  const auto wait = algo::interior_wait_report(engine, eps);
+  sim::AuditOptions opts;
+  opts.eps = eps;
+  const sim::AuditReport audit =
+      sim::audit_run(inst, sim::make_run_log(inst, engine), opts);
+  long l2_jobs = 0, l2_violating = 0, wait_jobs = 0, wait_violating = 0;
+  for (const sim::LemmaRow& row : audit.lemma_rows) {
+    if (row.lemma2_ratio >= 0.0) {
+      ++l2_jobs;
+      if (row.lemma2_ratio > 1.0 + 1e-9) ++l2_violating;
+    }
+    if (row.wait_ratio >= 0.0) {
+      ++wait_jobs;
+      if (row.wait_ratio > 1.0 + 1e-9) ++wait_violating;
+    }
+  }
 
   std::cout << "queued jobs over time (bursts visible as spikes):\n"
             << sim::ascii_sparkline(sampler.queued_series()) << "\n\n";
 
-  std::cout << "--- burst run with lemma monitors (interior speed "
+  std::cout << "--- burst run with audited lemma margins (interior speed "
             << interior << ") ---\n"
             << "Lemma 2 volume bound: max observed/bound = "
-            << monitor.max_ratio() << " over " << monitor.checks()
-            << " checks, violations = " << monitor.violations() << '\n'
+            << audit.lemma2_max_ratio << " across " << l2_jobs
+            << " jobs, violating jobs = " << l2_violating << '\n'
             << "Lemma 1 interior wait: max observed/bound = "
-            << wait.max_ratio << " across " << wait.jobs_measured
-            << " jobs, violations = " << wait.violations << '\n';
+            << audit.wait_max_ratio << " across " << wait_jobs
+            << " jobs, violating jobs = " << wait_violating << '\n';
   if (starve)
     std::cout << "(speeds below the lemma premises: violations above are "
                  "expected and demonstrate the premises are necessary)\n";

@@ -1,5 +1,7 @@
 #include "treesched/algo/general_tree.hpp"
 
+#include <algorithm>
+
 #include "treesched/algo/policies.hpp"
 #include "treesched/util/assert.hpp"
 
@@ -32,5 +34,25 @@ NodeId BroomstickMirrorPolicy::assign(const sim::Engine& engine,
 }
 
 void BroomstickMirrorPolicy::finish_simulation() { bs_engine_->run_to_completion(); }
+
+DominationReport domination_report(const sim::Metrics& on_tree,
+                                   const sim::Metrics& on_broomstick) {
+  TS_REQUIRE(on_tree.jobs().size() == on_broomstick.jobs().size(),
+             "metrics cover different job sets");
+  DominationReport rep;
+  double speedup_sum = 0.0;
+  for (std::size_t j = 0; j < on_tree.jobs().size(); ++j) {
+    const auto& a = on_tree.jobs()[j];
+    const auto& b = on_broomstick.jobs()[j];
+    if (!a.completed() || !b.completed()) continue;
+    ++rep.jobs;
+    const double excess = a.flow() - b.flow();
+    rep.max_excess = std::max(rep.max_excess, excess);
+    if (excess > 1e-6) ++rep.violations;
+    if (a.flow() > 0.0) speedup_sum += b.flow() / a.flow();
+  }
+  if (rep.jobs > 0) rep.mean_speedup = speedup_sum / static_cast<double>(rep.jobs);
+  return rep;
+}
 
 }  // namespace treesched::algo

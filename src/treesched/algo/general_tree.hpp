@@ -42,4 +42,16 @@ class BroomstickMirrorPolicy : public sim::AssignmentPolicy {
   std::unique_ptr<PaperGreedyPolicy> greedy_;
 };
 
+/// Lemma 8 comparison after a BroomstickMirrorPolicy run: per-job flow time
+/// on T versus on the simulated broomstick T'.
+struct DominationReport {
+  long jobs = 0;
+  long violations = 0;      ///< jobs slower on T than on T'
+  double max_excess = 0.0;  ///< worst flow_T - flow_T' (positive = violation)
+  double mean_speedup = 0.0;///< average flow_T' / flow_T
+};
+
+DominationReport domination_report(const sim::Metrics& on_tree,
+                                   const sim::Metrics& on_broomstick);
+
 }  // namespace treesched::algo

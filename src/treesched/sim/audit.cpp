@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "treesched/sim/priority.hpp"
@@ -39,6 +40,7 @@ struct JobAudit {
   double chunk_size = 0.0;
   std::vector<std::vector<ItemAgg>> router;   ///< [hop][chunk], hops 0..len-2
   ItemAgg leaf;
+  std::vector<std::vector<const Segment*>> bursts;  ///< [hop], log order
   std::vector<std::vector<Time>> avail;       ///< availability window starts
   Time leaf_avail = -1.0;
 
@@ -583,6 +585,11 @@ std::string AuditReport::lemma_table() const {
 
 AuditReport audit_run(const Instance& instance, const RunLog& log,
                       const AuditOptions& opts) {
+  if (std::isnan(opts.eps) || opts.eps < 0.0 || std::isinf(opts.eps))
+    throw std::invalid_argument("audit eps must be 0 or finite and > 0, got " +
+                                fmt(opts.eps));
+  if (opts.strict_lemmas && opts.eps == 0.0)
+    throw std::invalid_argument("strict lemma checks need eps > 0");
   if (!log.faults.empty()) return audit_fault_run(instance, log, opts);
   AuditReport rep;
   const double tol = opts.tol;
@@ -636,12 +643,11 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     a.chunk_size = job.size / a.chunks;
     a.router.assign(path.size() - 1,
                     std::vector<ItemAgg>(uidx(a.chunks)));
+    a.bursts.resize(path.size());
   }
 
   // --- per-segment structural checks + aggregation -------------------------
   std::vector<std::vector<const Segment*>> by_node(n_nodes);
-  // Bursts of job j on its hop h, for offline remaining-work reconstruction.
-  std::map<std::pair<std::size_t, int>, std::vector<const Segment*>> by_item_node;
   for (const Segment& s : log.segments) {
     ++rep.segments_checked;
     if (s.job < 0 || uidx(s.job) >= n_jobs) {
@@ -716,7 +722,7 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     agg->first = std::min(agg->first, s.t0);
     agg->last = std::max(agg->last, s.t1);
     by_node[uidx(s.node)].push_back(&s);
-    by_item_node[{uidx(s.job), hop}].push_back(&s);
+    a.bursts[uidx(hop)].push_back(&s);
   }
 
   // --- unit capacity: per-node non-overlap ---------------------------------
@@ -833,6 +839,23 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     a.leaf_avail = (len == 1) ? job.release : all_data_arrived;
   }
 
+  // Remaining work of job i on its hop h at time t, from the burst log.
+  auto remaining_at = [&](std::size_t i, std::size_t h, Time t) {
+    const JobAudit& a = ja[i];
+    const auto id = static_cast<JobId>(i);
+    const double required = h + 1 == a.len()
+                                ? instance.processing_time(id, a.path->back())
+                                : instance.job(id).size;
+    util::CompensatedSum done;
+    for (const Segment* s : a.bursts[h]) {
+      if (s->t1 <= t)
+        done.add(s->work());
+      else if (s->t0 < t)
+        done.add((t - s->t0) * s->rate);
+    }
+    return std::max(required - done.value(), 0.0);
+  };
+
   // --- overload admission control ------------------------------------------
   if (ov.active) {
     const overload::ShedConfig& sc = log.shed;
@@ -847,23 +870,6 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
       // pending_remaining aggregates measure it — must respect the cap.
       // Hop 0 of every path is a root child, so a job's root-cut
       // contribution is its hop-0 requirement minus hop-0 work done.
-      auto hop0_remaining_at = [&](std::size_t i, Time t) {
-        const double required =
-            ja[i].len() == 1
-                ? instance.processing_time(static_cast<JobId>(i),
-                                           ja[i].path->back())
-                : instance.job(static_cast<JobId>(i)).size;
-        util::CompensatedSum done;
-        const auto it = by_item_node.find({i, 0});
-        if (it != by_item_node.end())
-          for (const Segment* s : it->second) {
-            if (s->t1 <= t)
-              done.add(s->work());
-            else if (s->t0 < t)
-              done.add((t - s->t0) * s->rate);
-          }
-        return std::max(required - done.value(), 0.0);
-      };
       for (std::size_t j = 0; j < n_jobs; ++j) {
         if (!ja[j].path) continue;  // rejected: no admission epoch
         const Time r_j = instance.job(static_cast<JobId>(j)).release;
@@ -873,7 +879,7 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
           const Time r_i = instance.job(static_cast<JobId>(i)).release;
           if (r_i > r_j || (r_i == r_j && i > j)) continue;  // admitted later
           if (ov.shed(i) && ov.shed_t[i] <= r_j + tol) continue;  // evicted
-          backlog.add(hop0_remaining_at(i, r_j));
+          backlog.add(remaining_at(i, 0, r_j));
         }
         if (backlog.value() > sc.queue_cap + tol * std::max(1.0, sc.queue_cap))
           rep.fail("queue cap exceeded at admission of job " +
@@ -1011,33 +1017,37 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     const double eps = opts.eps;
     const bool leaf_identical = instance.model() == EndpointModel::kIdentical;
 
-    // remaining work of job i on its hop h at time t, from the burst log.
-    auto remaining_at = [&](std::size_t i, int h, double required, Time t) {
-      util::CompensatedSum done;
-      auto it = by_item_node.find({i, h});
-      if (it != by_item_node.end())
-        for (const Segment* s : it->second) {
-          if (s->t1 <= t)
-            done.add(s->work());
-          else if (s->t0 < t)
-            done.add((t - s->t0) * s->rate);
-        }
-      return std::max(required - done.value(), 0.0);
+    // Every (job, hop) visiting each node, collected once.
+    struct Visit {
+      std::size_t job;
+      std::size_t hop;
     };
-    // Is some work item of job i available on its hop h at time t?
-    auto available_at = [&](const JobAudit& a, std::size_t h, Time t) {
-      const std::size_t len = a.len();
-      if (h + 1 == len)
-        return a.leaf_avail >= 0.0 && a.leaf_avail <= t + 1e-12 &&
-               a.leaf.ran() && a.leaf.last > t + 1e-12;
-      for (std::int32_t c = 0; c < a.chunks; ++c) {
-        const Time av = a.avail[h][uidx(c)];
-        const ItemAgg& agg = a.router[h][uidx(c)];
-        if (av >= 0.0 && av <= t + 1e-12 && agg.ran() && agg.last > t + 1e-12)
-          return true;
+    std::vector<std::vector<Visit>> visits(n_nodes);
+    for (std::size_t i = 0; i < n_jobs; ++i)
+      for (std::size_t h = 0; h < ja[i].len(); ++h)
+        visits[uidx((*ja[i].path)[h])].push_back({i, h});
+    // Calls f(arrival, finish) for each work item (chunk, or the machine
+    // work) of a visit; -1 marks an unknown arrival or an item never run.
+    auto for_each_item = [&](const Visit& w, auto&& f) {
+      const JobAudit& a = ja[w.job];
+      if (w.hop + 1 == a.len()) {
+        f(a.leaf_avail, a.leaf.ran() ? a.leaf.last : -1.0);
+        return;
       }
-      return false;
+      for (std::int32_t c = 0; c < a.chunks; ++c) {
+        const ItemAgg& agg = a.router[w.hop][uidx(c)];
+        f(a.avail[w.hop][uidx(c)], agg.ran() ? agg.last : -1.0);
+      }
     };
+    auto available_at = [&](const Visit& w, Time t) {
+      bool avail = false;
+      for_each_item(w, [&](Time av, Time fin) {
+        avail = avail || (av >= 0.0 && av <= t && fin > t);
+      });
+      return avail;
+    };
+    std::vector<const Visit*> members;
+    std::vector<Time> instants;
 
     for (std::size_t j = 0; j < n_jobs; ++j) {
       const JobAudit& a = ja[j];
@@ -1049,43 +1059,44 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
       row.size = job.size;
       const std::size_t len = a.len();
 
-      // Lemma 2: at j's arrival on each eligible interior node v, the
-      // available volume with priority >= j's is at most (2/eps) p_j.
+      // Lemma 2: over j's stay [r_j, C_{j,v}) on each eligible node v, the
+      // remaining work on v of available members of S_{v,j} (j included)
+      // is at most (2/eps) p_j. The volume only drains between arrivals,
+      // so its supremum is attained at r_j or at an arrival on v of a
+      // member's item inside the stay.
       for (std::size_t h = 0; h < len; ++h) {
         const NodeId v = (*a.path)[h];
         if (tree.is_root(v) || tree.parent(v) == tree.root()) continue;
         if (tree.is_leaf(v) && !leaf_identical) continue;
-        Time t;
-        if (h + 1 == len) {
-          t = a.leaf_avail;
-        } else {
-          t = a.avail[h].empty() ? -1.0 : a.avail[h][0];
-        }
-        if (t < 0.0) continue;
+        const Time lo = job.release;
+        Time hi = -1.0;  // C_{j,v}
+        for_each_item({j, h}, [&](Time, Time fin) { hi = std::max(hi, fin); });
+        if (hi < 0.0) continue;
         const double p_j = instance.processing_time(job.id, v);
-        const Time r_j = job.release;
-        util::CompensatedSum vol;
-        for (std::size_t i = 0; i < n_jobs; ++i) {
-          const JobAudit& ai = ja[i];
-          if (!ai.path) continue;
-          const int hi = ai.hop_of(v);
-          if (hi < 0) continue;
-          if (i != j && !available_at(ai, uidx(hi), t)) continue;
-          const double p_i = instance.processing_time(static_cast<JobId>(i), v);
-          const Time r_i = instance.job(static_cast<JobId>(i)).release;
-          const bool in_s =
-              (i == j) || p_i < p_j ||
-              (p_i == p_j && (r_i < r_j || (r_i == r_j && i < j)));
-          if (!in_s) continue;
-          const double required =
-              (uidx(hi) + 1 == ai.len())
-                  ? instance.processing_time(static_cast<JobId>(i),
-                                             ai.path->back())
-                  : instance.job(static_cast<JobId>(i)).size;
-          vol.add(remaining_at(i, hi, required, t));
+        members.clear();
+        instants.assign(1, lo);
+        for (const Visit& w : visits[uidx(v)]) {
+          const auto i = static_cast<JobId>(w.job);
+          const double p_i = instance.processing_time(i, v);
+          const Time r_i = instance.job(i).release;
+          if (std::tie(p_j, job.release, job.id) < std::tie(p_i, r_i, i))
+            continue;  // not in S_{v,j}
+          bool overlaps = false;
+          for_each_item(w, [&](Time av, Time fin) {
+            if (av < 0.0 || av >= hi || fin <= lo) return;
+            overlaps = true;
+            if (av > lo) instants.push_back(av);
+          });
+          if (overlaps) members.push_back(&w);
         }
-        const double bound = 2.0 / eps * p_j;
-        const double ratio = vol.value() / bound;
+        double vol_max = 0.0;
+        for (const Time t : instants) {
+          util::CompensatedSum vol;
+          for (const Visit* w : members)
+            if (available_at(*w, t)) vol.add(remaining_at(w->job, w->hop, t));
+          vol_max = std::max(vol_max, vol.value());
+        }
+        const double ratio = vol_max / (2.0 / eps * p_j);
         if (ratio > row.lemma2_ratio) {
           row.lemma2_ratio = ratio;
           row.lemma2_node = v;

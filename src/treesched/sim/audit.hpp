@@ -14,8 +14,11 @@
 //   - assignment stability (immediate dispatch): all of a job's work stays on
 //     the single path fixed at admission, with machine work only at its end;
 //   - optionally, the paper's lemma bounds with per-job worst-case margins:
-//     Lemma 2's (2/eps)·p_j available-volume bound at arrival on each
-//     interior node, and the Lemma 1/3 interior wait bound (6/eps²)·p_j·d_v.
+//     Lemma 2's (2/eps)·p_j available-volume bound, as its supremum over
+//     the job's whole stay on each eligible node, and the Lemma 1/3
+//     interior wait bound (6/eps²)·p_j·d_v. This is the project's only
+//     evaluator of these margins; benches, examples and tests record the
+//     run and read the AuditReport.
 //
 // Run logs carrying fault records switch the audit into its fault mode: the
 // structural checks become epoch-aware (a job's path changes at every
@@ -44,11 +47,12 @@
 namespace treesched::sim {
 
 struct AuditOptions {
-  /// Speed-augmentation epsilon. > 0 computes the lemma margin table.
+  /// Speed-augmentation epsilon: 0 skips the lemma margins, a finite
+  /// value > 0 computes them. Anything else is rejected.
   double eps = 0.0;
   /// Treat a lemma ratio > 1 as a violation (off by default: the lemmas
   /// presuppose class-rounded sizes and (1+eps)-speeds, which an arbitrary
-  /// run log need not satisfy).
+  /// run log need not satisfy). Requires eps > 0.
   bool strict_lemmas = false;
   double tol = 1e-6;
 };
@@ -58,7 +62,7 @@ struct AuditOptions {
 struct LemmaRow {
   JobId job = kInvalidJob;
   double size = 0.0;
-  double lemma2_ratio = -1.0;   ///< max over eligible nodes
+  double lemma2_ratio = -1.0;   ///< sup over the stay, max over eligible nodes
   NodeId lemma2_node = kInvalidNode;
   double interior_wait = -1.0;
   double wait_bound = -1.0;
@@ -86,6 +90,8 @@ struct AuditReport {
 };
 
 /// Audits a recorded run against the instance it claims to schedule.
+/// Throws std::invalid_argument for an eps that is negative, NaN or
+/// infinite, and for strict_lemmas without eps > 0.
 AuditReport audit_run(const Instance& instance, const RunLog& log,
                       const AuditOptions& opts = {});
 

@@ -112,7 +112,8 @@ class AdmissionPolicy {
   virtual const char* name() const = 0;
 };
 
-/// Hook for invariant monitors (Lemma 1/2 checks, dual-fitting recorders).
+/// Hook for live observers (queue samplers, the saturation estimator,
+/// dual-fitting recorders, the stream runner's feed).
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -321,8 +322,8 @@ class Engine {
   /// Q_v(now): admitted jobs routed through v with unfinished work on v, in
   /// ascending job id. Collected from a walk of v's dispatch index (the one
   /// structure holding Q_v) into a fresh vector — for callers off the
-  /// per-event path (anycast routing, the Lemma-2 monitor, leaf
-  /// re-dispatch). O(|Q_v| log |Q_v|).
+  /// per-event path (anycast routing, leaf re-dispatch).
+  /// O(|Q_v| log |Q_v|).
   std::vector<JobId> inflight_at(NodeId v) const;
   /// |Q_v(now)|. O(1).
   std::size_t queue_size(NodeId v) const {

@@ -37,9 +37,7 @@
 #include "treesched/algo/anycast.hpp"
 #include "treesched/algo/broomstick.hpp"
 #include "treesched/algo/general_tree.hpp"
-#include "treesched/algo/lemma_monitors.hpp"
 #include "treesched/algo/policies.hpp"
-#include "treesched/algo/potential.hpp"
 #include "treesched/algo/psw_model.hpp"
 #include "treesched/algo/runner.hpp"
 

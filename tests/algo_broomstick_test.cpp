@@ -3,7 +3,6 @@
 
 #include "treesched/algo/broomstick.hpp"
 #include "treesched/algo/general_tree.hpp"
-#include "treesched/algo/lemma_monitors.hpp"
 #include "treesched/core/tree_builders.hpp"
 #include "treesched/workload/generator.hpp"
 

@@ -1,17 +1,59 @@
-// Empirical verification of the structural lemmas (1, 2, 3/phi, 4).
+// Empirical verification of the structural lemmas (1, 2, 3/phi, 4). The
+// Lemma 1/2 margins come from the offline audit (sim::audit_run), the one
+// evaluator of those bounds; Phi and the per-event Lemma 2 sampler are
+// test-local references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <tuple>
 
-#include "treesched/algo/lemma_monitors.hpp"
 #include "treesched/algo/policies.hpp"
-#include "treesched/algo/potential.hpp"
 #include "treesched/core/tree_builders.hpp"
+#include "treesched/sim/audit.hpp"
+#include "treesched/sim/run_log.hpp"
 #include "treesched/workload/adversarial.hpp"
 #include "treesched/workload/generator.hpp"
 
 namespace treesched {
 namespace {
+
+/// Runs the paper's greedy rule with the schedule recorded and returns the
+/// audit's lemma margins for the run.
+sim::AuditReport audited_run(const Instance& inst, const SpeedProfile& speeds,
+                             double eps, double chunk = 0.0,
+                             sim::EngineObserver* observer = nullptr) {
+  sim::EngineConfig cfg;
+  cfg.record_schedule = true;
+  cfg.router_chunk_size = chunk;
+  algo::PaperGreedyPolicy policy(eps);
+  sim::Engine engine(inst, speeds, cfg);
+  engine.set_observer(observer);
+  engine.run(policy);
+  sim::AuditOptions opts;
+  opts.eps = eps;
+  return sim::audit_run(inst, sim::make_run_log(inst, engine), opts);
+}
+
+/// Rows that have the given ratio (Lemma 2 or interior wait), and those
+/// of them above 1.
+struct RowCount {
+  long measured = 0;
+  long violating = 0;
+};
+
+RowCount count_rows(const sim::AuditReport& rep,
+                    double sim::LemmaRow::*ratio) {
+  RowCount c;
+  for (const sim::LemmaRow& row : rep.lemma_rows) {
+    if (row.*ratio < 0.0) continue;
+    ++c.measured;
+    if (row.*ratio > 1.0 + 1e-9) ++c.violating;
+  }
+  return c;
+}
 
 // gtest prints a parameter type without a PrintTo overload as its raw
 // bytes, and that dump is part of each case's listed (and ctest) name. A
@@ -49,16 +91,12 @@ TEST_P(LemmaSweep, Lemma2VolumeBoundHolds) {
 
   const SpeedProfile speeds =
       SpeedProfile::layered(inst.tree(), 1.0, 1.0 + c.eps);
-  algo::PaperGreedyPolicy policy(c.eps);
-  algo::Lemma2Monitor monitor(c.eps);
-  sim::Engine engine(inst, speeds);
-  engine.set_observer(&monitor);
-  engine.run(policy);
+  const sim::AuditReport rep = audited_run(inst, speeds, c.eps);
 
-  EXPECT_GT(monitor.checks(), 0);
-  EXPECT_EQ(monitor.violations(), 0)
-      << "max ratio " << monitor.max_ratio();
-  EXPECT_LE(monitor.max_ratio(), 1.0 + 1e-9);
+  const RowCount rows = count_rows(rep, &sim::LemmaRow::lemma2_ratio);
+  EXPECT_GT(rows.measured, 0);
+  EXPECT_EQ(rows.violating, 0) << "max ratio " << rep.lemma2_max_ratio;
+  EXPECT_LE(rep.lemma2_max_ratio, 1.0 + 1e-9);
 }
 
 /// Lemma 1: total interior wait after leaving R(v) is below
@@ -74,14 +112,12 @@ TEST_P(LemmaSweep, Lemma1InteriorWaitBoundHolds) {
 
   const SpeedProfile speeds =
       SpeedProfile::layered(inst.tree(), 1.0, 1.0 + c.eps);
-  algo::PaperGreedyPolicy policy(c.eps);
-  sim::Engine engine(inst, speeds);
-  engine.run(policy);
+  const sim::AuditReport rep = audited_run(inst, speeds, c.eps);
 
-  const auto rep = algo::interior_wait_report(engine, c.eps);
-  EXPECT_GT(rep.jobs_measured, 0);
-  EXPECT_EQ(rep.violations, 0) << "max ratio " << rep.max_ratio;
-  EXPECT_LE(rep.max_ratio, 1.0 + 1e-9);
+  const RowCount rows = count_rows(rep, &sim::LemmaRow::wait_ratio);
+  EXPECT_GT(rows.measured, 0);
+  EXPECT_EQ(rows.violating, 0) << "max ratio " << rep.wait_max_ratio;
+  EXPECT_LE(rep.wait_max_ratio, 1.0 + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -98,8 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Lemma2, MonitorDetectsViolationsWhenPremisesInvert) {
   // Control of the control: with a FAST root-adjacent layer feeding a SLOW
   // interior (the premise inverted), volume piles up past the bound and the
-  // monitor must say so — proving the zero-violation results above are a
-  // property of the algorithm, not of a toothless monitor.
+  // audit must say so — proving the zero-violation results above are a
+  // property of the algorithm, not of a toothless evaluator.
   const double eps = 0.5;
   const Instance inst = workload::class_cascade(10, 6, eps);
   const Tree& tree = inst.tree();
@@ -108,14 +144,10 @@ TEST(Lemma2, MonitorDetectsViolationsWhenPremisesInvert) {
   for (const NodeId rc : tree.root_children()) speeds[uidx(rc)] = 4.0;  // fast feed
   const SpeedProfile profile(tree, std::move(speeds));
 
-  algo::PaperGreedyPolicy policy(eps);
-  algo::Lemma2Monitor monitor(eps);
-  sim::Engine engine(inst, profile);
-  engine.set_observer(&monitor);
-  engine.run(policy);
-  EXPECT_GT(monitor.violations(), 0)
+  const sim::AuditReport rep = audited_run(inst, profile, eps);
+  EXPECT_GT(count_rows(rep, &sim::LemmaRow::lemma2_ratio).violating, 0)
       << "inverted speeds should overfill interior queues (max ratio "
-      << monitor.max_ratio() << ")";
+      << rep.lemma2_max_ratio << ")";
 }
 
 TEST(Lemma2, ClassCascadeStressStaysBounded) {
@@ -123,12 +155,127 @@ TEST(Lemma2, ClassCascadeStressStaysBounded) {
   const Instance inst = workload::class_cascade(8, 4, eps);
   const SpeedProfile speeds =
       SpeedProfile::layered(inst.tree(), 1.0, 1.0 + eps);
-  algo::PaperGreedyPolicy policy(eps);
-  algo::Lemma2Monitor monitor(eps);
-  sim::Engine engine(inst, speeds);
-  engine.set_observer(&monitor);
-  engine.run(policy);
-  EXPECT_EQ(monitor.violations(), 0) << "max ratio " << monitor.max_ratio();
+  const sim::AuditReport rep = audited_run(inst, speeds, eps);
+  EXPECT_EQ(count_rows(rep, &sim::LemmaRow::lemma2_ratio).violating, 0)
+      << "max ratio " << rep.lemma2_max_ratio;
+}
+
+/// Lemma 2's volume, sampled the way a live monitor would: after every
+/// completion event, for every eligible node v and every job j in Q_v, the
+/// remaining work on v of available members of S_{v,j} (j included),
+/// kept as a per-job maximum ratio to (2/eps) p_{j,v}. The audit's rows
+/// take the supremum over each job's stay, so they must dominate it.
+class Lemma2EventSampler : public sim::EngineObserver {
+ public:
+  Lemma2EventSampler(double eps, JobId jobs)
+      : eps_(eps), worst_(uidx(jobs), -1.0) {}
+
+  void on_event(const sim::Engine& engine, Time /*t*/) override {
+    const Tree& tree = engine.tree();
+    const bool leaf_identical =
+        engine.instance().model() == EndpointModel::kIdentical;
+    for (NodeId v = 0; v < tree.node_count(); ++v) {
+      if (tree.is_root(v) || tree.parent(v) == tree.root()) continue;
+      if (tree.is_leaf(v) && !leaf_identical) continue;
+      const std::vector<JobId> queue = engine.inflight_at(v);
+      for (const JobId j : queue) {
+        const double p_j = engine.size_on(j, v);
+        const Time r_j = engine.instance().job(j).release;
+        double vol = 0.0;
+        for (const JobId i : queue) {
+          if (!engine.available_on(i, v)) continue;
+          const double p_i = engine.size_on(i, v);
+          const Time r_i = engine.instance().job(i).release;
+          if (std::tie(p_i, r_i, i) <= std::tie(p_j, r_j, j))
+            vol += engine.remaining_on(i, v);
+        }
+        double& w = worst_[uidx(j)];
+        w = std::max(w, vol / (2.0 / eps_ * p_j));
+      }
+    }
+  }
+
+  const std::vector<double>& worst() const { return worst_; }
+
+ private:
+  double eps_;
+  std::vector<double> worst_;
+};
+
+TEST(Lemma2, AuditDominatesEveryCompletionEventSample) {
+  // Trees x eps x load x forwarding (whole jobs, chunks of 3) x endpoint
+  // model. Domination must hold in every cell: both sides measure the same
+  // volume, the audit at every instant of each job's stay.
+  const Tree trees[] = {builders::star_of_paths(2, 3),
+                        builders::fat_tree(2, 2, 2),
+                        builders::caterpillar(2, 3, 2)};
+  long cells = 0, jobs_compared = 0;
+  for (std::size_t t = 0; t < std::size(trees); ++t)
+    for (const double eps : {1.0, 0.5, 0.25})
+      for (const double load : {0.6, 1.2})
+        for (const double chunk : {0.0, 3.0})
+          for (const EndpointModel model :
+               {EndpointModel::kIdentical, EndpointModel::kUnrelated}) {
+            util::Rng rng(1000 + static_cast<std::uint64_t>(cells));
+            workload::WorkloadSpec spec;
+            spec.jobs = 50;
+            spec.load = load;
+            spec.sizes.class_eps = eps;
+            spec.endpoints = model;
+            const Instance inst = workload::generate(rng, trees[t], spec);
+            const SpeedProfile speeds =
+                SpeedProfile::layered(inst.tree(), 1.0, 1.0 + eps);
+            Lemma2EventSampler sampler(eps, inst.job_count());
+            const sim::AuditReport rep =
+                audited_run(inst, speeds, eps, chunk, &sampler);
+            const std::string cell =
+                "tree " + std::to_string(t) + " eps " + std::to_string(eps) +
+                " load " + std::to_string(load) + " chunk " +
+                std::to_string(chunk) + " model " +
+                std::to_string(static_cast<int>(model));
+            ASSERT_EQ(rep.lemma_rows.size(), uidx(inst.job_count())) << cell;
+            for (const sim::LemmaRow& row : rep.lemma_rows) {
+              const double sampled = sampler.worst()[uidx(row.job)];
+              if (sampled < 0.0) continue;  // never queued at an eligible node
+              ++jobs_compared;
+              EXPECT_LE(sampled, row.lemma2_ratio * (1.0 + 1e-9))
+                  << cell << ": job " << row.job << " audit "
+                  << row.lemma2_ratio << " < sampled " << sampled;
+            }
+            ++cells;
+          }
+  EXPECT_EQ(cells, 72);
+  EXPECT_GT(jobs_compared, 0);
+}
+
+/// Phi_j(t) of Lemma 3: an upper bound on the remaining time until job j
+/// clears its remaining identical nodes, assuming no further arrivals.
+///
+///   Phi_j(t) = (1/s) max_{v in P_j(t)} [ sum_{i in S_{v,j}} p^A_{i,v}(t)
+///                                        + (2/eps)(d_j - d_{v,j}) p_j ]
+///
+/// `s` is the speed of the non-root-adjacent nodes (the lemma's premise).
+/// P_j(t) excludes the leaf in the unrelated model.
+double phi(const sim::Engine& engine, JobId j, double eps, double s) {
+  const Tree& tree = engine.tree();
+  const auto& path = tree.path_to(engine.assigned_leaf(j));
+  const int len = static_cast<int>(path.size());
+  const bool leaf_identical =
+      engine.instance().model() == EndpointModel::kIdentical;
+  const int last_idx = leaf_identical ? len - 1 : len - 2;
+  const double p_j = engine.instance().job(j).size;
+  const Time r_j = engine.instance().job(j).release;
+  double best = 0.0;
+  for (int idx = engine.current_path_index(j); idx <= last_idx; ++idx) {
+    const NodeId v = path[uidx(idx)];
+    const double vol =
+        engine.higher_priority_remaining(v, engine.size_on(j, v), r_j, j) +
+        engine.remaining_on(j, v);
+    // (d_j - d_{v,j}): the nodes strictly below v that j still needs.
+    const double below = static_cast<double>(len - 1 - idx);
+    best = std::max(best, vol + 2.0 / eps * below * p_j);
+  }
+  return best / s;
 }
 
 /// Lemma 3: after the last arrival, Phi_j upper-bounds the actual remaining
@@ -159,7 +306,7 @@ TEST(Phi, UpperBoundsRemainingInteriorTime) {
     // Lemma 3's premise: the job is available on a node *not* adjacent to
     // the root (root children run at speed 1, below the lemma's s).
     if (!engine.completed(job.id) && engine.current_path_index(job.id) >= 1)
-      bound[uidx(job.id)] = algo::phi(engine, job.id, eps, s);
+      bound[uidx(job.id)] = phi(engine, job.id, eps, s);
   }
   engine.run_to_completion();
 

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "treesched/algo/policies.hpp"
-#include "treesched/algo/potential.hpp"
 #include "treesched/algo/runner.hpp"
 #include "treesched/core/tree_builders.hpp"
 #include "treesched/workload/adversarial.hpp"
@@ -51,8 +50,6 @@ TEST(PaperGreedy, FFormulaMatchesHandComputation) {
   // Assignment cost adds the depth penalty 6/eps^2 * d * p.
   algo::PaperGreedyPolicy policy(1.0);
   EXPECT_NEAR(policy.assignment_cost(eng, j1, leaf1), 2.0 + 6.0 * 2 * 2, 1e-9);
-  EXPECT_NEAR(algo::lemma4_bound(eng, j1, leaf1, 1.0),
-              policy.assignment_cost(eng, j1, leaf1), 1e-12);
 }
 
 TEST(PaperGreedy, CachesFollowTheEngineNotItsAddress) {

@@ -2,7 +2,9 @@
 // seeded corruption is detected with a diagnostic naming the culprit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "treesched/core/tree_builders.hpp"
@@ -261,6 +263,48 @@ TEST(Audit, LemmaTableEmptyWithoutEps) {
   const AuditReport rep = sim::audit_run(b.inst, b.log);
   EXPECT_TRUE(rep.lemma_rows.empty());
   EXPECT_TRUE(rep.lemma_table().empty());
+}
+
+TEST(Audit, Lemma2TakesTheSupremumOverTheJobsStay) {
+  // One branch: router 1 (root child), router 2 at speed 0.5, machine 3.
+  // Job 0 (p=4) reaches router 2 at t=4 with volume 4 = ratio 0.5 of the
+  // (2/eps) p_j = 8 bound. The smaller job 1 reaches router 2 at t=5.2,
+  // while job 0 still has 4 - 1.2 * 0.5 = 3.4 left there: volume
+  // 3.4 + 1 = 4.4, ratio 0.55. Evaluating only at job 0's own arrival
+  // misses it.
+  Instance inst(builders::star_of_paths(1, 2),
+                {Job(0, 0.0, 4.0), Job(1, 4.2, 1.0)},
+                EndpointModel::kIdentical);
+  SpeedProfile speeds(inst.tree(), {0.0, 1.0, 0.5, 1.0});
+  EngineConfig cfg;
+  cfg.record_schedule = true;
+  sim::Engine eng(inst, speeds, cfg);
+  const NodeId leaf = inst.tree().leaves()[0];
+  eng.run_with_assignment({leaf, leaf});
+  AuditOptions opts;
+  opts.eps = 1.0;
+  const AuditReport rep =
+      sim::audit_run(inst, sim::make_run_log(inst, eng), opts);
+  EXPECT_TRUE(rep.ok) << rep.summary();
+  ASSERT_EQ(rep.lemma_rows.size(), 2u);
+  EXPECT_NEAR(rep.lemma_rows[0].lemma2_ratio, 0.55, 1e-12);
+  EXPECT_EQ(rep.lemma_rows[0].lemma2_node, 2);
+}
+
+TEST(Audit, RejectsStrictLemmasWithoutAUsableEps) {
+  Baseline b = make_baseline();
+  for (const double eps : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    AuditOptions opts;
+    opts.eps = eps;
+    opts.strict_lemmas = true;
+    EXPECT_THROW(sim::audit_run(b.inst, b.log, opts), std::invalid_argument)
+        << "eps " << eps;
+    opts.strict_lemmas = false;
+    if (eps != 0.0) {
+      EXPECT_THROW(sim::audit_run(b.inst, b.log, opts), std::invalid_argument)
+          << "eps " << eps;
+    }
+  }
 }
 
 }  // namespace

@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   auto& eps = cli.add_double(
       "eps", 0.0, "speed-augmentation epsilon; > 0 prints lemma margins");
   auto& strict = cli.add_flag(
-      "strict-lemmas", "treat a lemma margin ratio > 1 as a violation");
+      "strict-lemmas",
+      "treat a lemma margin ratio > 1 as a violation (needs --eps > 0)");
   auto& tol = cli.add_double("tol", 1e-6, "numeric comparison tolerance");
   auto& guard_log = cli.add_string(
       "guard", "",
