@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -10,18 +9,15 @@
 #include "treesched/util/assert.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::exec {
 
 namespace {
 
 constexpr char kEnvelopeMagic[] = "treesched-snapshot-v2";
-constexpr char kManifestMagic[] = "treesched-snapmanifest-v1";
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
+constexpr char kManifestMagic[] = "treesched-snapmanifest-v2";
+constexpr char kManifestV1Magic[] = "treesched-snapmanifest-v1";
 
 }  // namespace
 
@@ -62,7 +58,7 @@ std::vector<SnapshotSection> decode_snapshot_envelope(
     TS_REQUIRE(read_line(line),
                "snapshot envelope: truncated before the whole-file "
                "fingerprint line");
-    if (starts_with(line, "whole ")) {
+    if (util::starts_with(line, "whole ")) {
       std::istringstream ls(line.substr(6));
       std::uint64_t fp = 0;
       ls >> fp;
@@ -75,7 +71,7 @@ std::vector<SnapshotSection> decode_snapshot_envelope(
                  "snapshot envelope: trailing bytes after the fingerprint");
       return out;
     }
-    TS_REQUIRE(starts_with(line, "section "),
+    TS_REQUIRE(util::starts_with(line, "section "),
                "snapshot envelope: expected a section header, got '" + line +
                    "'");
     std::istringstream ls(line.substr(8));
@@ -123,80 +119,97 @@ std::string SnapshotStore::gen_path(int index) const {
   return os.str();
 }
 
-void SnapshotStore::write_manifest(
-    const std::vector<SnapshotGeneration>& oldest_first) {
-  std::ostringstream os;
-  os << kManifestMagic << '\n';
-  os << "keep " << keep_ << '\n';
-  for (const SnapshotGeneration& g : oldest_first)
-    os << "gen " << g.index << ' ' << g.progress << ' ' << g.fingerprint
-       << '\n';
-  util::write_file_atomic(base_, os.str());
-}
-
 void SnapshotStore::write(std::uint64_t progress,
                           const std::string& envelope) {
-  std::vector<SnapshotGeneration> gens;  // oldest first
-  try {
-    gens = generations();
-    std::reverse(gens.begin(), gens.end());
-  } catch (const SnapshotMissingError&) {
-    // First snapshot of this run — start the manifest fresh.
+  if (!window_) {
+    try {
+      window_ = window();
+    } catch (const SnapshotMissingError&) {
+      // First snapshot at this path: the header is written once.
+      util::write_file_atomic(base_, std::string(kManifestMagic) + '\n');
+      window_.emplace();
+    }
   }
-  const int index = gens.empty() ? 0 : gens.back().index + 1;
-  const std::string path = gen_path(index);
-
-  // Failpoint site "snapshot.write", then "fs.atomic". The manifest records
-  // the INTENDED fingerprint: if the storage lied (torn or flipped bytes),
-  // verification at read time catches it.
-  util::write_file_atomic(path, envelope, "snapshot.write");
-
   SnapshotGeneration g;
-  g.index = index;
   g.progress = progress;
   g.fingerprint = util::fnv1a_64(envelope);
-  g.path = path;
-  gens.push_back(g);
+  // A run resumed from an older generation re-takes, byte for byte, the
+  // snapshots recorded after it. Such a snapshot is already on record (its
+  // file quarantined if the bytes were damaged), so it is not taken again:
+  // the manifest stays the one an uninterrupted run writes. The price: until
+  // the run passes the newest record, the keep window holds fewer than
+  // `keep` healthy generations (docs/MODEL.md).
+  for (const SnapshotGeneration& recorded : *window_)
+    if (recorded.progress == progress && recorded.fingerprint == g.fingerprint)
+      return;
+  g.index = window_->empty() ? 0 : window_->back().index + 1;
+  g.path = gen_path(g.index);
 
-  // Retention: drop the OLDEST healthy generations beyond the budget. Only
-  // manifest-listed (healthy) files are ever deleted — quarantined ones were
-  // renamed out of the manifest and stay on disk.
-  while (gens.size() > static_cast<std::size_t>(keep_)) {
+  // Failpoint site "snapshot.write", then "fs.atomic". The record carries
+  // the INTENDED fingerprint: if the storage lied (torn or flipped bytes),
+  // verification at read time catches it.
+  util::write_file_atomic(g.path, envelope, "snapshot.write");
+  util::append_line_durable(base_,
+                            "gen " + std::to_string(g.index) + ' ' +
+                                std::to_string(g.progress) + ' ' +
+                                std::to_string(g.fingerprint),
+                            "snapmanifest.append");
+  window_->push_back(std::move(g));
+
+  // Retention: delete the healthy generation that just left the keep
+  // window. A quarantined one was renamed away, so the remove is a no-op.
+  if (window_->size() > static_cast<std::size_t>(keep_)) {
     std::error_code ec;
-    std::filesystem::remove(gens.front().path, ec);
-    gens.erase(gens.begin());
+    std::filesystem::remove(window_->front().path, ec);
+    window_->erase(window_->begin());
   }
-  write_manifest(gens);
+}
+
+std::vector<SnapshotGeneration> SnapshotStore::window() const {
+  const std::optional<util::LogLines> log = util::read_log(base_);
+  if (!log)
+    throw SnapshotMissingError("no snapshot manifest at '" + base_ +
+                               "' (this run never wrote a snapshot)");
+  const std::string where = "snapshot manifest '" + base_ + "'";
+  TS_REQUIRE(log->lines.empty() || log->lines[0].text != kManifestV1Magic,
+             where + " is " + kManifestV1Magic +
+                 ", written by an older treesched, which this build can "
+                 "neither resume nor extend; remove it or choose another "
+                 "--snapshot-path");
+  TS_REQUIRE(!log->lines.empty() && log->lines[0].text == kManifestMagic,
+             where + ": bad magic (corrupt or unsupported)");
+  std::vector<SnapshotGeneration> gens;
+  for (std::size_t i = 1; i < log->lines.size(); ++i) {
+    const util::LogLine& line = log->lines[i];
+    std::istringstream ls(line.text);
+    std::string tag;
+    SnapshotGeneration g;
+    TS_REQUIRE((ls >> tag >> g.index >> g.progress >> g.fingerprint) &&
+                   tag == "gen" && ls.eof() &&
+                   (gens.empty() || g.index > gens.back().index),
+               where + ": line " + std::to_string(line.number) +
+                   " is corrupt: " + line.text);
+    g.path = gen_path(g.index);
+    gens.push_back(std::move(g));
+    if (gens.size() > static_cast<std::size_t>(keep_))
+      gens.erase(gens.begin());
+  }
+  return gens;
 }
 
 std::vector<SnapshotGeneration> SnapshotStore::generations() const {
-  std::ifstream is(base_);
-  if (!is)
-    throw SnapshotMissingError("no snapshot manifest at '" + base_ +
-                               "' (this run never wrote a snapshot)");
-  std::string tag;
-  is >> tag;
-  TS_REQUIRE(is && tag == kManifestMagic,
-             "snapshot manifest '" + base_ +
-                 "': bad magic (corrupt or unsupported)");
-  int keep = 0;
-  is >> tag >> keep;
-  TS_REQUIRE(is && tag == "keep" && keep >= 1,
-             "snapshot manifest '" + base_ + "': malformed keep line");
-  std::vector<SnapshotGeneration> gens;
-  while (is >> tag) {
-    TS_REQUIRE(tag == "gen",
-               "snapshot manifest '" + base_ + "': unexpected token '" + tag +
-                   "'");
-    SnapshotGeneration g;
-    is >> g.index >> g.progress >> g.fingerprint;
-    TS_REQUIRE(static_cast<bool>(is),
-               "snapshot manifest '" + base_ + "': truncated gen line");
-    g.path = gen_path(g.index);
-    gens.push_back(std::move(g));
-  }
+  std::vector<SnapshotGeneration> gens = window();
   std::reverse(gens.begin(), gens.end());  // newest first: the ladder order
   return gens;
+}
+
+std::optional<SnapshotGeneration> SnapshotStore::uncommitted() const {
+  const std::vector<SnapshotGeneration> gens = window();
+  SnapshotGeneration g;
+  g.index = gens.empty() ? 0 : gens.back().index + 1;
+  g.path = gen_path(g.index);
+  if (!std::filesystem::exists(g.path)) return std::nullopt;
+  return g;
 }
 
 std::optional<std::string> SnapshotStore::read(

@@ -16,9 +16,20 @@
 //     whole <fnv over all bytes above this line>
 //
 // The store keeps GENERATIONS: each snapshot lands in its own file
-// (<base>.genNNN, written atomically) and a tiny manifest at <base> records
-// index, progress, and whole-file fingerprint per generation. Retention
-// deletes only HEALTHY generations beyond the keep budget; a generation
+// (<base>.genNNN, written atomically) and the manifest at <base> is an
+// append-only log (treesched-snapmanifest-v2):
+//
+//     treesched-snapmanifest-v2
+//     gen <index> <progress> <fingerprint>
+//     ...
+//
+// The header is written once (util::write_file_atomic); each snapshot then
+// appends one gen record (util::append_line_durable), so a snapshot costs 3
+// fsyncs: the generation file, its directory, the record. The newest `keep`
+// records are the live generations; a torn record is dropped by
+// util::read_log and any other malformed line is corruption. A v1 manifest
+// (rewritten whole on every snapshot) is rejected, not read. Retention
+// deletes only HEALTHY generations that leave the keep window; a generation
 // that fails verification is QUARANTINED — renamed to <file>.quarantined
 // and logged in <base>.quarantine.log — never deleted, so a post-mortem
 // always has the corrupt bytes. The resume ladder (stream_runner) walks
@@ -28,8 +39,9 @@
 // "snapshot.write", ahead of "fs.atomic" (enospc / fsync-fail fail loudly
 // and leave no generation file; torn-write / bit-flip corrupt the envelope
 // silently — the manifest still records the INTENDED fingerprint, which is
-// exactly how real lying storage presents) and "snapshot.read" (short-read
-// / bit-flip corrupt the returned bytes).
+// exactly how real lying storage presents), "snapmanifest.append" (the gen
+// record) and "snapshot.read" (short-read / bit-flip corrupt the returned
+// bytes).
 #pragma once
 
 #include <cstdint>
@@ -99,16 +111,28 @@ class SnapshotStore {
   /// <base>.genNNN. `keep` >= 1 is the retention budget (--snapshot-keep).
   SnapshotStore(std::string base, int keep);
 
-  /// Writes `envelope` as the next generation (atomic file + atomic
-  /// manifest rewrite) and deletes healthy generations beyond the keep
-  /// budget. Failpoint site "snapshot.write". Throws std::runtime_error on
-  /// I/O failure (injected or real).
+  /// Writes `envelope` as the next generation (atomic file + one appended
+  /// manifest record) and deletes the healthy generation that leaves the
+  /// keep window. The manifest is read once, at the first write. A snapshot
+  /// the manifest already records (same progress and fingerprint, within
+  /// the window) writes nothing: a run resumed from an older generation is
+  /// re-taking it. After such a fallback the window therefore holds fewer
+  /// than `keep` healthy generations until a snapshot passes the newest
+  /// record.
+  /// Failpoint sites "snapshot.write" and "snapmanifest.append". Throws
+  /// std::runtime_error on I/O failure (injected or real).
   void write(std::uint64_t progress, const std::string& envelope);
 
-  /// Manifest entries, NEWEST FIRST (the ladder's walk order). Throws
-  /// SnapshotMissingError when no manifest exists at the base path and
-  /// std::invalid_argument when the manifest itself is malformed.
+  /// The newest `keep` manifest records, NEWEST FIRST (the ladder's walk
+  /// order). Throws SnapshotMissingError when no manifest exists at the
+  /// base path and std::invalid_argument when the manifest is a v1 one or
+  /// is malformed.
   std::vector<SnapshotGeneration> generations() const;
+
+  /// The generation file one past the newest record, when it exists: a
+  /// snapshot whose record never landed (a kill between the two writes, or
+  /// a torn record). Its progress and fingerprint are unknown (0).
+  std::optional<SnapshotGeneration> uncommitted() const;
 
   /// Slurps one generation file. Failpoint site "snapshot.read". Returns
   /// nullopt when the file is missing (a rung the ladder skips); corruption
@@ -126,10 +150,13 @@ class SnapshotStore {
 
  private:
   std::string gen_path(int index) const;
-  void write_manifest(const std::vector<SnapshotGeneration>& oldest_first);
+  /// The newest `keep` records, oldest first.
+  std::vector<SnapshotGeneration> window() const;
 
   std::string base_;
   int keep_;
+  /// window() as of the last write; loaded by the first one.
+  std::optional<std::vector<SnapshotGeneration>> window_;
 };
 
 }  // namespace treesched::exec

@@ -606,8 +606,9 @@ class StreamRunner {
   }
 
   /// The self-healing resume ladder: walk the manifest newest-first,
-  /// quarantine generations whose BYTES are damaged, skip missing ones,
-  /// fall back to the newest generation that verifies and restores. Typed
+  /// quarantine generations whose BYTES are damaged or whose record never
+  /// landed, skip missing ones, fall back to the newest generation that
+  /// verifies and restores. Typed
   /// outcomes: SnapshotMissingError (no manifest), SnapshotSpecMismatchError
   /// (clean snapshot, wrong run — no point walking further down, every rung
   /// carries the same spec), SnapshotUnrecoverableError (ladder exhausted).
@@ -615,6 +616,12 @@ class StreamRunner {
     SnapshotStore store(cfg_.resume_snapshot, cfg_.snapshot_keep);
     const std::vector<SnapshotGeneration> gens = store.generations();
     std::string notes;
+    // A generation file without its record was never committed: set it
+    // aside for the post-mortem; the resumed run rewrites that index.
+    if (const auto orphan = store.uncommitted()) {
+      store.quarantine(*orphan, "no manifest record (uncommitted snapshot)");
+      notes += "; gen " + std::to_string(orphan->index) + ": uncommitted";
+    }
     for (std::size_t i = 0; i < gens.size(); ++i) {
       const SnapshotGeneration& gen = gens[i];
       const std::string label = "gen " + std::to_string(gen.index);

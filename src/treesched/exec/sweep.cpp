@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -26,7 +27,6 @@
 #include "treesched/stats/summary.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
-#include "treesched/util/log.hpp"
 #include "treesched/util/rng.hpp"
 #include "treesched/util/stopwatch.hpp"
 #include "treesched/util/table.hpp"
@@ -164,9 +164,8 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
 
 /// Append-only checkpoint journal: an atomically written header, then one
 /// util::append_line_durable record per completed task. A kill tears at most
-/// the record in flight, and the next append heals that tail onto its own
-/// line; the trailing "ok" token lets the reader skip a torn record instead
-/// of resurrecting a half-written double.
+/// the record in flight; util::read_log drops it, and any other record that
+/// does not parse is corruption the loader refuses.
 class Checkpoint {
  public:
   Checkpoint(const std::string& path, std::uint64_t fingerprint, bool resume)
@@ -194,14 +193,14 @@ class Checkpoint {
 
  private:
   void load(std::uint64_t fingerprint) {
-    const std::optional<util::FileLines> journal = util::read_lines(path_);
+    const std::optional<util::LogLines> journal = util::read_log(path_);
     if (!journal)
       throw std::runtime_error("cannot read checkpoint journal '" + path_ +
                                "'");
-    const std::vector<std::string>& lines = journal->lines;
+    const std::vector<util::LogLine>& lines = journal->lines;
     // Version 2 added goodput / completed / shed-count columns; resuming a
     // version-1 journal would silently drop them, so it is refused.
-    if (lines.empty() || lines[0] != "sweepjournal 2")
+    if (lines.empty() || lines[0].text != "sweepjournal 2")
       throw std::invalid_argument(
           "'" + path_ +
           "' is not a sweepjournal-2 checkpoint (pre-overload journals "
@@ -209,7 +208,7 @@ class Checkpoint {
     std::uint64_t fp = 0;
     {
       std::string tag;
-      std::istringstream ls(lines.size() > 1 ? lines[1] : std::string());
+      std::istringstream ls(lines.size() > 1 ? lines[1].text : std::string());
       if (!(ls >> tag >> fp) || tag != "fingerprint")
         throw std::invalid_argument("checkpoint journal '" + path_ +
                                     "' is missing its fingerprint");
@@ -220,26 +219,28 @@ class Checkpoint {
           "' belongs to a different sweep grid; rerun without --resume or "
           "point --checkpoint elsewhere");
     for (std::size_t i = 2; i < lines.size(); ++i) {
-      std::istringstream ls(lines[i]);
+      std::istringstream ls(lines[i].text);
       std::string tag, tail;
       // Doubles go through stod, not operator>>: a fully-shed cell journals
       // its mean flow as "nan", which stream extraction need not accept.
       std::string ratio, alg_flow, lower_bound, mean_flow, goodput;
       SweepTask t;
-      // A malformed record is a torn one: appends heal torn tails, so it is
-      // its own line and the records after it are whole.
-      if (!(ls >> tag >> t.index >> ratio >> alg_flow >> lower_bound >>
-            mean_flow >> goodput >> t.completed >> t.shed_jobs >> tail) ||
-          tag != "task" || tail != "ok")
-        continue;
       try {
+        if (!(ls >> tag >> t.index >> ratio >> alg_flow >> lower_bound >>
+              mean_flow >> goodput >> t.completed >> t.shed_jobs >> tail) ||
+            tag != "task" || tail != "ok")
+          throw std::invalid_argument("malformed record");
         t.ratio = std::stod(ratio);
         t.alg_flow = std::stod(alg_flow);
         t.lower_bound = std::stod(lower_bound);
         t.mean_flow = std::stod(mean_flow);
         t.goodput = std::stod(goodput);
       } catch (const std::exception&) {
-        continue;
+        throw std::invalid_argument(
+            "checkpoint journal '" + path_ + "' line " +
+            std::to_string(lines[i].number) +
+            " is corrupt (not a torn record, or a tear healed by an older "
+            "build); rerun without --resume");
       }
       t.status = TaskStatus::kOk;
       done_[t.index] = t;
@@ -448,7 +449,8 @@ SweepResult run_sweep(const SweepSpec& in) {
         result.tasks[task.index] = task;
         result.tasks[task.index].status = TaskStatus::kFailed;
         result.tasks[task.index].error = e.what();
-        util::log_warn("sweep task ", task.index, " failed: ", e.what());
+        std::cerr << "[WARN] sweep task " << task.index
+                  << " failed: " << e.what() << '\n';
       }
     }
   } else if (!pending.empty()) {
@@ -479,7 +481,8 @@ SweepResult run_sweep(const SweepSpec& in) {
     for (const auto& [i, what] : gathered.failed) {
       result.tasks[pending[i].index].status = TaskStatus::kFailed;
       result.tasks[pending[i].index].error = what;
-      util::log_warn("sweep task ", pending[i].index, " failed: ", what);
+      std::cerr << "[WARN] sweep task " << pending[i].index
+                << " failed: " << what << '\n';
     }
     for (const std::size_t i : gathered.cancelled)
       result.tasks[pending[i].index].status = TaskStatus::kCancelled;
@@ -492,9 +495,9 @@ SweepResult run_sweep(const SweepSpec& in) {
     if (!gathered.timed_out.empty()) {
       // Skipped-task report instead of a hang: drop unstarted work and
       // detach any worker still stuck inside a task.
-      util::log_warn("sweep: ", gathered.timed_out.size(),
-                     " task(s) exceeded --timeout-ms; reporting them as "
-                     "skipped");
+      std::cerr << "[WARN] sweep: " << gathered.timed_out.size()
+                << " task(s) exceeded --timeout-ms; reporting them as "
+                   "skipped\n";
       pool.cancel_pending();
       pool.abandon();
     }

@@ -79,12 +79,14 @@ struct SweepSpec {
   double retry_backoff_ms = 5.0;
   /// Append-only checkpoint journal; empty disables checkpointing. One
   /// fsynced util::append_line_durable record per finished task, so a killed
-  /// sweep loses at most the record being written — which the tolerant
-  /// reader skips, and the next append heals onto its own line.
+  /// sweep loses at most the record being written, which util::read_log
+  /// drops (util/fs.hpp).
   std::string checkpoint;
   /// Load `checkpoint` and skip every task it already covers. The journal's
-  /// spec fingerprint must match (resuming under a different grid throws).
-  /// A missing journal file is not an error (fresh start).
+  /// spec fingerprint must match (resuming under a different grid throws),
+  /// and a damaged record that is not a torn one throws
+  /// std::invalid_argument naming its line. A missing journal file is not
+  /// an error (fresh start).
   bool resume = false;
   /// Cooperative cancellation, polled while gathering: once true, pending
   /// tasks are dropped and the result is marked interrupted.

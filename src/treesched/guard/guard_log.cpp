@@ -288,29 +288,25 @@ bool audit_line(AuditState& st, std::size_t line_no, const std::string& line,
 
 GuardAuditResult audit_guard_log(const std::string& path) {
   AuditState st;
-  const std::optional<util::FileLines> log = util::read_lines(path);
+  const std::optional<util::LogLines> log = util::read_log(path);
   if (!log) {
     st.violate(0, "cannot open guard log '" + path + "'");
     return std::move(st.result);
   }
 
   bool saw_magic = false;
-  for (std::size_t i = 0; i < log->lines.size(); ++i) {
-    const std::size_t no = i + 1;
-    const std::string& text = log->lines[i];
-    if (text.empty()) continue;
+  for (const util::LogLine& line : log->lines) {
+    if (line.text.empty()) continue;
     if (!saw_magic) {
-      if (text != kMagic)
-        st.violate(no, std::string("first record is not '") + kMagic + "'");
+      if (line.text != kMagic)
+        st.violate(line.number,
+                   std::string("first record is not '") + kMagic + "'");
       saw_magic = true;
       continue;  // the header line carries no event, valid or not
     }
     std::string why;
-    if (audit_line(st, no, text, why)) continue;
-    // A line the crash tore (no trailing newline) is tolerated ONLY at the
-    // very end of the file.
-    const bool torn_tail = no == log->lines.size() && !log->ends_in_newline;
-    if (!torn_tail) st.violate(no, why);
+    if (!audit_line(st, line.number, line.text, why))
+      st.violate(line.number, why);
   }
 
   if (!saw_magic) st.violate(0, "guard log is empty");

@@ -8,7 +8,9 @@
 // differential byte-compares. The sidecar is line-oriented and appended
 // with util::append_line_durable — one write(2) per record, torn tails
 // healed — so the supervisor and its child can share one file and a crash
-// mid-append can tear at most the final line (which the parser tolerates).
+// mid-append can tear at most the final line. The audit reads it through
+// util::read_log, which drops torn records (util/fs.hpp); any other line it
+// cannot parse is a violation.
 //
 // Format (one record per line):
 //

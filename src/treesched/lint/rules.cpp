@@ -575,6 +575,31 @@ void rule_hyg_assert_side_effect(const FileCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
+// hyg-raw-fstream — file streams in src/ or tools/ outside util/fs
+// ---------------------------------------------------------------------------
+//
+// Guarantee protected: every file the program writes or reads goes through
+// util/fs, where writes are atomic or durably appended, every I/O
+// failpoint is evaluated, and the append-only logs share one torn-record
+// rule. A std::ifstream / std::ofstream / std::fstream elsewhere bypasses
+// all three. Tests, benches and examples may use them freely.
+
+void rule_hyg_raw_fstream(const FileCtx& ctx) {
+  if (!ctx.in_dir("src/") && !ctx.in_dir("tools/")) return;
+  if (ctx.path == "src/treesched/util/fs.cpp") return;  // the seam itself
+  for (const Token& tok : ctx.code) {
+    if (tok.kind != TokKind::kIdentifier ||
+        (tok.text != "ifstream" && tok.text != "ofstream" &&
+         tok.text != "fstream"))
+      continue;
+    ctx.report("hyg-raw-fstream", Severity::kError, tok.line, tok.col,
+               "std::" + tok.text +
+                   " bypasses util/fs; use util::read_file, "
+                   "util::write_file_atomic or util::append_line_durable");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // det-sketch-merge — order-sensitive sketch merge outside stats/
 // ---------------------------------------------------------------------------
 //
@@ -754,6 +779,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "TODO comment without an issue reference"},
       {"hyg-assert-side-effect", Severity::kError,
        "side effect inside assert/TS_REQUIRE/TS_CHECK condition"},
+      {"hyg-raw-fstream", Severity::kError,
+       "std file stream in src/ or tools/ outside util/fs"},
       {"lint-bad-suppression", Severity::kError,
        "malformed, unknown, or justification-free allow() annotation"},
       {"lint-stale-suppression", Severity::kWarning,
@@ -787,6 +814,7 @@ std::vector<Finding> lint_source(std::string_view source,
   rule_hyg_pragma_once(ctx);
   rule_hyg_todo_ref(ctx);
   rule_hyg_assert_side_effect(ctx);
+  rule_hyg_raw_fstream(ctx);
 
   std::vector<Suppression> sups = collect_suppressions(ctx);
   for (Finding& f : findings) {

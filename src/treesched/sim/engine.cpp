@@ -11,9 +11,6 @@
 namespace treesched::sim {
 
 namespace {
-// Completion detection tolerance: event times are exact sums, but pauses
-// subtract elapsed*speed, so residuals accumulate a few ulps per event.
-constexpr double kWorkTol = 1e-6;
 constexpr Time kNever = std::numeric_limits<Time>::infinity();
 
 std::uint64_t next_engine_serial() {
@@ -286,7 +283,12 @@ void Engine::deliver(NodeId v, JobId j, int idx, Time t) {
     ns.deferred.emplace_back(j, idx);
     return;
   }
-  pause(v, t);
+  // Same-instant tie: a running item scheduled to finish by `t` completes
+  // before the delivered item can preempt it.
+  if (ns.has_running && ns.running_finish <= t)
+    handle_completion(v, t);
+  else
+    pause(v, t);
   insert_avail(v, j, idx, t);
   resched(v, t);
 }
@@ -315,8 +317,7 @@ void Engine::pause(NodeId v, Time t) {
   JobState& js = jobs_[uidx(j)];
   const int idx = ns.running_idx;
   const double stored = stored_remaining_item(js, idx);
-  TS_CHECK(w <= stored + kWorkTol * std::max(1.0, stored),
-           "node performed more work than the item had");
+  TS_CHECK(t <= ns.running_finish, "node ran past the item's finish");
   const double done = std::min(w, stored);
   const double rem = stored - done;
   ++mutation_count_;
@@ -391,7 +392,8 @@ void Engine::start_burst(NodeId v, Time t) {
   const JobState& js = jobs_[uidx(top.key.job)];
   const double rem = stored_remaining_item(js, top.idx);
   ns.running_rem = stored_remaining_total(js, top.idx);
-  events_.push({t + rem / node_speed(v), seq_++, v, ns.version});
+  ns.running_finish = t + rem / node_speed(v);
+  events_.push({ns.running_finish, seq_++, v, ns.version});
 }
 
 void Engine::handle_completion(NodeId v, Time t) {
@@ -402,9 +404,9 @@ void Engine::handle_completion(NodeId v, Time t) {
   const JobId j = item.job;
   JobState& js = jobs_[uidx(j)];
   const int idx = ns.running_idx;
-  const double rem = stored_remaining_item(js, idx);
-  TS_CHECK(rem <= kWorkTol * std::max(1.0, js.chunk_size),
-           "completion fired with work remaining");
+  // Completion is decided by time, not by the float remainder (which
+  // carries rounding that grows with the clock).
+  TS_CHECK(ns.running_finish <= t, "completion fired before the finish");
 
   ns.has_running = false;
   erase_avail(v, j, idx);

@@ -480,6 +480,9 @@ class Engine {
     /// arrays mutate, so remaining_on and the aggregate-query adjustments
     /// never re-derive it per call.
     double running_rem = 0.0;
+    /// Time of the running item's pending completion event (derived, not
+    /// serialized: restored from the event queue).
+    Time running_finish = 0.0;
     Time burst_start = 0.0;
     std::uint64_t version = 0;     ///< invalidates stale completion events
     // Fault state.

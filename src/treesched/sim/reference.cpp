@@ -156,14 +156,19 @@ ReferenceResult simulate_reference(const Instance& instance,
     }
     TS_CHECK(next < inf, "deadlock in reference simulator");
 
+    // A running item whose finish time is the breakpoint completes exactly;
+    // subtracting dt * speed would leave rounding residue that grows with
+    // the clock.
     const Time dt = next - now;
     for (NodeId v = 0; v < tree.node_count(); ++v) {
       const JobId j = running[uidx(v)];
       if (j == kInvalidJob) continue;
       const std::size_t i = running_hop[uidx(v)];
-      const double w = dt * speeds.speed(v);
-      if (i + 1 == jobs[uidx(j)].len()) jobs[uidx(j)].leaf_rem -= w;
-      else jobs[uidx(j)].head[i] -= w;
+      double& rem = (i + 1 == jobs[uidx(j)].len()) ? jobs[uidx(j)].leaf_rem
+                                                   : jobs[uidx(j)].head[i];
+      rem = now + rem / speeds.speed(v) <= next
+                ? 0.0
+                : rem - dt * speeds.speed(v);
     }
     now = next;
 

@@ -1,8 +1,8 @@
 #include "treesched/sim/run_log.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -249,9 +249,10 @@ RunLog read_run_log(std::istream& is) {
 }
 
 RunLog read_run_log_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open run log: " + path);
-  return read_run_log(f);
+  const std::optional<std::string> bytes = util::read_file(path);
+  if (!bytes) throw std::runtime_error("cannot open run log: " + path);
+  std::istringstream is(*bytes);
+  return read_run_log(is);
 }
 
 namespace {

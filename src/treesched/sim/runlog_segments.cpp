@@ -111,29 +111,32 @@ void SegmentedRunLogWriter::resume(std::size_t next_index,
   TS_REQUIRE(!started_ && pending_.empty() && next_index_ == 0 && !finalized_,
              "resume must precede start_fresh and all event feeding");
   started_ = true;
-  const std::optional<util::FileLines> manifest =
-      util::read_lines(cfg_.base_path);
+  const std::optional<util::LogLines> manifest =
+      util::read_log(cfg_.base_path);
   TS_REQUIRE(manifest.has_value(),
              "resume: cannot open manifest " + cfg_.base_path);
   std::ostringstream kept;
   std::size_t seg_lines = 0;
-  for (const std::string& line : manifest->lines) {
+  for (const util::LogLine& line : manifest->lines) {
     if (seg_lines == next_index) break;
-    std::istringstream ls(line);
+    std::istringstream ls(line.text);
     std::string tag;
     ls >> tag;
     if (tag == "final") break;  // stale trailer from the killed run
     if (tag == "segment") {
       std::size_t idx = 0, n = 0;
       std::uint64_t fp = 0, ch = 0;
-      if (!(ls >> idx >> n >> fp >> ch) || idx != seg_lines)
-        break;  // torn or out-of-order tail: drop it and everything after
+      TS_REQUIRE(static_cast<bool>(ls >> idx >> n >> fp >> ch) &&
+                     idx == seg_lines,
+                 "resume: manifest line " + std::to_string(line.number) +
+                     " is corrupt (not a torn record, or a tear healed by "
+                     "an older build): " + line.text);
       ++seg_lines;
       if (seg_lines == next_index)
         TS_REQUIRE(ch == chain,
                    "resume: manifest chain does not match the snapshot");
     }
-    kept << line << '\n';
+    kept << line.text << '\n';
   }
   TS_REQUIRE(seg_lines == next_index,
              "resume: manifest has fewer segments than the snapshot");
@@ -306,18 +309,16 @@ class SegmentAuditor {
   }
 
   bool parse_manifest(const std::string& path) {
-    std::optional<util::FileLines> manifest = util::read_lines(path);
+    const std::optional<util::LogLines> manifest = util::read_log(path);
     if (!manifest) {
       fail(0, "cannot open manifest: " + path);
       return false;
     }
-    std::vector<std::string>& lines = manifest->lines;
-    for (std::string& line : lines) line = util::trim(line);
     bool header = false;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const bool last = i + 1 == lines.size();
-      if (lines[i].empty() || lines[i][0] == '#') continue;
-      std::istringstream ls(lines[i]);
+    for (const util::LogLine& record : manifest->lines) {
+      const std::string line = util::trim(record.text);
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream ls(line);
       std::string tag;
       ls >> tag;
       bool ok = true;
@@ -370,12 +371,10 @@ class SegmentAuditor {
         ok = false;
       }
       if (!ok) {
-        // Torn-tail tolerance: a malformed FINAL line is the expected
-        // residue of a kill mid-append; anything earlier is corruption.
-        if (!last) {
-          fail(m_.entries.size(), "malformed manifest line: " + lines[i]);
-          return false;
-        }
+        fail(m_.entries.size(), "malformed manifest line " +
+                                    std::to_string(record.number) + ": " +
+                                    line);
+        return false;
       }
     }
     if (!header) {

@@ -45,8 +45,9 @@
 // chain_{-1} = the FNV offset basis. Segment files are written atomically;
 // each manifest entry and the final trailer is one fsynced
 // util::append_line_durable record (failpoint site "manifest.append"), so a
-// crash can tear at most the final line — readers tolerate (ignore) a torn
-// tail, and the next append heals it onto its own line.
+// crash can tear at most the final line. Readers go through util::read_log,
+// which drops torn records (util/fs.hpp); any other malformed line is
+// corruption, for the audit and for resume alike.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +86,10 @@ class SegmentedRunLogWriter {
 
   /// Resume after a kill: rewrites the existing manifest atomically keeping
   /// only the header and segment entries [0, next_index) — stale entries and
-  /// torn tails from the killed run disappear — and restores the fingerprint
-  /// chain position (verified against the kept entries). Header parameters
-  /// must match the original run.
+  /// torn records from the killed run disappear — and restores the
+  /// fingerprint chain position (verified against the kept entries). A
+  /// malformed entry among the kept ones throws std::invalid_argument.
+  /// Header parameters must match the original run.
   void resume(std::size_t next_index, std::uint64_t chain);
 
   // Event feed (times must be monotone in the sort key, which engine order

@@ -269,6 +269,10 @@ void Engine::load_state(std::istream& is) {
     SimEvent ev;
     is >> ev.t >> ev.seq >> ev.node >> ev.version;
     TS_REQUIRE(is && ev.seq < seq_, "engine load: event from the future");
+    TS_REQUIRE(ev.node >= 0 && uidx(ev.node) < nodes_.size(),
+               "engine load: event on an unknown node");
+    NodeState& ns = nodes_[uidx(ev.node)];
+    if (ns.has_running && ev.version == ns.version) ns.running_finish = ev.t;
     events_.push(ev);
   }
 

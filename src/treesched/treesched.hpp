@@ -72,7 +72,6 @@
 #include "treesched/util/class_rounding.hpp"
 #include "treesched/util/csv.hpp"
 #include "treesched/util/fs.hpp"
-#include "treesched/util/log.hpp"
 #include "treesched/util/rng.hpp"
 #include "treesched/util/string_util.hpp"
 #include "treesched/util/table.hpp"

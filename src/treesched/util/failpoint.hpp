@@ -6,7 +6,7 @@
 // one private helper there is the only place a hit's kind is turned into an
 // effect; see docs/MODEL.md for the site -> caller table. Sites:
 // fs.atomic, snapshot.write, snapshot.read, segment.read, manifest.append,
-// quarantine.append. The schedule is fully explicit —
+// snapmanifest.append, quarantine.append. The schedule is fully explicit —
 // no randomness, no wall clock — so every chaos run is reproducible from
 // its spec string:
 //

@@ -25,6 +25,28 @@ namespace {
                            "': " + std::strerror(errno));
 }
 
+/// fail(), after closing `fd` and unlinking `tmp` (nullable) without losing
+/// the errno being reported.
+[[noreturn]] void fail_closing(int fd, const char* tmp, const std::string& what,
+                               const std::string& path) {
+  const int saved = errno;
+  ::close(fd);
+  if (tmp != nullptr) ::unlink(tmp);
+  errno = saved;
+  fail(what, path);
+}
+
+/// write(2) until every byte landed; false, with errno set, on an error.
+bool write_all(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ::ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno != EINTR) return false;
+    if (n > 0) off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 /// fsync the directory containing `path`, so the rename that just landed a
 /// new directory entry survives power loss. rename(2) alone only orders the
 /// entry in page cache; the metadata reaches disk when the DIRECTORY is
@@ -35,12 +57,8 @@ void fsync_parent_dir(const std::string& path) {
   const std::string dir = parent.empty() ? std::string(".") : parent.string();
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd < 0) fail("cannot open parent directory of", path);
-  if (::fsync(dfd) != 0) {
-    const int saved = errno;
-    ::close(dfd);
-    errno = saved;
-    fail("fsync failed for parent directory of", path);
-  }
+  if (::fsync(dfd) != 0)
+    fail_closing(dfd, nullptr, "fsync failed for parent directory of", path);
   ::close(dfd);
 }
 
@@ -99,38 +117,14 @@ void write_file_atomic(const std::string& path, const std::string& content,
   if (fd < 0) fail("cannot create temporary file", tmp);
 
   if (inject_enospc) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
     errno = ENOSPC;
-    fail("write failed for", tmp);
+    fail_closing(fd, tmp.c_str(), "write failed for", tmp);
   }
-  std::size_t off = 0;
-  while (off < payload->size()) {
-    const ::ssize_t n =
-        ::write(fd, payload->data() + off, payload->size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = saved;
-      fail("write failed for", tmp);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (inject_fsync_fail) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    errno = EIO;
-    fail("fsync failed for", tmp);
-  }
-  if (::fsync(fd) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    errno = saved;
-    fail("fsync failed for", tmp);
-  }
+  if (!write_all(fd, *payload))
+    fail_closing(fd, tmp.c_str(), "write failed for", tmp);
+  if (inject_fsync_fail) errno = EIO;
+  if (inject_fsync_fail || ::fsync(fd) != 0)
+    fail_closing(fd, tmp.c_str(), "fsync failed for", tmp);
   if (::close(fd) != 0) {
     ::unlink(tmp.c_str());
     fail("close failed for", tmp);
@@ -158,19 +152,20 @@ std::optional<std::string> read_file(const std::string& path,
   return bytes;
 }
 
-std::optional<FileLines> read_lines(const std::string& path) {
+std::optional<LogLines> read_log(const std::string& path) {
   const std::optional<std::string> bytes = read_file(path);
   if (!bytes) return std::nullopt;
-  FileLines out;
+  LogLines out;
   std::size_t pos = 0;
-  while (pos < bytes->size()) {
+  for (std::size_t number = 1; pos < bytes->size(); ++number) {
     const std::size_t nl = bytes->find('\n', pos);
-    if (nl == std::string::npos) {
-      out.lines.push_back(bytes->substr(pos));
-      out.ends_in_newline = false;
-      break;
-    }
-    out.lines.push_back(bytes->substr(pos, nl - pos));
+    const bool torn = nl == std::string::npos ||
+                      (nl > pos && (*bytes)[nl - 1] == kTornMarker);
+    if (torn)
+      ++out.torn;
+    else
+      out.lines.push_back({number, bytes->substr(pos, nl - pos)});
+    if (nl == std::string::npos) break;
     pos = nl + 1;
   }
   return out;
@@ -178,9 +173,10 @@ std::optional<FileLines> read_lines(const std::string& path) {
 
 void append_line_durable(const std::string& path, const std::string& line,
                          const char* failpoint_site) {
-  if (line.find('\n') != std::string::npos)
+  if (line.find('\n') != std::string::npos ||
+      line.find(kTornMarker) != std::string::npos)
     throw std::runtime_error("append_line_durable: record for '" + path +
-                             "' contains a newline");
+                             "' contains a newline or the torn marker");
   // A torn record keeps the first half of "line\n", so it never carries the
   // newline: storage lied, and the next append must heal the tail.
   std::string record;
@@ -200,52 +196,23 @@ void append_line_durable(const std::string& path, const std::string& line,
   if (fd < 0) fail("cannot open for append", path);
 
   // Heal a torn tail from a previous crash: if the file does not end in a
-  // newline, a lone '\n' first turns the torn record into its own truncated
-  // line so the new record never concatenates onto it.
+  // newline, the marker and a '\n' first close the torn record as a line
+  // read_log drops, so the new record never concatenates onto it.
   struct ::stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    fail("fstat failed for", path);
-  }
-  if (st.st_size > 0) {
-    char tail = '\n';
-    if (::pread(fd, &tail, 1, st.st_size - 1) == 1 && tail != '\n') {
-      if (::write(fd, "\n", 1) != 1) {
-        const int saved = errno;
-        ::close(fd);
-        errno = saved;
-        fail("append (tail heal) failed for", path);
-      }
-    }
-  }
+  if (::fstat(fd, &st) != 0)
+    fail_closing(fd, nullptr, "fstat failed for", path);
+  char tail = '\n';
+  if (st.st_size > 0 && ::pread(fd, &tail, 1, st.st_size - 1) == 1 &&
+      tail != '\n' && !write_all(fd, {kTornMarker, '\n'}))
+    fail_closing(fd, nullptr, "append (tail heal) failed for", path);
 
   // One write(2) for the whole record: concurrent O_APPEND appenders never
   // interleave mid-record, and a crash tears at most this final line.
-  std::size_t off = 0;
-  while (off < record.size()) {
-    const ::ssize_t n = ::write(fd, record.data() + off, record.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      fail("append failed for", path);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (inject_fsync_fail) {
-    ::close(fd);
-    errno = EIO;
-    fail("fsync failed for", path);
-  }
-  if (::fsync(fd) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    fail("fsync failed for", path);
-  }
+  if (!write_all(fd, record))
+    fail_closing(fd, nullptr, "append failed for", path);
+  if (inject_fsync_fail) errno = EIO;
+  if (inject_fsync_fail || ::fsync(fd) != 0)
+    fail_closing(fd, nullptr, "fsync failed for", path);
   if (::close(fd) != 0) fail("close failed for", path);
 }
 

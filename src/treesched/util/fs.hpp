@@ -7,9 +7,17 @@
 // a torn one. write_file_atomic writes to a sibling temporary, fsyncs it,
 // renames it over the target — rename(2) on the same filesystem is atomic —
 // and then fsyncs the parent directory so the new entry itself survives
-// power loss. Append-only logs (segment manifests, the sweep journal, guard
-// and quarantine logs) go through append_line_durable: one fsynced
-// O_APPEND write per record, with a torn tail healed before the next one.
+// power loss.
+//
+// Append-only logs (segment manifests, the snapshot manifest, the sweep
+// journal, guard and quarantine logs) follow ONE torn-record rule, decided
+// here and nowhere else. append_line_durable writes each record as one
+// fsynced O_APPEND write, so a crash tears at most the final line; before
+// the next record it heals such a tail by ending it with kTornMarker and
+// '\n'. read_log drops exactly the records that rule marks as torn — an
+// unterminated final line, or a line whose last byte is kTornMarker — and
+// counts them. Every other line reaches the format's parser, which treats a
+// line it cannot parse as corruption, wherever in the file it sits.
 //
 // Failpoints (util/failpoint.hpp): each call names its caller's site, and
 // write_file_atomic additionally evaluates "fs.atomic". One private helper
@@ -19,6 +27,7 @@
 // bit-flip inverts one bit. A kind that has no meaning at a seam is a no-op.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,26 +52,35 @@ void write_file_atomic(const std::string& path, const std::string& content,
 std::optional<std::string> read_file(const std::string& path,
                                      const char* failpoint_site = nullptr);
 
-/// A file split into lines the way std::getline splits it: the '\n'
-/// separators are dropped, and a final '\n' does not start an empty line.
-struct FileLines {
-  std::vector<std::string> lines;
-  /// False when the last line has no '\n' — the shape a crash mid-append
-  /// leaves. True for an empty file.
-  bool ends_in_newline = true;
+/// The byte append_line_durable ends a torn tail with (ASCII CAN). Records
+/// may not contain it.
+inline constexpr char kTornMarker = '\x18';
+
+/// One surviving record of an append-only log.
+struct LogLine {
+  std::size_t number = 0;  ///< 1-based line number in the file
+  std::string text;        ///< without its '\n'; blank lines are kept
 };
 
-/// read_file + the split above; nullopt when the file cannot be opened.
-std::optional<FileLines> read_lines(const std::string& path);
+/// An append-only log with its torn records dropped.
+struct LogLines {
+  std::vector<LogLine> lines;
+  std::size_t torn = 0;  ///< records dropped by the torn-record rule
+};
+
+/// read_file + the torn-record rule (file comment); nullopt when the file
+/// cannot be opened. Line numbers count dropped records too, so they name
+/// the line an editor shows.
+std::optional<LogLines> read_log(const std::string& path);
 
 /// Crash-safe append of one record to a line-oriented log. `line` must not
-/// contain '\n'. The record plus its terminating newline goes to the kernel
-/// in a SINGLE O_APPEND write(2), so concurrent appenders (supervisor +
-/// child) never interleave mid-record and a crash can tear at most the
-/// final line. Before appending, a torn tail from a previous crash (file
-/// not ending in '\n') is healed by writing a lone newline first — the torn
-/// record becomes its own truncated line and the new record always starts
-/// clean. The write is fsynced.
+/// contain '\n' or kTornMarker. The record plus its terminating newline
+/// goes to the kernel in a SINGLE O_APPEND write(2), so concurrent appenders
+/// (supervisor + child) never interleave mid-record and a crash can tear at
+/// most the final line. Before appending, a torn tail from a previous crash
+/// (file not ending in '\n') is healed by writing kTornMarker and '\n': the
+/// torn record becomes its own marked line, which read_log drops, and the
+/// new record always starts clean. The write is fsynced.
 ///
 /// `failpoint_site` (nullable) is evaluated per call: enospc / fsync-fail
 /// throw std::runtime_error loudly; torn-write appends only a newline-less

@@ -1,13 +1,14 @@
 #include "treesched/workload/trace_io.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fs.hpp"
 #include "treesched/util/string_util.hpp"
 
 namespace treesched::workload {
@@ -54,10 +55,9 @@ void write_trace(std::ostream& os, const Instance& instance) {
 }
 
 void write_trace_file(const std::string& path, const Instance& instance) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot open trace file: " + path);
-  write_trace(f, instance);
-  if (!f) throw std::runtime_error("failed writing trace file: " + path);
+  std::ostringstream os;
+  write_trace(os, instance);
+  util::write_file_atomic(path, os.str());
 }
 
 Instance read_trace(std::istream& is) {
@@ -112,9 +112,10 @@ Instance read_trace(std::istream& is) {
 }
 
 Instance read_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open trace file: " + path);
-  return read_trace(f);
+  const std::optional<std::string> bytes = util::read_file(path);
+  if (!bytes) throw std::runtime_error("cannot open trace file: " + path);
+  std::istringstream is(*bytes);
+  return read_trace(is);
 }
 
 }  // namespace treesched::workload

@@ -21,7 +21,7 @@ namespace treesched {
 namespace {
 
 /// Runs the paper's greedy rule with the schedule recorded and returns the
-/// audit's lemma margins for the run.
+/// audit's lemma margins for the run; the schedule itself must audit clean.
 sim::AuditReport audited_run(const Instance& inst, const SpeedProfile& speeds,
                              double eps, double chunk = 0.0,
                              sim::EngineObserver* observer = nullptr) {
@@ -34,7 +34,11 @@ sim::AuditReport audited_run(const Instance& inst, const SpeedProfile& speeds,
   engine.run(policy);
   sim::AuditOptions opts;
   opts.eps = eps;
-  return sim::audit_run(inst, sim::make_run_log(inst, engine), opts);
+  sim::AuditReport rep =
+      sim::audit_run(inst, sim::make_run_log(inst, engine), opts);
+  EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? std::string()
+                                                 : rep.violations.front());
+  return rep;
 }
 
 /// Rows that have the given ratio (Lemma 2 or interior wait), and those

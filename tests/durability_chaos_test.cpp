@@ -208,6 +208,67 @@ TEST_F(DurabilityChaosTest, StoreQuarantineRenamesAndLogs) {
   EXPECT_NE(log.find("unit-test damage"), std::string::npos);
 }
 
+TEST_F(DurabilityChaosTest, StoreManifestIsOnlyAppended) {
+  const std::string dir = fresh_dir("chaos_store_append");
+  exec::SnapshotStore store(dir + "/snap", 2);
+  std::string before;
+  for (int i = 0; i < 4; ++i) {
+    store.write(static_cast<std::uint64_t>((i + 1) * 100),
+                exec::encode_snapshot_envelope(
+                    {{"n", "payload " + std::to_string(i) + "\n"}}));
+    const std::string after = slurp(dir + "/snap");
+    EXPECT_EQ(after.compare(0, before.size(), before), 0)
+        << "snapshot " << i << " rewrote the manifest";
+    before = after;
+  }
+  EXPECT_EQ(before.rfind("treesched-snapmanifest-v2\ngen 0 100 ", 0), 0u)
+      << before;
+  // Every record stays; the live generations are the newest `keep`.
+  const auto gens = store.generations();
+  ASSERT_EQ(gens.size(), 2u);
+  EXPECT_EQ(gens[0].index, 3);
+  EXPECT_EQ(gens[1].index, 2);
+  EXPECT_FALSE(fs::exists(dir + "/snap.gen001"));
+}
+
+TEST_F(DurabilityChaosTest, StoreRejectsAV1Manifest) {
+  const std::string dir = fresh_dir("chaos_store_v1");
+  spit(dir + "/snap",
+       "treesched-snapmanifest-v1\nkeep 3\ngen 0 100 12345\n");
+  const exec::SnapshotStore store(dir + "/snap", 3);
+  try {
+    store.generations();
+    ADD_FAILURE() << "a v1 manifest was read";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("treesched-snapmanifest-v1"),
+              std::string::npos)
+        << e.what();
+  }
+  // A malformed record that no append tore is corruption too.
+  spit(dir + "/snap", "treesched-snapmanifest-v2\ngen 0 10\ngen 1 200 7\n");
+  EXPECT_THROW(store.generations(), std::invalid_argument);
+}
+
+TEST_F(DurabilityChaosTest, FreshRunRefusesAV1ManifestWithUsableAdvice) {
+  // A fresh (not resuming) run meets the v1 manifest at its first
+  // snapshot; the advice must not be "restart without --resume-snapshot".
+  const std::string dir = fresh_dir("chaos_fresh_v1");
+  auto cfg = chaos_config(dir);
+  spit(cfg.snapshot_path, "treesched-snapmanifest-v1\nkeep 3\n");
+  try {
+    exec::run_stream(test_tree(),
+                     SpeedProfile::paper_identical(*test_tree(), 0.5), cfg);
+    ADD_FAILURE() << "a fresh run wrote into a v1 manifest";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("choose another --snapshot-path"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("without --resume-snapshot"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(slurp(cfg.snapshot_path), "treesched-snapmanifest-v1\nkeep 3\n");
+}
+
 // --------------------------------------------- kill-points x resume ladder
 
 TEST_F(DurabilityChaosTest, KillPointSweepResumesByteIdentical) {
@@ -426,6 +487,48 @@ TEST_F(DurabilityChaosTest, TornManifestAppendNeverDivergesSilently) {
     expect_byte_identical(ref, resume_cfg, resumed);
   } catch (const std::exception& e) {
     EXPECT_FALSE(std::string(e.what()).empty());
+  }
+}
+
+TEST_F(DurabilityChaosTest, TornSnapshotManifestAppendNeverDivergesSilently) {
+  const RefRun ref = reference_run("chaos_ref_snapmanifest");
+  for (std::uint64_t die : {std::uint64_t{1}, std::uint64_t{2}}) {
+    for (std::uint64_t nth = 1; nth <= die; ++nth) {
+      SCOPED_TRACE("die " + std::to_string(die) + " torn record " +
+                   std::to_string(nth));
+      const std::string dir = fresh_dir(
+          "chaos_snapmanifest_" + std::to_string(die) + std::to_string(nth));
+      auto cfg = chaos_config(dir);
+      cfg.die_after_snapshot = die;
+      {
+        util::ScopedFailpoints guard("snapmanifest.append:torn-write:" +
+                                     std::to_string(nth));
+        exec::run_stream(test_tree(),
+                         SpeedProfile::paper_identical(*test_tree(), 0.5),
+                         cfg);
+        ASSERT_EQ(util::failpoints_fired().size(), 1u);
+      }
+      auto resume_cfg = cfg;
+      resume_cfg.die_after_snapshot = 0;
+      resume_cfg.resume_snapshot = cfg.snapshot_path;
+      // The torn record's generation was never committed: the ladder
+      // resumes from an older one, or, with none left, fails loudly.
+      try {
+        const auto resumed = exec::run_stream(
+            test_tree(), SpeedProfile::paper_identical(*test_tree(), 0.5),
+            resume_cfg);
+        expect_byte_identical(ref, resume_cfg, resumed);
+      } catch (const exec::SnapshotUnrecoverableError& e) {
+        EXPECT_EQ(die, nth) << e.what();
+        EXPECT_EQ(die, 1u) << e.what();
+      }
+      // A torn newest record leaves its generation file uncommitted; the
+      // ladder set it aside instead of deleting it.
+      if (nth == die) {
+        EXPECT_TRUE(fs::exists(cfg.snapshot_path + ".gen00" +
+                               std::to_string(nth - 1) + ".quarantined"));
+      }
+    }
   }
 }
 

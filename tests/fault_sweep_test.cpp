@@ -161,6 +161,45 @@ TEST(FaultSweep, SecondResumeAfterTornTailKeepsAllRecords) {
   std::filesystem::remove(ckpt);
 }
 
+TEST(FaultSweep, ResumeRefusesAnUnmarkedCorruptRecord) {
+  // The same half record mid-file but newline-terminated without the heal
+  // marker: no append tore it, so it is damage and resume refuses it.
+  SweepSpec spec = tiny_spec();
+  const std::string ckpt = temp_path("fault_sweep_corrupt_mid.ckpt");
+  std::filesystem::remove(ckpt);
+  spec.checkpoint = ckpt;
+  run_sweep(spec);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(ckpt);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u + 4u);
+  {
+    std::ofstream out(ckpt, std::ios::trunc);
+    for (std::size_t i = 0; i < 3; ++i) out << lines[i] << '\n';
+    out << "task 3 0.5 truncat\n" << lines[4] << '\n';
+  }
+  SweepSpec resumed = spec;
+  resumed.resume = true;
+  try {
+    run_sweep(resumed);
+    ADD_FAILURE() << "resumed from a corrupt journal";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+        << e.what();
+  }
+
+  // Closed with the marker, the same bytes are a healed tear: dropped.
+  {
+    std::ofstream out(ckpt, std::ios::trunc);
+    for (std::size_t i = 0; i < 3; ++i) out << lines[i] << '\n';
+    out << "task 3 0.5 truncat\x18\n" << lines[4] << '\n';
+  }
+  EXPECT_EQ(run_sweep(resumed).resumed, 2u);
+  std::filesystem::remove(ckpt);
+}
+
 TEST(FaultSweep, ResumeRejectsForeignJournal) {
   const std::string ckpt = temp_path("fault_sweep_foreign.ckpt");
   std::filesystem::remove(ckpt);

@@ -334,6 +334,26 @@ TEST(GuardLogAudit, ToleratesTornFinalLineOnly) {
   EXPECT_FALSE(guard::audit_guard_log(torn_mid).ok);
 }
 
+TEST(GuardLogAudit, TearHealedByALaterAppendAuditsClean) {
+  // A crash tore a watchdog record; the restarted writer's next append
+  // heals the tail. The healed record is dropped, not reported.
+  const std::string path = tmp_path("guardlog_healed.log");
+  spill(path, clean_log_prefix() + "guard 2.0 watchdog log stal");
+  guard::GuardLogWriter w(path);
+  w.watchdog(3.0, "log", 2.5, 7);
+  const auto res = guard::audit_guard_log(path);
+  for (const auto& v : res.violations)
+    ADD_FAILURE() << "line " << v.line << ": " << v.message;
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.watchdog_events, 1u);
+
+  // A violation after the healed line still names its own line number.
+  w.watchdog(4.0, "abort", 9.0, 7);
+  const auto late = guard::audit_guard_log(path);
+  ASSERT_EQ(late.violations.size(), 1u);
+  EXPECT_EQ(late.violations[0].line, 5u);
+}
+
 // --- Health / child status JSON round trips --------------------------------
 
 TEST(GuardHealth, ChildStatusRoundTrip) {
@@ -422,8 +442,8 @@ TEST_F(GuardAppendTest, AppendsAndHealsTornTail) {
   // Simulated crash mid-append: a newline-less tail lands on disk.
   spill(path, "first\nsecond-torn-rec");
   util::append_line_durable(path, "third");
-  // The torn record became its own truncated line; "third" starts clean.
-  EXPECT_EQ(slurp(path), "first\nsecond-torn-rec\nthird\n");
+  // The torn record became its own marked line; "third" starts clean.
+  EXPECT_EQ(slurp(path), "first\nsecond-torn-rec\x18\nthird\n");
 
   EXPECT_THROW(util::append_line_durable(path, "two\nlines"),
                std::runtime_error);
@@ -436,7 +456,7 @@ TEST_F(GuardAppendTest, TornWriteFailpointSucceedsSilentlyThenHeals) {
   util::append_line_durable(path, "hello", "x.append");  // must NOT throw
   EXPECT_EQ(slurp(path), "hel");  // newline-less prefix: storage lied
   util::append_line_durable(path, "world", "x.append");  // failpoint spent
-  EXPECT_EQ(slurp(path), "hel\nworld\n");
+  EXPECT_EQ(slurp(path), "hel\x18\nworld\n");
 }
 
 TEST_F(GuardAppendTest, EnospcFailpointThrowsLoudly) {

@@ -318,6 +318,32 @@ TEST(LintRules, AssertSideEffectIgnoresTsMessageArgument) {
   EXPECT_EQ(count_rule(fs, "hyg-assert-side-effect"), 0);
 }
 
+// --- hyg-raw-fstream -------------------------------------------------------
+
+TEST(LintRules, RawFstreamRejectsStreamsInSrcAndTools) {
+  const auto src = lint_source(
+      "void f() { std::ifstream in(\"a\"); std::ofstream out(\"b\"); }",
+      "src/treesched/workload/x.cpp");
+  EXPECT_EQ(count_rule(src, "hyg-raw-fstream"), 2);
+  const auto tool =
+      lint_source("void f() { std::fstream io(\"c\"); }", "tools/x.cpp");
+  EXPECT_EQ(count_rule(tool, "hyg-raw-fstream"), 1);
+}
+
+TEST(LintRules, RawFstreamAcceptsUtilFsTestsAndProse) {
+  const char* code = "void f() { std::ifstream in(\"a\"); }";
+  EXPECT_EQ(count_rule(lint_source(code, "src/treesched/util/fs.cpp"),
+                       "hyg-raw-fstream"),
+            0);
+  EXPECT_EQ(count_rule(lint_source(code, "tests/x_test.cpp"),
+                       "hyg-raw-fstream"),
+            0);
+  const auto prose = lint_source(
+      "// no std::ofstream here\nconst char* s = \"ifstream\";",
+      "src/treesched/sim/x.cpp");
+  EXPECT_EQ(count_rule(prose, "hyg-raw-fstream"), 0);
+}
+
 // --- suppressions ----------------------------------------------------------
 
 TEST(LintSuppression, TrailingAllowSuppressesOwnLine) {
@@ -410,21 +436,23 @@ TEST(LintReport, JsonCarriesSchemaAndFindings) {
 
 TEST(LintReport, CatalogueHasStableRuleSet) {
   const auto& rules = treesched::lint::rule_catalogue();
-  EXPECT_EQ(rules.size(), 13u);
+  EXPECT_EQ(rules.size(), 14u);
   // Spot-check ids the docs and suppressions depend on.
   bool has_wallclock = false, has_stale = false, has_sketch = false;
-  bool has_hot_container = false;
+  bool has_hot_container = false, has_raw_fstream = false;
   for (const auto& r : rules) {
     if (std::string(r.id) == "det-wallclock") has_wallclock = true;
     if (std::string(r.id) == "lint-stale-suppression") has_stale = true;
     if (std::string(r.id) == "det-sketch-merge") has_sketch = true;
     if (std::string(r.id) == "perf-engine-hot-container")
       has_hot_container = true;
+    if (std::string(r.id) == "hyg-raw-fstream") has_raw_fstream = true;
   }
   EXPECT_TRUE(has_wallclock);
   EXPECT_TRUE(has_stale);
   EXPECT_TRUE(has_sketch);
   EXPECT_TRUE(has_hot_container);
+  EXPECT_TRUE(has_raw_fstream);
 }
 
 }  // namespace

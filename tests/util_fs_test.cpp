@@ -1,7 +1,7 @@
 // util/fs — the durable-I/O seam every on-disk format writes, reads and
 // appends through — and the seal line of util/hash.hpp, tested at the
-// primitive level: every seam against every fault kind, the line splitter
-// the torn-tail rules sit on, and the seal round trip.
+// primitive level: every seam against every fault kind, the one
+// torn-record rule of the append-only logs, and the seal round trip.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "treesched/util/failpoint.hpp"
@@ -169,9 +170,9 @@ TEST_F(UtilFsTest, AppendSeamAppliesEveryKind) {
         const std::string torn = util::apply_torn(record + "\n");
         ASSERT_EQ(torn.find('\n'), std::string::npos);
         EXPECT_EQ(slurp(path), "first\n" + torn);
-        // The next append heals the tail onto its own line.
+        // The next append closes the tail with the marker and starts clean.
         util::append_line_durable(path, "next", "test.append");
-        EXPECT_EQ(slurp(path), "first\n" + torn + "\nnext\n");
+        EXPECT_EQ(slurp(path), "first\n" + torn + "\x18\nnext\n");
         break;
       }
       case Outcome::kClean:
@@ -189,46 +190,58 @@ TEST_F(UtilFsTest, AppendCreatesHealsAndRejectsEmbeddedNewlines) {
   util::append_line_durable(path, "one");
   spit(path, slurp(path) + "torn-tai");
   util::append_line_durable(path, "two");
-  EXPECT_EQ(slurp(path), "one\ntorn-tai\ntwo\n");
+  EXPECT_EQ(slurp(path), "one\ntorn-tai\x18\ntwo\n");
   EXPECT_THROW(util::append_line_durable(path, "a\nb"), std::runtime_error);
-  EXPECT_EQ(slurp(path), "one\ntorn-tai\ntwo\n");
+  // The marker is refused like a newline: a record ending in it would read
+  // back as torn.
+  EXPECT_THROW(util::append_line_durable(path, "c\x18"), std::runtime_error);
+  EXPECT_EQ(slurp(path), "one\ntorn-tai\x18\ntwo\n");
+  // What the heal wrote reads back as one dropped record.
+  const std::optional<util::LogLines> log = util::read_log(path);
+  ASSERT_TRUE(log.has_value());
+  EXPECT_EQ(log->torn, 1u);
+  ASSERT_EQ(log->lines.size(), 2u);
+  EXPECT_EQ(log->lines[1].number, 3u);
+  EXPECT_EQ(log->lines[1].text, "two");
 }
 
-TEST_F(UtilFsTest, ReadLinesSplitsLikeGetlineAndReportsTheTail) {
-  const std::string dir = fresh_dir("lines");
+TEST_F(UtilFsTest, ReadLogDropsTornRecordsOnly) {
+  const std::string dir = fresh_dir("log");
   struct Case {
     const char* name;
     std::string bytes;
-    std::vector<std::string> lines;
-    bool ends_in_newline;
+    std::vector<std::pair<std::size_t, std::string>> lines;  // number, text
+    std::size_t torn;
   };
   const Case cases[] = {
-      {"clean", "a\nb c\n", {"a", "b c"}, true},
-      {"torn_final", "a\nb c\nd", {"a", "b c", "d"}, false},
-      // Damage that is newline-terminated is not a torn tail: the split
-      // keeps it in place and the tail flag stays set.
-      {"newline_terminated_damage",
+      {"clean", "a\nb c\n", {{1, "a"}, {2, "b c"}}, 0},
+      {"torn_final", "a\nb c\nd", {{1, "a"}, {2, "b c"}}, 1},
+      {"marked_mid_file", "a\nb\x18\nc\n", {{1, "a"}, {3, "c"}}, 1},
+      // A marker that is not the last byte does not mark the line.
+      {"inner_marker", "a\x18z\n", {{1, "a\x18z"}}, 0},
+      // Unmarked, newline-terminated damage is not a tear: it reaches the
+      // format's parser, which calls it corruption.
+      {"unmarked_mid_file_damage",
        "a\nga\x01rb\nc\n",
-       {"a", "ga\x01rb", "c"},
-       true},
-      {"blank_lines", "\n\nx\n", {"", "", "x"}, true},
-      {"empty", "", {}, true},
+       {{1, "a"}, {2, "ga\x01rb"}, {3, "c"}},
+       0},
+      {"blank_lines", "\n\nx\n", {{1, ""}, {2, ""}, {3, "x"}}, 0},
+      {"marked_and_torn", "x\x18\ny\nz", {{2, "y"}}, 2},
+      {"empty", "", {}, 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string path = dir + "/" + c.name;
     spit(path, c.bytes);
-    const std::optional<util::FileLines> got = util::read_lines(path);
+    const std::optional<util::LogLines> got = util::read_log(path);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->lines, c.lines);
-    EXPECT_EQ(got->ends_in_newline, c.ends_in_newline);
-    // Same lines std::getline yields.
-    std::ifstream in(path, std::ios::binary);
-    std::vector<std::string> getline_lines;
-    for (std::string l; std::getline(in, l);) getline_lines.push_back(l);
-    EXPECT_EQ(got->lines, getline_lines);
+    std::vector<std::pair<std::size_t, std::string>> lines;
+    for (const util::LogLine& l : got->lines)
+      lines.emplace_back(l.number, l.text);
+    EXPECT_EQ(lines, c.lines);
+    EXPECT_EQ(got->torn, c.torn);
   }
-  EXPECT_FALSE(util::read_lines(dir + "/missing").has_value());
+  EXPECT_FALSE(util::read_log(dir + "/missing").has_value());
 }
 
 TEST_F(UtilFsTest, SealRoundTripsAndRejectsDamage) {
