@@ -58,11 +58,7 @@ void PaperGreedyPolicy::sync_cache(const sim::Engine& engine,
   cache_job_ = job.id;
   ++cache_gen_;
   const std::size_t n = uidx(engine.tree().node_count());
-  if (cache_f_.size() < n) {
-    cache_f_.resize(n);
-    cache_stamp_.resize(n, 0);
-    cache_rc_epoch_.resize(n, 0);
-  }
+  if (cache_.size() < n) cache_.resize(n);
 }
 
 double PaperGreedyPolicy::F_cached_at(const sim::Engine& engine,
@@ -71,20 +67,28 @@ double PaperGreedyPolicy::F_cached_at(const sim::Engine& engine,
   // job), and the subtree epoch covers mutations under this root child — F
   // reads nothing outside it, so mutations under OTHER root children (a
   // shed cascade, a re-dispatch chain) leave this slot valid.
-  const std::size_t r = uidx(rc);
+  CacheSlot& slot = cache_[uidx(rc)];
   const std::uint64_t epoch = engine.subtree_mutation_count(rc);
-  if (cache_stamp_[r] != cache_gen_ || cache_rc_epoch_[r] != epoch) {
-    cache_f_[r] = F_at(engine, job, rc);
-    cache_stamp_[r] = cache_gen_;
-    cache_rc_epoch_[r] = epoch;
-  }
-  return cache_f_[r];
+  if (slot.stamp != cache_gen_ || slot.rc_epoch != epoch)
+    slot = {F_at(engine, job, rc), cache_gen_, epoch};
+  return slot.f;
 }
 
 double PaperGreedyPolicy::F_cached(const sim::Engine& engine, const Job& job,
                                    NodeId leaf) const {
   sync_cache(engine, job);
   return F_cached_at(engine, job, engine.tree().root_child_of(leaf));
+}
+
+double PaperGreedyPolicy::F_min(const sim::Engine& engine,
+                                const Job& job) const {
+  sync_cache(engine, job);
+  // Every leaf lies under some root child and every root child has a leaf
+  // (no machine is adjacent to the root), so this is the leaves' minimum.
+  double fmin = std::numeric_limits<double>::infinity();
+  for (const NodeId rc : engine.tree().root_children())
+    fmin = std::min(fmin, F_cached_at(engine, job, rc));
+  return fmin;
 }
 
 double PaperGreedyPolicy::assignment_cost(const sim::Engine& engine,

@@ -55,10 +55,10 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   double depth_penalty_coeff() const { return penalty_; }
 
   /// F(j,v) through the per-root-child epoch cache — the shared evaluation
-  /// path for assignment_cost and the deadline admission controller, which
-  /// probes the same F at the same decision instant. Always bit-equal to the
-  /// uncached F(engine, job, leaf); the tests pin this with a per-leaf
-  /// reference policy and an uncached-F admission check.
+  /// path for assignment_cost and the deadline admission controller (via
+  /// F_min), which probes the same F at the same decision instant. Always
+  /// bit-equal to the uncached F(engine, job, leaf); the tests pin this with
+  /// a per-leaf reference policy and an uncached-F admission check.
   ///
   /// F depends on the leaf only through R(v), so one evaluation per root
   /// child suffices for the whole leaves() sweep. The global key (engine
@@ -69,6 +69,11 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   /// every cached congestion term.
   double F_cached(const sim::Engine& engine, const Job& job,
                   NodeId leaf) const;
+
+  /// min over the leaves of F(j,v), one cached F per root child (F depends
+  /// on v only through R(v)); the deadline admission controller's bound
+  /// check. Bit-equal to the minimum of the uncached F over leaves().
+  double F_min(const sim::Engine& engine, const Job& job) const;
 
   /// kRotate carries a tie cursor across decisions; snapshot it so resumed
   /// streaming runs break ties identically. (The epoch cache is pure
@@ -113,9 +118,12 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   mutable Time cache_now_ = 0.0;
   mutable JobId cache_job_ = kInvalidJob;
   mutable std::uint64_t cache_gen_ = 0;        ///< bumped on every epoch change
-  mutable std::vector<double> cache_f_;        ///< per root-child F value
-  mutable std::vector<std::uint64_t> cache_stamp_;  ///< gen that wrote the slot
-  mutable std::vector<std::uint64_t> cache_rc_epoch_;  ///< subtree epoch seen
+  struct CacheSlot {
+    double f = 0.0;               ///< F at this root child
+    std::uint64_t stamp = 0;      ///< generation that wrote the slot
+    std::uint64_t rc_epoch = 0;   ///< subtree epoch seen
+  };
+  mutable std::vector<CacheSlot> cache_;  ///< indexed by root-child NodeId
 
   // Static (root child, depth) leaf groups of the engine's tree, ordered by
   // first position in leaves(); rebuilt only when the engine changes.

@@ -165,7 +165,8 @@ void SnapshotStore::write(std::uint64_t progress,
   }
 }
 
-std::vector<SnapshotGeneration> SnapshotStore::window() const {
+std::vector<SnapshotGeneration> SnapshotStore::window(
+    std::vector<int>* recorded) const {
   const std::optional<util::LogLines> log = util::read_log(base_);
   if (!log)
     throw SnapshotMissingError("no snapshot manifest at '" + base_ +
@@ -190,6 +191,7 @@ std::vector<SnapshotGeneration> SnapshotStore::window() const {
                where + ": line " + std::to_string(line.number) +
                    " is corrupt: " + line.text);
     g.path = gen_path(g.index);
+    if (recorded) recorded->push_back(g.index);
     gens.push_back(std::move(g));
     if (gens.size() > static_cast<std::size_t>(keep_))
       gens.erase(gens.begin());
@@ -203,13 +205,58 @@ std::vector<SnapshotGeneration> SnapshotStore::generations() const {
   return gens;
 }
 
-std::optional<SnapshotGeneration> SnapshotStore::uncommitted() const {
-  const std::vector<SnapshotGeneration> gens = window();
-  SnapshotGeneration g;
-  g.index = gens.empty() ? 0 : gens.back().index + 1;
-  g.path = gen_path(g.index);
-  if (!std::filesystem::exists(g.path)) return std::nullopt;
-  return g;
+std::vector<SnapshotGeneration> SnapshotStore::strays(bool recorded) const {
+  std::vector<int> on_record;
+  const std::vector<SnapshotGeneration> live = window(&on_record);
+  // Generation files are <base>.gen<index>, the index zero-padded to three
+  // digits; anything else next to the base (quarantined files, the
+  // quarantine log, atomic-write temporaries) is not one.
+  const std::filesystem::path base(base_);
+  const std::filesystem::path dir =
+      base.has_parent_path() ? base.parent_path() : std::filesystem::path(".");
+  const std::string prefix = base.filename().string() + ".gen";
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec);
+  if (ec)
+    throw std::runtime_error("cannot list snapshot directory '" +
+                             dir.string() + "': " + ec.message());
+  std::vector<SnapshotGeneration> out;
+  for (const auto& entry : it) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= prefix.size() || name.size() > prefix.size() + 9 ||
+        name.compare(0, prefix.size(), prefix) != 0 ||
+        !std::all_of(name.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                     name.end(), [](char c) { return c >= '0' && c <= '9'; }))
+      continue;
+    SnapshotGeneration g;
+    g.index = std::stoi(name.substr(prefix.size()));
+    g.path = gen_path(g.index);
+    if (std::filesystem::path(g.path).filename() != name) continue;
+    const bool listed = std::any_of(
+        live.begin(), live.end(),
+        [&](const SnapshotGeneration& w) { return w.index == g.index; });
+    if (!listed && std::binary_search(on_record.begin(), on_record.end(),
+                                      g.index) == recorded)
+      out.push_back(std::move(g));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const SnapshotGeneration& a, const SnapshotGeneration& b) {
+              return a.index < b.index;
+            });
+  return out;
+}
+
+std::vector<SnapshotGeneration> SnapshotStore::quarantine_uncommitted() {
+  std::vector<SnapshotGeneration> orphans = strays(false);
+  for (const SnapshotGeneration& g : orphans)
+    quarantine(g, "no manifest record (uncommitted snapshot)");
+  return orphans;
+}
+
+void SnapshotStore::delete_retired() {
+  std::error_code ec;
+  for (const SnapshotGeneration& g : strays(true))
+    std::filesystem::remove(g.path, ec);
 }
 
 std::optional<std::string> SnapshotStore::read(

@@ -30,10 +30,11 @@
 // util::read_log and any other malformed line is corruption. A v1 manifest
 // (rewritten whole on every snapshot) is rejected, not read. Retention
 // deletes only HEALTHY generations that leave the keep window; a generation
-// that fails verification is QUARANTINED — renamed to <file>.quarantined
-// and logged in <base>.quarantine.log — never deleted, so a post-mortem
-// always has the corrupt bytes. The resume ladder (stream_runner) walks
-// generations newest-first and falls back across them.
+// that fails verification, or whose record never landed, is QUARANTINED —
+// renamed to <file>.quarantined and logged in <base>.quarantine.log —
+// never deleted, so a post-mortem always has the corrupt bytes. The resume
+// ladder (stream_runner) walks generations newest-first and falls back
+// across them.
 //
 // Failpoint seams (util/failpoint.hpp), evaluated by util/fs:
 // "snapshot.write", ahead of "fs.atomic" (enospc / fsync-fail fail loudly
@@ -129,10 +130,21 @@ class SnapshotStore {
   /// is malformed.
   std::vector<SnapshotGeneration> generations() const;
 
-  /// The generation file one past the newest record, when it exists: a
-  /// snapshot whose record never landed (a kill between the two writes, or
-  /// a torn record). Its progress and fingerprint are unknown (0).
-  std::optional<SnapshotGeneration> uncommitted() const;
+  /// Quarantines every generation file next to the base path whose record
+  /// never landed: a kill between the two writes, or a torn record, whether
+  /// it was the newest or later snapshots were recorded after it. Returns
+  /// them in index order; their progress and fingerprint are unknown (0).
+  /// The resume ladder calls it before its first rung. Throws
+  /// std::runtime_error when the directory cannot be listed.
+  std::vector<SnapshotGeneration> quarantine_uncommitted();
+
+  /// Deletes every generation file whose record is on file but has left the
+  /// keep window: a kill between the record and the retention delete, or a
+  /// resume with a smaller keep. Such a file is healthy, so the ladder calls
+  /// this only once a generation has been restored; a ladder that fails
+  /// leaves it for a retry. Throws std::runtime_error when the directory
+  /// cannot be listed.
+  void delete_retired();
 
   /// Slurps one generation file. Failpoint site "snapshot.read". Returns
   /// nullopt when the file is missing (a rung the ladder skips); corruption
@@ -150,8 +162,13 @@ class SnapshotStore {
 
  private:
   std::string gen_path(int index) const;
-  /// The newest `keep` records, oldest first.
-  std::vector<SnapshotGeneration> window() const;
+  /// The newest `keep` records, oldest first; `recorded`, when given,
+  /// receives the index of every record in the manifest, ascending.
+  std::vector<SnapshotGeneration> window(
+      std::vector<int>* recorded = nullptr) const;
+  /// The <base>.genNNN files the window does not list, in index order: the
+  /// ones with a manifest record (`recorded`) or the ones without.
+  std::vector<SnapshotGeneration> strays(bool recorded) const;
 
   std::string base_;
   int keep_;

@@ -617,11 +617,10 @@ class StreamRunner {
     const std::vector<SnapshotGeneration> gens = store.generations();
     std::string notes;
     // A generation file without its record was never committed: set it
-    // aside for the post-mortem; the resumed run rewrites that index.
-    if (const auto orphan = store.uncommitted()) {
-      store.quarantine(*orphan, "no manifest record (uncommitted snapshot)");
-      notes += "; gen " + std::to_string(orphan->index) + ": uncommitted";
-    }
+    // aside for the post-mortem (the resumed run rewrites the index one
+    // past the newest record).
+    for (const SnapshotGeneration& orphan : store.quarantine_uncommitted())
+      notes += "; gen " + std::to_string(orphan.index) + ": uncommitted";
     for (std::size_t i = 0; i < gens.size(); ++i) {
       const SnapshotGeneration& gen = gens[i];
       const std::string label = "gen " + std::to_string(gen.index);
@@ -654,6 +653,8 @@ class StreamRunner {
         }
         continue;
       }
+      // Restored: a retired generation left behind is no longer a fallback.
+      store.delete_retired();
       if (i > 0)
         std::cerr << "[stream] resume: newer snapshot generation(s) "
                      "unusable (" << notes.substr(2)

@@ -1,6 +1,5 @@
 #include "treesched/overload/controller.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "treesched/util/assert.hpp"
@@ -113,20 +112,7 @@ void AdmissionController::load_state(std::istream& is) {
 }
 
 bool AdmissionController::admit_deadline(sim::Engine& engine, const Job& job) {
-  if (rep_engine_ != engine.serial()) {
-    rep_engine_ = engine.serial();
-    rep_leaves_.clear();
-    std::vector<char> seen(uidx(engine.tree().node_count()), 0);
-    for (const NodeId leaf : engine.tree().leaves()) {
-      const NodeId rc = engine.tree().root_child_of(leaf);
-      if (seen[uidx(rc)]) continue;
-      seen[uidx(rc)] = 1;
-      rep_leaves_.push_back(leaf);
-    }
-  }
-  double fmin = std::numeric_limits<double>::infinity();
-  for (const NodeId leaf : rep_leaves_)
-    fmin = std::min(fmin, greedy_.F_cached(engine, job, leaf));
+  const double fmin = greedy_.F_min(engine, job);
   const double bound = cfg_.deadline_slack * job.size;
   if (fmin <= bound) {
     engine.log_admission(job.id, fmin, bound);

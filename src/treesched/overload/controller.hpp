@@ -14,8 +14,8 @@
 //    If the arrival itself is the largest candidate it is rejected instead.
 //  * deadline — admit only jobs whose best-leaf Lemma-4 congestion bound
 //    satisfies F(j, leaf) <= slack * p_j (at unit root-cut speed F bounds
-//    the volume draining ahead of j, hence its flow), reusing
-//    PaperGreedyPolicy's per-root-child epoch cache for the leaves() sweep.
+//    the volume draining ahead of j, hence its flow), taking the minimum
+//    from PaperGreedyPolicy::F_min: one cached F per root child.
 //
 // Determinism contract: every decision is a pure function of engine queries
 // (pending_remaining, the F aggregates) plus static job attributes (p_j,
@@ -23,9 +23,7 @@
 // degraded runs are byte-reproducible across thread counts.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
-#include <vector>
 
 #include "treesched/algo/policies.hpp"
 #include "treesched/overload/config.hpp"
@@ -84,16 +82,8 @@ class AdmissionController : public sim::AdmissionPolicy {
   bool admit_deadline(sim::Engine& engine, const Job& job);
 
   ShedConfig cfg_;
-  algo::PaperGreedyPolicy greedy_;  ///< deadline F evaluation (epoch-cached)
+  algo::PaperGreedyPolicy greedy_;  ///< deadline F evaluation (F_min)
   SaturationEstimator estimator_;  ///< windowed rho-hat (durable state)
-
-  // Sweep set for admit_deadline: one representative leaf per root child,
-  // in first-occurrence order of leaves(). F depends on the leaf only
-  // through R(v), and min over doubles is order-independent, so sweeping the
-  // representatives yields the bit-identical fmin of the full leaves() sweep.
-  // Rebuilt lazily when the engine changes.
-  std::uint64_t rep_engine_ = 0;  ///< Engine::serial(); 0 = none
-  std::vector<NodeId> rep_leaves_;
 };
 
 }  // namespace treesched::overload

@@ -25,6 +25,8 @@ void DispatchIndex::attach_pool(TreapPool* pool) {
   TS_REQUIRE(root_ == kNil, "attach_pool on a non-empty dispatch index");
   pool_ = pool;
   owned_.reset();
+  table_ = kNil;
+  table_fresh_ = false;
 }
 
 TreapPool& DispatchIndex::pool() {
@@ -109,6 +111,7 @@ void DispatchIndex::insert(const SjfKey& key, double remaining) {
   // The key must be new: the smallest entry of `right`, if any, differs.
   root_ = merge(merge(left, fresh), right);
   min_size_ = std::min(min_size_, key.size);
+  table_fresh_ = false;
 }
 
 DispatchIndex::Ref DispatchIndex::erase_rec(Ref t, const SjfKey& key,
@@ -137,6 +140,7 @@ void DispatchIndex::erase(const SjfKey& key) {
 bool DispatchIndex::erase_if_present(const SjfKey& key) {
   bool erased = false;
   root_ = erase_rec(root_, key, erased);
+  if (erased) table_fresh_ = false;
   if (!erased || key.size != min_size_) return erased;
   // The minimum may have left: re-read it from the end of the left spine.
   min_size_ = std::numeric_limits<double>::infinity();
@@ -163,10 +167,12 @@ bool DispatchIndex::update_rec(Ref t, const SjfKey& key, double remaining) {
 void DispatchIndex::update(const SjfKey& key, double remaining) {
   const bool found = update_rec(root_, key, remaining);
   TS_CHECK(found, "dispatch index: update of a missing key");
+  table_fresh_ = false;
 }
 
-double DispatchIndex::remaining_before_from(Ref t, const SjfKey& key,
-                                            double acc) const {
+double DispatchIndex::remaining_before(const SjfKey& key) const {
+  double acc = 0.0;
+  Ref t = root_;
   while (t != kNil) {
     const Node& n = pool_->node(t);
     if (n.key < key) {
@@ -180,8 +186,9 @@ double DispatchIndex::remaining_before_from(Ref t, const SjfKey& key,
   return acc;
 }
 
-int DispatchIndex::count_size_greater_from(Ref t, double size,
-                                           int acc) const {
+int DispatchIndex::count_size_greater(double size) const {
+  int acc = 0;
+  Ref t = root_;
   while (t != kNil) {
     const Node& n = pool_->node(t);
     if (n.key.size > size) {
@@ -198,48 +205,66 @@ int DispatchIndex::count_size_greater_from(Ref t, double size,
   return acc;
 }
 
-double DispatchIndex::remaining_before(const SjfKey& key) const {
-  return remaining_before_from(root_, key, 0.0);
-}
-
-int DispatchIndex::count_size_greater(double size) const {
-  return count_size_greater_from(root_, size, 0);
-}
-
 DispatchIndex::Split DispatchIndex::split_at(const SjfKey& cand) const {
-  Split out;
+  const int entries = static_cast<int>(size());
   // Every entry is larger than the candidate: nothing precedes it, all of
   // them count. (Also the empty index: min_size_ is +infinity, size() 0.)
-  if (cand.size < min_size_) {
-    out.size_greater = static_cast<int>(size());
-    return out;
-  }
-  // Shared prefix: an entry smaller than cand in size precedes it and sends
-  // both walks right; a larger one follows it and sends both walks left; an
-  // entry of equal size that precedes cand sends both right. Each step makes
-  // exactly the additions the separate descent would.
-  Ref t = root_;
-  while (t != kNil) {
+  if (cand.size < min_size_) return {0.0, entries};
+  if (entries <= kRankTableCap) return split_from_table(cand, entries);
+  return {remaining_before(cand), count_size_greater(cand.size)};
+}
+
+void DispatchIndex::fill_table(Ref t, double acc, TreapPool::RankTable& tab,
+                               int& rank) const {
+  // A candidate between two entries descends left past every later entry
+  // (adding nothing) and right past every earlier one (adding the left
+  // subtree's sum, then the entry's own). So the gaps of t's left subtree
+  // see acc unchanged, and the gaps after each entry on t's right spine see
+  // acc grown by exactly those two additions.
+  for (; t != kNil; t = pool_->node(t).right) {
     const Node& n = pool_->node(t);
-    if (n.key.size > cand.size) {
-      out.size_greater += 1;
-      if (n.right != kNil) out.size_greater += pool_->node(n.right).cnt;
-      t = n.left;
-    } else if (n.key < cand) {
-      if (n.left != kNil) out.remaining_before += pool_->node(n.left).sum_rem;
-      out.remaining_before += n.rem;
-      t = n.right;
-    } else {
-      // Equal size, key >= cand: the walks part here — the priority sum
-      // continues left, the size count right.
-      out.remaining_before =
-          remaining_before_from(n.left, cand, out.remaining_before);
-      out.size_greater =
-          count_size_greater_from(n.right, cand.size, out.size_greater);
-      break;
-    }
+    fill_table(n.left, acc, tab, rank);
+    const auto r = uidx(rank);
+    tab.size[r] = n.key.size;
+    tab.release[r] = n.key.release;
+    tab.job[r] = n.key.job;
+    // treesched-lint: allow(inv-fp-accum): these are the descent's own
+    // additions in its order; the table must be bit-equal to it.
+    if (n.left != kNil) acc += pool_->node(n.left).sum_rem;
+    acc += n.rem;  // treesched-lint: allow(inv-fp-accum): as above.
+    ++rank;
   }
-  return out;
+  tab.before[uidx(rank)] = acc;
+}
+
+DispatchIndex::Split DispatchIndex::split_from_table(const SjfKey& cand,
+                                                     int n) const {
+  if (table_ == kNil) table_ = pool_->alloc_table();
+  TreapPool::RankTable& tab = pool_->table(table_);
+  if (!table_fresh_) {
+    int rank = 0;
+    fill_table(root_, 0.0, tab, rank);
+    table_fresh_ = true;
+  }
+  // Both counts over the sorted sizes, without a data-dependent branch;
+  // then the entries of the candidate's own size that precede it on the
+  // rest of the key (a run that is empty unless sizes tie).
+  int below = 0;
+  int at_most = 0;
+  for (int i = 0; i < n; ++i) {
+    const double s = tab.size[uidx(i)];
+    below += static_cast<int>(s < cand.size);
+    at_most += static_cast<int>(s <= cand.size);
+  }
+  int rank = below;
+  for (int i = below; i < at_most; ++i) {
+    const auto r = uidx(i);
+    const bool precedes =
+        (tab.release[r] < cand.release) |
+        ((tab.release[r] == cand.release) & (tab.job[r] < cand.job));
+    rank += static_cast<int>(precedes);
+  }
+  return {tab.before[uidx(rank)], n - at_most};
 }
 
 double DispatchIndex::fraction_size_greater(double size) const {

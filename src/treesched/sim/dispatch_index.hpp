@@ -15,10 +15,24 @@
 // strictly higher SJF priority than a candidate key" and "all entries with
 // size strictly greater than a threshold" are contiguous key ranges, and
 // every query is a single root-to-leaf descent. The Lemma-4 term F needs
-// both ranges for the same candidate; split_at walks them in one descent
-// (the two paths coincide down to the first entry of the candidate's size
-// that does not precede it), and answers without descending at all when the
-// candidate is smaller than every entry (the index keeps its minimum size).
+// both ranges for the same candidate; split_at answers both, without
+// descending at all when the candidate is smaller than every entry (the
+// index keeps its minimum size).
+//
+// Small indices answer split_at from a flat RANK TABLE: the first
+// split_at after a mutation on an index of at most kRankTableCap entries
+// walks the treap once in order and records every key plus, for each rank
+// r, the sum the priority descent returns for a candidate of rank r. The
+// walk makes the descent's additions in the descent's order, so the table
+// is bit-equal to it; queries then count ranks branch-free over contiguous
+// memory (the descent's cost at these sizes is mispredicted branches, not
+// memory). Larger indices make the two descents. insert / update / erase
+// mark the table stale. Tables are derived
+// state and never serialized; their storage comes from the shared TreapPool.
+//
+// Because a const query may build the table (and write the pool's table
+// storage), an index and every index sharing its pool belong to one thread
+// at a time, as the engine that owns them does.
 //
 // Treap priorities are a deterministic hash of the job id, so the tree
 // shape — and therefore the floating-point association of the aggregate
@@ -52,17 +66,33 @@ struct SjfKey {
   }
 };
 
-/// Shared backing store for dispatch-index treap nodes. The engine owns ONE
-/// pool and attaches it to every per-node index, so the whole engine's treap
-/// nodes live in a single contiguous allocation (with one shared free list)
-/// instead of one vector per node. Refs handed out to different indices
-/// intermix freely — an index only ever follows refs reachable from its own
-/// root. Treap shapes, and hence float associations, are untouched: the pool
-/// changes where nodes live, never how trees are built.
+/// Shared backing store for dispatch-index treap nodes and rank tables. The
+/// engine owns ONE pool and attaches it to every per-node index, so the
+/// whole engine's treap nodes live in a single contiguous allocation (with
+/// one shared free list) instead of one vector per node. Refs handed out to
+/// different indices intermix freely — an index only ever follows refs
+/// reachable from its own root. Treap shapes, and hence float associations,
+/// are untouched: the pool changes where nodes live, never how trees are
+/// built.
 class TreapPool {
  public:
   using Ref = std::int32_t;
   static constexpr Ref kNil = -1;
+
+  /// Largest index that answers split_at from a rank table (measured: up
+  /// to 48 entries the branch-free count beats the descent's
+  /// mispredictions; the wide-tree root-child queues hold 7.5 on average).
+  static constexpr int kRankTableCap = 32;
+
+  /// Flat in-order image of one small index: the keys by rank (structure
+  /// of arrays, so the counts run over contiguous doubles) and before[r],
+  /// the descent's remaining_before for a candidate of rank r.
+  struct RankTable {
+    double size[kRankTableCap];
+    double release[kRankTableCap];
+    JobId job[kRankTableCap];
+    double before[kRankTableCap + 1];
+  };
 
   struct Node {
     SjfKey key;
@@ -92,9 +122,22 @@ class TreapPool {
   }
   void free(Ref t) { free_list_.push_back(t); }
 
+  /// Reserves room for n rank tables, so the first n handed out allocate
+  /// nothing (the engine reserves one per root child, the indices its
+  /// Lemma-4 sweep queries).
+  void reserve_tables(std::size_t n) { tables_.reserve(n); }
+
+  /// Hands out a rank table for an index to keep; the index fills it.
+  Ref alloc_table() {
+    tables_.emplace_back();
+    return static_cast<Ref>(tables_.size() - 1);
+  }
+  RankTable& table(Ref t) { return tables_[uidx(t)]; }
+
  private:
   std::vector<Node> nodes_;
   std::vector<Ref> free_list_;
+  std::vector<RankTable> tables_;  ///< one per index that ever built one
 };
 
 class DispatchIndex {
@@ -137,11 +180,14 @@ class DispatchIndex {
     int size_greater = 0;           ///< == count_size_greater(cand.size)
   };
 
-  /// remaining_before(cand) and count_size_greater(cand.size) in one
-  /// descent, bit-equal to the two separate calls: the sum receives the
-  /// same additions in the same order. O(1) when cand.size < min_size(),
-  /// O(log n) otherwise.
+  /// remaining_before(cand) and count_size_greater(cand.size), bit-equal to
+  /// the two separate calls. O(1) when cand.size < min_size(); from the
+  /// rank table (built here if stale, its sums made by the descent's
+  /// additions in the descent's order) when size() <= kRankTableCap;
+  /// otherwise the two O(log n) descents themselves.
   Split split_at(const SjfKey& cand) const;
+
+  static constexpr int kRankTableCap = TreapPool::kRankTableCap;
 
   /// Smallest key size present; +infinity when empty. O(1).
   double min_size() const { return min_size_; }
@@ -181,11 +227,12 @@ class DispatchIndex {
   Ref merge(Ref left, Ref right);
   Ref erase_rec(Ref t, const SjfKey& key, bool& erased);
   bool update_rec(Ref t, const SjfKey& key, double remaining);
-  /// The descents behind remaining_before / count_size_greater, started at
-  /// an arbitrary subtree with a running total — split_at finishes its two
-  /// tails through them.
-  double remaining_before_from(Ref t, const SjfKey& key, double acc) const;
-  int count_size_greater_from(Ref t, double size, int acc) const;
+  /// split_at over the rank table, rebuilding it first when stale.
+  Split split_from_table(const SjfKey& cand, int n) const;
+  /// In-order fill of the subtree at t, entered with the descent's running
+  /// sum acc; `rank` is the next free row.
+  void fill_table(Ref t, double acc, TreapPool::RankTable& tab,
+                  int& rank) const;
 
   template <class Visit>
   bool find_descending_from(Ref t, Visit& visit) const {
@@ -200,6 +247,8 @@ class DispatchIndex {
   std::unique_ptr<TreapPool> owned_;  ///< lazy fallback for standalone use
   Ref root_ = kNil;
   double min_size_ = std::numeric_limits<double>::infinity();
+  mutable Ref table_ = kNil;         ///< this index's rank table, once built
+  mutable bool table_fresh_ = false;  ///< table_ matches the treap
 };
 
 }  // namespace treesched::sim

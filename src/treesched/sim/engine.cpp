@@ -30,6 +30,7 @@ Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
   TS_REQUIRE(cfg_.router_chunk_size >= 0.0, "chunk size must be >= 0");
   nodes_.resize(uidx(instance.tree().node_count()));
   for (NodeState& ns : nodes_) ns.index.attach_pool(&index_pool_);
+  index_pool_.reserve_tables(instance.tree().root_children().size());
   jobs_.resize(uidx(instance.job_count()));
   subtree_mutations_.assign(uidx(instance.tree().node_count()), 0);
   if (cfg_.arena_reserve > 0) {

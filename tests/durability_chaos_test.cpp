@@ -5,6 +5,7 @@
 // never silent divergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -231,6 +232,44 @@ TEST_F(DurabilityChaosTest, StoreManifestIsOnlyAppended) {
   EXPECT_FALSE(fs::exists(dir + "/snap.gen001"));
 }
 
+TEST_F(DurabilityChaosTest, StoreSettlesStrayGenerations) {
+  const std::string dir = fresh_dir("chaos_store_strays");
+  const std::string base = dir + "/snap";
+  {
+    // gen 1's record tears; gens 2 and 3 land after it.
+    util::ScopedFailpoints guard("snapmanifest.append:torn-write:2");
+    exec::SnapshotStore store(base, 3);
+    for (int i = 0; i < 4; ++i)
+      store.write(static_cast<std::uint64_t>((i + 1) * 100),
+                  exec::encode_snapshot_envelope(
+                      {{"n", "payload " + std::to_string(i) + "\n"}}));
+  }
+  // As after a kill before retention ran: gen 0 is recorded but has left
+  // the window (of 2 now) with its file still there. Files that are not
+  // generations stay untouched.
+  spit(base + ".gen000", "retired generation");
+  exec::SnapshotStore store(base, 2);
+  ASSERT_TRUE(fs::exists(base + ".gen001"));
+  spit(base + ".gen0003", "not a generation name");
+  spit(base + ".gen002.tmp", "not a generation name");
+  const auto quarantined = store.quarantine_uncommitted();
+  ASSERT_EQ(quarantined.size(), 1u);
+  EXPECT_EQ(quarantined[0].index, 1);
+  EXPECT_FALSE(fs::exists(base + ".gen001"));  // never recorded: set aside
+  EXPECT_TRUE(fs::exists(base + ".gen001.quarantined"));
+  EXPECT_NE(slurp(store.quarantine_log_path()).find("gen 1 "),
+            std::string::npos);
+  EXPECT_TRUE(fs::exists(base + ".gen000"));  // retired: healthy, kept
+  EXPECT_TRUE(store.quarantine_uncommitted().empty());  // idempotent
+  store.delete_retired();
+  EXPECT_FALSE(fs::exists(base + ".gen000"));  // retired: deleted
+  EXPECT_TRUE(fs::exists(base + ".gen001.quarantined"));
+  EXPECT_TRUE(fs::exists(base + ".gen002"));
+  EXPECT_TRUE(fs::exists(base + ".gen003"));
+  EXPECT_TRUE(fs::exists(base + ".gen0003"));
+  EXPECT_TRUE(fs::exists(base + ".gen002.tmp"));
+}
+
 TEST_F(DurabilityChaosTest, StoreRejectsAV1Manifest) {
   const std::string dir = fresh_dir("chaos_store_v1");
   spit(dir + "/snap",
@@ -425,6 +464,55 @@ TEST_F(DurabilityChaosTest, AllGenerationsCorruptIsLoudlyUnrecoverable) {
   EXPECT_FALSE(slurp(store.quarantine_log_path()).empty());
 }
 
+TEST_F(DurabilityChaosTest, FailedLadderKeepsARetiredGeneration) {
+  // Three snapshots under keep 3, then a resume that passes keep 2: gen 0
+  // has left its window but is healthy. With both window generations
+  // corrupt the ladder fails loudly, and gen 0 must still be on disk, so a
+  // resume with the original keep reaches it and converges.
+  const auto config = [](const std::string& dir) {
+    auto cfg = chaos_config(dir);
+    cfg.snapshot_every = 200;  // snapshots at 200, 400, 600 and 800
+    cfg.snapshot_keep = 3;
+    return cfg;
+  };
+  RefRun ref;
+  ref.dir = fresh_dir("chaos_ref_retired");
+  ref.cfg = config(ref.dir);
+  ref.res = exec::run_stream(
+      test_tree(), SpeedProfile::paper_identical(*test_tree(), 0.5), ref.cfg);
+  const std::string dir = fresh_dir("chaos_retired");
+  auto cfg = config(dir);
+  cfg.die_after_snapshot = 3;
+  exec::run_stream(test_tree(),
+                   SpeedProfile::paper_identical(*test_tree(), 0.5), cfg);
+
+  const auto gens = exec::SnapshotStore(cfg.snapshot_path, 2).generations();
+  ASSERT_EQ(gens.size(), 2u);
+  ASSERT_EQ(gens[1].index, 1);
+  for (const auto& g : gens) {
+    std::string bytes = slurp(g.path);
+    bytes[bytes.size() / 2] =
+        static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
+    spit(g.path, bytes);
+  }
+  auto resume_cfg = cfg;
+  resume_cfg.die_after_snapshot = 0;
+  resume_cfg.resume_snapshot = cfg.snapshot_path;
+  resume_cfg.snapshot_keep = 2;
+  EXPECT_THROW(exec::run_stream(test_tree(),
+                                SpeedProfile::paper_identical(*test_tree(),
+                                                              0.5),
+                                resume_cfg),
+               exec::SnapshotUnrecoverableError);
+  EXPECT_TRUE(fs::exists(cfg.snapshot_path + ".gen000"));
+
+  resume_cfg.snapshot_keep = 3;
+  const auto resumed = exec::run_stream(
+      test_tree(), SpeedProfile::paper_identical(*test_tree(), 0.5),
+      resume_cfg);
+  expect_byte_identical(ref, resume_cfg, resumed);
+}
+
 TEST_F(DurabilityChaosTest, MissingManifestIsTyped) {
   const std::string dir = fresh_dir("chaos_missing");
   auto cfg = chaos_config(dir);
@@ -522,11 +610,28 @@ TEST_F(DurabilityChaosTest, TornSnapshotManifestAppendNeverDivergesSilently) {
         EXPECT_EQ(die, nth) << e.what();
         EXPECT_EQ(die, 1u) << e.what();
       }
-      // A torn newest record leaves its generation file uncommitted; the
-      // ladder set it aside instead of deleting it.
-      if (nth == die) {
-        EXPECT_TRUE(fs::exists(cfg.snapshot_path + ".gen00" +
-                               std::to_string(nth - 1) + ".quarantined"));
+      // A torn record leaves its generation file uncommitted, whether it
+      // was the newest record or later ones landed after it; the ladder
+      // set it aside instead of deleting it.
+      EXPECT_TRUE(fs::exists(cfg.snapshot_path + ".gen00" +
+                             std::to_string(nth - 1) + ".quarantined"));
+      // No generation file is left that the manifest's window does not
+      // list.
+      std::vector<std::string> listed;
+      for (const auto& g :
+           exec::SnapshotStore(cfg.snapshot_path, cfg.snapshot_keep)
+               .generations())
+        listed.push_back(fs::path(g.path).filename().string());
+      const std::string prefix =
+          fs::path(cfg.snapshot_path).filename().string() + ".gen";
+      for (const auto& entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind(prefix, 0) != 0 ||
+            name.find_first_not_of("0123456789", prefix.size()) !=
+                std::string::npos)
+          continue;
+        EXPECT_NE(std::find(listed.begin(), listed.end(), name), listed.end())
+            << name << " is on disk but not in the manifest's window";
       }
     }
   }

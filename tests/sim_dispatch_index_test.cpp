@@ -2,7 +2,8 @@
 // checked after every operation against a naive flat-vector model. Sums are
 // compared with a relative tolerance (the treap reassociates additions);
 // counts, membership and the minimum size are exact, and the fused split_at
-// query is bit-equal to the two separate descents it replaces.
+// query — answered from the rank table up to kRankTableCap entries, by the
+// two descents themselves above it — is bit-equal to those descents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -90,6 +91,9 @@ void expect_near_rel(double fast, double naive) {
 struct SplitCoverage {
   int ties = 0;
   int below_min = 0;
+  int under_cap = 0;  ///< probes of an index below the rank-table cap
+  int at_cap = 0;     ///< ... holding exactly kRankTableCap entries
+  int over_cap = 0;   ///< ... above it (the descent answers)
 };
 
 /// split_at must be == (not near) the two separate descents.
@@ -100,6 +104,10 @@ void check_split(const DispatchIndex& fast, const NaiveIndex& naive,
   EXPECT_EQ(s.size_greater, fast.count_size_greater(probe.size));
   if (naive.ties_with(probe)) ++cov.ties;
   if (probe.size < naive.min_size()) ++cov.below_min;
+  const auto n = static_cast<int>(naive.size());
+  if (n < DispatchIndex::kRankTableCap) ++cov.under_cap;
+  if (n == DispatchIndex::kRankTableCap) ++cov.at_cap;
+  if (n > DispatchIndex::kRankTableCap) ++cov.over_cap;
 }
 
 void check_queries(const DispatchIndex& fast, const NaiveIndex& naive,
@@ -230,6 +238,90 @@ TEST(DispatchIndex, MinSizeAndSplitOnSharedPool) {
   }
   EXPECT_GT(cov.ties, 0);
   EXPECT_GT(cov.below_min, 0);
+}
+
+TEST(DispatchIndex, RankTableMatchesDescentAcrossTheCap) {
+  // Four indices on one pool, each walking its size up past the rank-table
+  // cap and back down to empty, with every mutation kind between queries.
+  // Sizes are class-rounded ((3/2)^k) and releases integral, so equal-size
+  // and equal-release ties are the rule; probes hit stored keys exactly,
+  // their neighbours on the (release, job) tail, and the gaps between.
+  constexpr int kIndices = 4;
+  constexpr int kCap = DispatchIndex::kRankTableCap;
+  const auto class_size = [](std::int64_t k) {
+    return std::pow(1.5, static_cast<double>(k));
+  };
+  SplitCoverage cov;
+  util::Rng rng(2017);
+  TreapPool pool;
+  std::vector<DispatchIndex> fast(kIndices);
+  for (DispatchIndex& d : fast) d.attach_pool(&pool);
+  std::vector<NaiveIndex> naive(kIndices);
+  std::vector<bool> growing(kIndices, true);
+  JobId next_job = 0;
+  for (int op = 0; op < 6000; ++op) {
+    const std::size_t i = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    DispatchIndex& f = fast[i];
+    NaiveIndex& n = naive[i];
+    const auto size = static_cast<int>(n.size());
+    if (size >= kCap + 6) growing[i] = false;
+    if (size == 0) growing[i] = true;
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (size == 0 || (growing[i] ? kind < 6 : kind < 2)) {
+      const SjfKey key{class_size(rng.uniform_int(0, 5)),
+                       static_cast<Time>(rng.uniform_int(0, 2)), next_job++};
+      const double rem = key.size * rng.uniform01();
+      f.insert(key, rem);
+      n.insert(key, rem);
+    } else {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n.size()) - 1));
+      const SjfKey key = n.entries()[pick].key;
+      if (kind < 6) {
+        const double rem = key.size * rng.uniform01();
+        f.update(key, rem);
+        n.update(key, rem);
+      } else if (kind < 8) {
+        f.erase(key);
+        n.erase(key);
+      } else {
+        // erase_if_present, hitting and (with a fresh id) missing.
+        EXPECT_FALSE(f.erase_if_present({key.size, key.release, next_job}));
+        EXPECT_TRUE(f.erase_if_present(key));
+        n.erase(key);
+      }
+    }
+    for (int k = 0; k < kIndices; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      ASSERT_EQ(fast[ku].size(), naive[ku].size());
+      std::vector<SjfKey> probes;
+      probes.push_back({class_size(rng.uniform_int(-1, 6)),
+                        static_cast<Time>(rng.uniform_int(0, 2)),
+                        static_cast<JobId>(rng.uniform_int(0, next_job))});
+      probes.push_back({class_size(rng.uniform_int(0, 5)) * 1.25, 1.0, 0});
+      if (naive[ku].size() > 0) {
+        const SjfKey member =
+            naive[ku]
+                .entries()[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(naive[ku].size()) - 1))]
+                .key;
+        probes.push_back(member);
+        probes.push_back({member.size, member.release, member.job - 1});
+        probes.push_back({member.size, member.release, member.job + 1});
+        probes.push_back({member.size, member.release + 1.0, 0});
+      }
+      for (const SjfKey& probe : probes) {
+        check_split(fast[ku], naive[ku], probe, cov);
+        expect_near_rel(fast[ku].split_at(probe).remaining_before,
+                        naive[ku].remaining_before(probe));
+      }
+    }
+  }
+  EXPECT_GT(cov.ties, 0);
+  EXPECT_GT(cov.below_min, 0);
+  EXPECT_GT(cov.under_cap, 0);
+  EXPECT_GT(cov.at_cap, 0);
+  EXPECT_GT(cov.over_cap, 0);
 }
 
 TEST(DispatchIndex, DeterministicAcrossInsertionOrders) {
