@@ -3,8 +3,13 @@
 // document that the substrate comfortably handles the experiment scales.
 #include <benchmark/benchmark.h>
 
+#include <charconv>
+#include <string>
+#include <vector>
+
 #include "treesched/treesched.hpp"
 #include "treesched/util/mem.hpp"
+#include "treesched/util/string_util.hpp"
 
 // Allocation telemetry: this binary (and only this binary — the macro is a
 // bench/CMakeLists.txt target_compile_definitions, never set for the
@@ -177,6 +182,44 @@ void BM_DispatchWideTree(benchmark::State& state) {
       static_cast<double>(util::peak_rss_bytes());
 }
 BENCHMARK(BM_DispatchWideTree);
+
+// Run-log number formatting: the cost of one util::append_number(double) on
+// the values a stream's segment writer prints (Poisson release times,
+// bounded-Pareto sizes, finish times, speeds), against std::to_chars at
+// general precision 17 (Arg 1), the path every number took before the
+// integer fast path. items_per_second is numbers formatted per second.
+void BM_AppendNumber(benchmark::State& state) {
+  util::Rng rng(42);
+  std::vector<double> values;
+  double release = 0.0;
+  for (int i = 0; i < 1024; ++i) {
+    release += rng.exponential(0.7);
+    const double size = rng.bounded_pareto(1.0, 1000.0, 1.5);
+    values.insert(values.end(), {release, size, release + size / 1.5, 1.5});
+  }
+  const bool reference = state.range(0) == 1;
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const double v : values) {
+      if (reference) {
+        char buf[32];
+        const std::to_chars_result r = std::to_chars(
+            buf, buf + sizeof buf, v, std::chars_format::general, 17);
+        out.append(buf, r.ptr);
+      } else {
+        util::append_number(out, v);
+      }
+      out += ' ';
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+  state.SetLabel(reference ? "to_chars general 17" : "append_number");
+}
+BENCHMARK(BM_AppendNumber)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "treesched/sim/runlog_segments.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <iomanip>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "treesched/sim/run_log.hpp"
 #include "treesched/util/assert.hpp"
@@ -24,7 +26,11 @@ using util::fnv1a_64;
 using util::kFnvOffsetBasis;
 
 std::uint64_t chain_step(std::uint64_t chain, std::uint64_t fp) {
-  return fnv1a_64(std::to_string(chain) + ":" + std::to_string(fp));
+  char buf[41];  // decimal(chain) ":" decimal(fp), 20 digits at most each
+  char* p = std::to_chars(buf, buf + 20, chain).ptr;
+  *p++ = ':';
+  p = std::to_chars(p, p + 20, fp).ptr;
+  return fnv1a_64(std::string_view(buf, static_cast<std::size_t>(p - buf)));
 }
 
 const char* policy_token(NodePolicy p) {
@@ -187,11 +193,14 @@ void SegmentedRunLogWriter::on_reject(double t, std::uint64_t job) {
 void SegmentedRunLogWriter::commit(bool force) {
   if (pending_.empty()) return;
   if (!force && pending_.size() < cfg_.segment_cap) return;
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [](const Pending& a, const Pending& b) {
-                     if (a.key != b.key) return a.key < b.key;
-                     return a.rank < b.rank;
-                   });
+  // Offsets rise in push order, so (key, rank, offset) is the stable order
+  // by (key, rank) without a stable sort's buffer.
+  std::sort(pending_.begin(), pending_.end(),
+            [](const Pending& a, const Pending& b) {
+              if (a.key != b.key) return a.key < b.key;
+              if (a.rank != b.rank) return a.rank < b.rank;
+              return a.offset < b.offset;
+            });
   content_.clear();
   content_ += "runlogseg-part 1 ";
   util::append_number(content_, next_index_);
@@ -212,10 +221,15 @@ void SegmentedRunLogWriter::commit(bool force) {
   // Manifest entry: one fsynced append (failpoint site "manifest.append"),
   // so at worst a crash tears this one line — which readers drop as a torn
   // tail, and the next append heals.
-  std::ostringstream entry;
-  entry << "segment " << next_index_ << ' ' << pending_.size() << ' ' << fp
-        << ' ' << chain_;
-  util::append_line_durable(cfg_.base_path, entry.str(), "manifest.append");
+  entry_ = "segment ";
+  util::append_number(entry_, next_index_);
+  entry_ += ' ';
+  util::append_number(entry_, pending_.size());
+  entry_ += ' ';
+  util::append_number(entry_, fp);
+  entry_ += ' ';
+  util::append_number(entry_, chain_);
+  util::append_line_durable(cfg_.base_path, entry_, "manifest.append");
   pending_.clear();
   lines_.clear();
   ++next_index_;

@@ -28,18 +28,19 @@
 //   reject <t> <job>
 //   end <idx> <payload_lines>
 //
-// Lines are formatted with std::to_chars into one reused buffer
-// (util::append_number); the bytes are those of an ostream at
-// setprecision(17), which tests pin.
+// Lines are formatted by util::append_number into one reused buffer: doubles
+// in [1e-4, 2^53) (the run's times, sizes, speeds and weights) through its
+// exact integer path, everything else through std::to_chars. Either way the
+// bytes are those of an ostream at setprecision(17), which tests pin.
 //
-// Canonical payload order: stable sort by (time key, kind rank) where the
-// time key is the instant the event became final (jobrec: release; seg: t1,
-// its recording instant; done/shed/reject: t) and the rank orders
-// same-instant events jobrec < seg < done < shed/reject. Both components
-// are monotone over the writer's feed, so the order — and therefore every
-// segment byte and fingerprint — is independent of when the driver drained
-// the engine's recorder, which is what makes the kill/resume differential
-// byte-comparable.
+// Canonical payload order: sort by (time key, kind rank), equal pairs in feed
+// order, where the time key is the instant the event became final (jobrec:
+// release; seg: t1, its recording instant; done/shed/reject: t) and the rank
+// orders same-instant events jobrec < seg < done < shed/reject. Both
+// components are monotone over the writer's feed, so the order — and
+// therefore every segment byte and fingerprint — is independent of when the
+// driver drained the engine's recorder, which is what makes the kill/resume
+// differential byte-comparable.
 //
 // Chain rule: chain_i = fnv1a(decimal(chain_{i-1}) + ":" + decimal(fp_i)),
 // chain_{-1} = the FNV offset basis. Segment files are written atomically;
@@ -142,6 +143,7 @@ class SegmentedRunLogWriter {
   std::vector<Pending> pending_;
   std::string lines_;    ///< pending payload lines, back to back
   std::string content_;  ///< segment file image, reused across commits
+  std::string entry_;    ///< manifest entry, reused across commits
   std::size_t next_index_ = 0;
   std::uint64_t chain_;
   bool started_ = false;

@@ -14,6 +14,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "treesched/util/assert.hpp"
 
@@ -23,7 +24,7 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 /// FNV-1a 64 over `bytes`, seeded with `h` so hashes can be chained.
-inline std::uint64_t fnv1a_64(const std::string& bytes,
+inline std::uint64_t fnv1a_64(std::string_view bytes,
                               std::uint64_t h = kFnvOffsetBasis) {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);

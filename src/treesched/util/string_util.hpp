@@ -23,6 +23,19 @@ bool starts_with(const std::string& s, const std::string& prefix);
 
 /// Appends v in the bytes `os << std::setprecision(17) << v` writes (printf
 /// "%.17g") — without a stream or an allocation per number.
+///
+/// Finite |v| in [1e-4, 2^53) — every time, size, speed and weight a run log
+/// prints — takes an exact integer path. With |v| = m / 2^s (53-bit m,
+/// s in [0, 66]) and x = floor(log10 2 * floor(log2 |v|)), the decimal
+/// exponent is x or x + 1, so N = m * 10^(16 - x) (below 2^123, exact in
+/// 128 bits) shifted right by s leaves 17 or 18 digits q with remainder r.
+/// An 18th digit is dropped; the round to 17 digits is half-to-even on the
+/// dropped digit and r (or on r against 2^(s-1)), exactly as printf rounds.
+/// It never carries into 10^17: no double of the range lies within 5e-18
+/// (relative) below a power of ten. The result is printed in the fixed form
+/// "%g" uses for exponents in [-4, 17), without trailing zeros.
+/// Every other value (zeros, subnormals, the rest of the range, inf, NaN)
+/// goes to std::to_chars(..., general, 17).
 void append_number(std::string& out, double v);
 
 /// Appends an integer in decimal, the bytes `os << v` writes.

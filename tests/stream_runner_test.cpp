@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cfloat>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -338,6 +339,86 @@ TEST(StreamRunnerTest, RunLogNumbersFormatLikeTheStream) {
   EXPECT_EQ(appended(std::numeric_limits<std::uint64_t>::max()),
             streamed(std::numeric_limits<std::uint64_t>::max()));
   EXPECT_EQ(appended(std::int32_t{0}), "0");
+}
+
+TEST(StreamRunnerTest, RunLogNumbersFastPathMatchesTheStream) {
+  // util::append_number prints finite |v| in [1e-4, 2^53) with its own
+  // integer arithmetic, everything else with std::to_chars. Over a million
+  // values aimed at the fast path's edges — every decimal exponent, exact
+  // ties, the neighbours of powers of ten, the range limits — the bytes must
+  // still be those of an ostream at setprecision(17).
+  std::ostringstream os;
+  os << std::setprecision(17);
+  std::string out;
+  std::size_t checked = 0;
+  const auto check = [&](double v) {
+    if (::testing::Test::HasFailure()) return;  // report the first only
+    os.str("");
+    os << v;
+    out.clear();
+    util::append_number(out, v);
+    ++checked;
+    ASSERT_EQ(out, os.str()) << std::hexfloat << v;
+  };
+  const auto check_both = [&](double v) {
+    check(v);
+    check(-v);
+  };
+  const auto check_ulps = [&](double v, int n) {
+    double up = v, down = v;
+    for (int k = 0; k <= n; ++k) {
+      check_both(up);
+      check_both(down);
+      up = std::nextafter(up, HUGE_VAL);
+      down = std::nextafter(down, 0.0);
+    }
+  };
+  util::Rng rng(23);
+  // Every decimal exponent the fast path prints, random 53-bit mantissas.
+  for (int x = -4; x <= 15; ++x) {
+    const double lo = std::pow(10.0, x);
+    for (int i = 0; i < 10000; ++i)
+      check_both(lo * (1.0 + 9.0 * rng.uniform01()));
+  }
+  // Exact ties: k / 2^j with k of few significant bits has a short exact
+  // decimal expansion, so the 18th digit can be a final 5 (1 + 2^-17 =
+  // 1.00000762939453125 rounds to even, 1 + 3 * 2^-17 rounds up).
+  check(1.00000762939453125);
+  check(1.00002288818359375);
+  for (int i = 0; i < 100000; ++i) {
+    const int bits = static_cast<int>(rng.uniform_int(1, 24));
+    const auto k = static_cast<double>(
+        rng.uniform_int(1, (std::int64_t{1} << bits) - 1) | 1);
+    check_both(std::ldexp(k, -static_cast<int>(rng.uniform_int(0, 66))));
+  }
+  // Carries: 17 digits round up to the next power of ten only within 5e-18
+  // below it (9.99999999999999995 * 10^x), and the doubles around each power
+  // of ten sit on both sides of a digit count change.
+  for (int x = -5; x <= 17; ++x) check_ulps(std::pow(10.0, x), 256);
+  // Both edges of the fast range.
+  check_ulps(1e-4, 2000);
+  check_ulps(0x1p53, 2000);
+  // Outside the fast range: signed zeros, subnormals, the normal limits,
+  // infinities.
+  for (const double v : {0.0, 5e-324, DBL_MIN, DBL_MAX, HUGE_VAL})
+    check_both(v);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t bits = rng.next_u64() & ((std::uint64_t{1} << 52) - 1);
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    check_both(v);
+  }
+  // Release and finish times of a stream: Poisson arrivals, bounded-Pareto
+  // sizes.
+  double release = 0.0;
+  for (int i = 0; i < 200000; ++i) {
+    release += rng.exponential(0.7);
+    const double size = rng.bounded_pareto(1.0, 1000.0, 1.5);
+    check(release);
+    check(size);
+    check(release + size / 1.5);
+  }
+  EXPECT_GE(checked, 1000000u);
 }
 
 TEST(StreamRunnerTest, ResumeFromOlderEngineStateIsUnrecoverable) {
