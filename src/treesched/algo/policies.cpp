@@ -25,15 +25,6 @@ PaperGreedyPolicy::PaperGreedyPolicy(double eps, double depth_penalty_coeff,
   TS_REQUIRE(depth_penalty_coeff >= 0.0, "penalty must be non-negative");
 }
 
-double PaperGreedyPolicy::F_at(const sim::Engine& engine, const Job& job,
-                               NodeId rc) {
-  // S_{R(v),j} includes the arriving job itself (full size), the queued
-  // higher-priority volume, and one p_j per queued strictly-larger job.
-  const sim::Engine::PrioritySplit s =
-      engine.priority_split(rc, job.size, job.release, job.id);
-  return s.higher_remaining + job.size + job.size * s.larger;
-}
-
 double PaperGreedyPolicy::F(const sim::Engine& engine, const Job& job,
                             NodeId leaf) {
   return F_at(engine, job, engine.tree().root_child_of(leaf));
@@ -48,57 +39,42 @@ double PaperGreedyPolicy::F_prime(const sim::Engine& engine, const Job& job,
          p_jv * engine.larger_residual_fraction(leaf, p_jv);
 }
 
-void PaperGreedyPolicy::sync_cache(const sim::Engine& engine,
-                                   const Job& job) const {
-  if (cache_engine_ == engine.serial() && cache_now_ == engine.now() &&
-      cache_job_ == job.id)
-    return;
-  cache_engine_ = engine.serial();
-  cache_now_ = engine.now();
-  cache_job_ = job.id;
-  ++cache_gen_;
-  const std::size_t n = uidx(engine.tree().node_count());
-  if (cache_.size() < n) cache_.resize(n);
+const std::vector<double>& PaperGreedyPolicy::sweep(const sim::Engine& engine,
+                                                   const Job& job) const {
+  build_groups(engine);
+  const auto& rcs = engine.tree().root_children();
+  for (std::size_t k = 0; k < rcs.size(); ++k)
+    f_rc_[k] = F_at(engine, job, rcs[k]);
+  return f_rc_;
 }
 
-double PaperGreedyPolicy::F_cached_at(const sim::Engine& engine,
-                                      const Job& job, NodeId rc) const {
-  // Slot validity is per root child: the generation covers (engine, now,
-  // job), and the subtree epoch covers mutations under this root child — F
-  // reads nothing outside it, so mutations under OTHER root children (a
-  // shed cascade, a re-dispatch chain) leave this slot valid.
-  CacheSlot& slot = cache_[uidx(rc)];
-  const std::uint64_t epoch = engine.subtree_mutation_count(rc);
-  if (slot.stamp != cache_gen_ || slot.rc_epoch != epoch)
-    slot = {F_at(engine, job, rc), cache_gen_, epoch};
-  return slot.f;
-}
-
-double PaperGreedyPolicy::F_cached(const sim::Engine& engine, const Job& job,
-                                   NodeId leaf) const {
-  sync_cache(engine, job);
-  return F_cached_at(engine, job, engine.tree().root_child_of(leaf));
+double PaperGreedyPolicy::swept_cost(const sim::Engine& engine, const Job& job,
+                                     std::size_t pos) const {
+  const LeafGroup& grp = groups_[uidx(group_of_pos_[pos])];
+  // F' is identically zero for identical endpoints; skip the per-leaf
+  // queries entirely there.
+  const double f_prime =
+      engine.instance().model() == EndpointModel::kIdentical
+          ? 0.0
+          : F_prime(engine, job, engine.tree().leaves()[pos]);
+  return cost_of(f_rc_[uidx(grp.rc)], f_prime, grp.depth, job.size);
 }
 
 double PaperGreedyPolicy::F_min(const sim::Engine& engine,
                                 const Job& job) const {
-  sync_cache(engine, job);
   // Every leaf lies under some root child and every root child has a leaf
   // (no machine is adjacent to the root), so this is the leaves' minimum.
   double fmin = std::numeric_limits<double>::infinity();
-  for (const NodeId rc : engine.tree().root_children())
-    fmin = std::min(fmin, F_cached_at(engine, job, rc));
+  for (const double f : sweep(engine, job)) fmin = std::min(fmin, f);
   return fmin;
 }
 
 double PaperGreedyPolicy::assignment_cost(const sim::Engine& engine,
                                           const Job& job, NodeId leaf) const {
-  // F' is identically zero for identical endpoints; skip the per-leaf
-  // queries entirely there.
   const double f_prime = engine.instance().model() == EndpointModel::kIdentical
                              ? 0.0
                              : F_prime(engine, job, leaf);
-  return cost_of(F_cached(engine, job, leaf), f_prime, engine.tree().d(leaf),
+  return cost_of(F(engine, job, leaf), f_prime, engine.tree().d(leaf),
                  job.size);
 }
 
@@ -107,15 +83,20 @@ void PaperGreedyPolicy::build_groups(const sim::Engine& engine) const {
   group_engine_ = engine.serial();
   const Tree& tree = engine.tree();
   const auto& leaves = tree.leaves();
+  const auto& rcs = tree.root_children();
   groups_.clear();
   group_of_pos_.assign(leaves.size(), -1);
   // Groups are found through a per-root-child chain (a root child has few
   // distinct leaf depths); every container keeps its capacity, so a rebuild
   // for a same-shaped tree allocates nothing.
-  group_last_of_rc_.assign(uidx(tree.node_count()), -1);
+  rc_ordinal_.assign(uidx(tree.node_count()), -1);
+  for (std::size_t k = 0; k < rcs.size(); ++k)
+    rc_ordinal_[uidx(rcs[k])] = static_cast<std::int32_t>(k);
+  group_last_of_rc_.assign(rcs.size(), -1);
+  f_rc_.assign(rcs.size(), 0.0);
   for (std::size_t pos = 0; pos < leaves.size(); ++pos) {
     const NodeId v = leaves[pos];
-    const NodeId rc = tree.root_child_of(v);
+    const std::int32_t rc = rc_ordinal_[uidx(tree.root_child_of(v))];
     const int depth = tree.d(v);
     std::int32_t g = group_last_of_rc_[uidx(rc)];
     while (g >= 0 && groups_[uidx(g)].depth != depth)
@@ -128,20 +109,20 @@ void PaperGreedyPolicy::build_groups(const sim::Engine& engine) const {
     ++groups_[uidx(g)].count;
     group_of_pos_[pos] = g;
   }
-  group_tied_stamp_.assign(groups_.size(), 0);
+  // The tie marks are sized on the first kRotate tie scan: kFirst never
+  // needs them.
+  group_tied_stamp_.clear();
   group_tie_gen_ = 0;
 }
 
 NodeId PaperGreedyPolicy::assign_grouped(const sim::Engine& engine,
                                          const Job& job) {
-  build_groups(engine);
-  sync_cache(engine, job);
+  const std::vector<double>& f = sweep(engine, job);
   // The identical model has no F' term; each group's cost is its root
-  // child's cached F plus the group's depth penalty — assignment_cost of
+  // child's swept F plus the group's depth penalty — assignment_cost of
   // any member, without re-deriving R(v) and d_v per group.
   const auto group_cost = [&](const LeafGroup& grp) {
-    return cost_of(F_cached_at(engine, job, grp.root_child), 0.0, grp.depth,
-                   job.size);
+    return cost_of(f[uidx(grp.rc)], 0.0, grp.depth, job.size);
   };
   // Pass 1 over group representatives. Groups are ordered by their first
   // position in leaves(), so a strict-< scan selects the same leaf the
@@ -162,6 +143,7 @@ NodeId PaperGreedyPolicy::assign_grouped(const sim::Engine& engine,
   // tolerance, making every member tied. The k-th tied leaf in leaves()
   // order is found by walking positions and checking the group mark.
   const double tol = 1e-9 * std::max(1.0, std::fabs(best));
+  if (group_tied_stamp_.empty()) group_tied_stamp_.assign(groups_.size(), 0);
   ++group_tie_gen_;
   std::size_t count = 0;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
@@ -191,24 +173,26 @@ NodeId PaperGreedyPolicy::assign(const sim::Engine& engine, const Job& job) {
   // kInvalidNode), so a chain of sub-tolerance improvements could leave
   // `best` strictly above the minimum and the first exactly-tied candidate
   // out of the rotation set.
+  sweep(engine, job);
   const auto& leaves = engine.tree().leaves();
   double best = std::numeric_limits<double>::infinity();
   NodeId best_leaf = kInvalidNode;
-  for (const NodeId v : leaves) {
-    const double cost = assignment_cost(engine, job, v);
+  for (std::size_t pos = 0; pos < leaves.size(); ++pos) {
+    const double cost = swept_cost(engine, job, pos);
     if (cost < best) {
       best = cost;
-      best_leaf = v;
+      best_leaf = leaves[pos];
     }
   }
   TS_CHECK(best_leaf != kInvalidNode, "no leaf to assign to");
   if (tie_break_ != TieBreak::kRotate) return best_leaf;
-  // Pass 2: collect every leaf within tolerance of the settled minimum
-  // (cheap — F is epoch-cached, so this re-sweep repeats no rc queries).
+  // Pass 2: collect every leaf within tolerance of the settled minimum (F
+  // is read from the sweep, so this re-sweep repeats no rc queries).
   const double tol = 1e-9 * std::max(1.0, std::fabs(best));
   std::vector<NodeId> tied;
-  for (const NodeId v : leaves)
-    if (assignment_cost(engine, job, v) <= best + tol) tied.push_back(v);
+  for (std::size_t pos = 0; pos < leaves.size(); ++pos)
+    if (swept_cost(engine, job, pos) <= best + tol)
+      tied.push_back(leaves[pos]);
   if (tied.size() > 1) return tied[rotation_++ % tied.size()];
   return best_leaf;
 }
@@ -219,14 +203,16 @@ NodeId PaperGreedyPolicy::assign(const sim::Engine& engine, const Job& job) {
 
 NodeId FaultAwareGreedy::best_live_leaf(const sim::Engine& engine,
                                         const Job& job) const {
+  greedy_.sweep(engine, job);
+  const auto& leaves = engine.tree().leaves();
   double best = std::numeric_limits<double>::infinity();
   NodeId best_leaf = kInvalidNode;
-  for (const NodeId v : engine.tree().leaves()) {
-    if (engine.node_down(v)) continue;
-    const double cost = greedy_.assignment_cost(engine, job, v);
+  for (std::size_t pos = 0; pos < leaves.size(); ++pos) {
+    if (engine.node_down(leaves[pos])) continue;
+    const double cost = greedy_.swept_cost(engine, job, pos);
     if (cost < best) {
       best = cost;
-      best_leaf = v;
+      best_leaf = leaves[pos];
     }
   }
   TS_REQUIRE(best_leaf != kInvalidNode,

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "treesched/sim/engine.hpp"
 #include "treesched/util/rng.hpp"
@@ -39,6 +40,7 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   const char* name() const override { return "paper-greedy"; }
 
   /// Cost the rule minimizes — exposed for the dual-fitting beta_j values.
+  /// One F query; loops over leaves use sweep and swept_cost instead.
   double assignment_cost(const sim::Engine& engine, const Job& job,
                          NodeId leaf) const;
 
@@ -54,49 +56,51 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   double eps() const { return eps_; }
   double depth_penalty_coeff() const { return penalty_; }
 
-  /// F(j,v) through the per-root-child epoch cache — the shared evaluation
-  /// path for assignment_cost and the deadline admission controller (via
-  /// F_min), which probes the same F at the same decision instant. Always
-  /// bit-equal to the uncached F(engine, job, leaf); the tests pin this with
-  /// a per-leaf reference policy and an uncached-F admission check.
-  ///
-  /// F depends on the leaf only through R(v), so one evaluation per root
-  /// child suffices for the whole leaves() sweep. The global key (engine
-  /// serial, now, job) starts a fresh generation; within a generation each
-  /// slot additionally carries the root child's own mutation epoch
-  /// (Engine::subtree_mutation_count), so a mutation under one root child —
-  /// a shed cascade, a re-dispatch — invalidates only that slot instead of
-  /// every cached congestion term.
-  double F_cached(const sim::Engine& engine, const Job& job,
-                  NodeId leaf) const;
+  /// F at every root child for one decision: one Lemma-4 query each, in
+  /// root_children() order, written into a reused vector indexed by
+  /// root-child ordinal. Every arrival is a new job at a new instant, so
+  /// nothing computed for one decision is valid for the next; the sweep is
+  /// the whole per-decision cost of F. Also (re)builds the leaf groups for
+  /// this engine. Entry k is bit-equal to F at root_children()[k]; the
+  /// tests pin this at every decision.
+  const std::vector<double>& sweep(const sim::Engine& engine,
+                                   const Job& job) const;
 
-  /// min over the leaves of F(j,v), one cached F per root child (F depends
-  /// on v only through R(v)); the deadline admission controller's bound
-  /// check. Bit-equal to the minimum of the uncached F over leaves().
+  /// The vector as the last sweep left it.
+  const std::vector<double>& swept_F() const { return f_rc_; }
+
+  /// assignment_cost of the leaf at position `pos` of leaves(), with F read
+  /// from the last sweep(engine, job). Bit-equal to assignment_cost.
+  double swept_cost(const sim::Engine& engine, const Job& job,
+                    std::size_t pos) const;
+
+  /// min over the leaves of F(j,v), from one sweep (F depends on v only
+  /// through R(v)); the deadline admission controller's bound check.
+  /// Bit-equal to the minimum of F over leaves().
   double F_min(const sim::Engine& engine, const Job& job) const;
 
   /// kRotate carries a tie cursor across decisions; snapshot it so resumed
-  /// streaming runs break ties identically. (The epoch cache is pure
-  /// derived state and needs no serialization.)
+  /// streaming runs break ties identically. (The sweep vector and the leaf
+  /// groups are pure derived state and need no serialization.)
   std::string stream_state() const override;
   void restore_stream_state(const std::string& state) override;
 
  private:
   /// F at root child rc: the one place the Lemma-4 formula is written.
-  static double F_at(const sim::Engine& engine, const Job& job, NodeId rc);
+  /// Inline, so the sweep's loop makes no call per root child.
+  static double F_at(const sim::Engine& engine, const Job& job, NodeId rc) {
+    // S_{R(v),j} includes the arriving job itself (full size), the queued
+    // higher-priority volume, and one p_j per queued strictly-larger job.
+    const sim::Engine::PrioritySplit s =
+        engine.priority_split(rc, job.size, job.release, job.id);
+    return s.higher_remaining + job.size + job.size * s.larger;
+  }
 
   /// The minimized cost from its parts; shared by assignment_cost and the
   /// grouped sweep so both associate the additions identically.
   double cost_of(double f, double f_prime, int depth, double size) const {
     return f + f_prime + penalty_ * depth * size;
   }
-
-  /// Starts a fresh cache generation unless (engine, now, job) is the
-  /// current one.
-  void sync_cache(const sim::Engine& engine, const Job& job) const;
-  /// F_cached by root child; requires sync_cache(engine, job) first.
-  double F_cached_at(const sim::Engine& engine, const Job& job,
-                     NodeId rc) const;
 
   /// Identical-model fast path of assign(): in that model every leaf of a
   /// (root child, depth) group has the bit-identical assignment cost, so the
@@ -113,23 +117,13 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   TieBreak tie_break_;
   std::size_t rotation_ = 0;
 
-  // Epoch-cache state (mutable: assignment_cost is const and hot).
-  mutable std::uint64_t cache_engine_ = 0;  ///< Engine::serial(); 0 = none
-  mutable Time cache_now_ = 0.0;
-  mutable JobId cache_job_ = kInvalidJob;
-  mutable std::uint64_t cache_gen_ = 0;        ///< bumped on every epoch change
-  struct CacheSlot {
-    double f = 0.0;               ///< F at this root child
-    std::uint64_t stamp = 0;      ///< generation that wrote the slot
-    std::uint64_t rc_epoch = 0;   ///< subtree epoch seen
-  };
-  mutable std::vector<CacheSlot> cache_;  ///< indexed by root-child NodeId
+  mutable std::vector<double> f_rc_;  ///< F by root-child ordinal
 
   // Static (root child, depth) leaf groups of the engine's tree, ordered by
   // first position in leaves(); rebuilt only when the engine changes.
   struct LeafGroup {
     NodeId first_leaf = kInvalidNode;  ///< first member in leaves() order
-    NodeId root_child = kInvalidNode;  ///< R(v) shared by the members
+    std::int32_t rc = 0;               ///< ordinal of R(v) in root_children()
     std::int32_t depth = 0;            ///< d_v shared by the members
     std::int32_t count = 0;            ///< member leaves
     std::int32_t prev_same_rc = -1;    ///< earlier group of R(v); -1 = none
@@ -137,7 +131,8 @@ class PaperGreedyPolicy : public sim::AssignmentPolicy {
   mutable std::uint64_t group_engine_ = 0;  ///< Engine::serial(); 0 = none
   mutable std::vector<LeafGroup> groups_;
   mutable std::vector<std::int32_t> group_of_pos_;  ///< leaves() pos -> group
-  mutable std::vector<std::int32_t> group_last_of_rc_;  ///< rc -> newest group
+  mutable std::vector<std::int32_t> rc_ordinal_;  ///< node -> ordinal; -1
+  mutable std::vector<std::int32_t> group_last_of_rc_;  ///< ordinal -> group
   mutable std::vector<std::uint64_t> group_tied_stamp_;  ///< tie-scan marks
   mutable std::uint64_t group_tie_gen_ = 0;
 };
@@ -156,6 +151,9 @@ class FaultAwareGreedy : public sim::AssignmentPolicy,
   NodeId reassign(const sim::Engine& engine, JobId job,
                   NodeId dead_leaf) override;
   const char* name() const override { return "fault-greedy"; }
+
+  /// The greedy rule whose sweep prices the live leaves.
+  const PaperGreedyPolicy& greedy() const { return greedy_; }
 
  private:
   NodeId best_live_leaf(const sim::Engine& engine, const Job& job) const;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "treesched/util/assert.hpp"
 #include "treesched/util/fs.hpp"
@@ -114,9 +115,15 @@ SnapshotStore::SnapshotStore(std::string base, int keep)
 }
 
 std::string SnapshotStore::gen_path(int index) const {
-  std::ostringstream os;
-  os << base_ << ".gen" << std::setw(3) << std::setfill('0') << index;
-  return os.str();
+  std::string out;
+  assign_gen_path(out, index);
+  return out;
+}
+
+void SnapshotStore::assign_gen_path(std::string& out, int index) const {
+  out.assign(base_);
+  out += ".gen";
+  util::append_padded(out, static_cast<std::uint64_t>(index), 3);
 }
 
 void SnapshotStore::write(std::uint64_t progress,
@@ -130,9 +137,7 @@ void SnapshotStore::write(std::uint64_t progress,
       window_.emplace();
     }
   }
-  SnapshotGeneration g;
-  g.progress = progress;
-  g.fingerprint = util::fnv1a_64(envelope);
+  const std::uint64_t fingerprint = util::fnv1a_64(envelope);
   // A run resumed from an older generation re-takes, byte for byte, the
   // snapshots recorded after it. Such a snapshot is already on record (its
   // file quarantined if the bytes were damaged), so it is not taken again:
@@ -140,29 +145,38 @@ void SnapshotStore::write(std::uint64_t progress,
   // the run passes the newest record, the keep window holds fewer than
   // `keep` healthy generations (docs/MODEL.md).
   for (const SnapshotGeneration& recorded : *window_)
-    if (recorded.progress == progress && recorded.fingerprint == g.fingerprint)
+    if (recorded.progress == progress && recorded.fingerprint == fingerprint)
       return;
-  g.index = window_->empty() ? 0 : window_->back().index + 1;
-  g.path = gen_path(g.index);
+  const int index = window_->empty() ? 0 : window_->back().index + 1;
+  // The file name and the record are built in buffers the store reuses.
+  assign_gen_path(path_, index);
 
   // Failpoint site "snapshot.write", then "fs.atomic". The record carries
   // the INTENDED fingerprint: if the storage lied (torn or flipped bytes),
   // verification at read time catches it.
-  util::write_file_atomic(g.path, envelope, "snapshot.write");
-  util::append_line_durable(base_,
-                            "gen " + std::to_string(g.index) + ' ' +
-                                std::to_string(g.progress) + ' ' +
-                                std::to_string(g.fingerprint),
-                            "snapmanifest.append");
-  window_->push_back(std::move(g));
+  util::write_file_atomic(path_, envelope, "snapshot.write");
+  record_ = "gen ";
+  util::append_number(record_, index);
+  record_ += ' ';
+  util::append_number(record_, progress);
+  record_ += ' ';
+  util::append_number(record_, fingerprint);
+  util::append_line_durable(base_, record_, "snapmanifest.append");
 
-  // Retention: delete the healthy generation that just left the keep
-  // window. A quarantined one was renamed away, so the remove is a no-op.
-  if (window_->size() > static_cast<std::size_t>(keep_)) {
-    std::error_code ec;
-    std::filesystem::remove(window_->front().path, ec);
-    window_->erase(window_->begin());
+  // Retention: delete the healthy generation that leaves the keep window
+  // (a quarantined one was renamed away, so the unlink is a no-op) and
+  // reuse its entry, path capacity included, for the new one.
+  if (window_->size() >= static_cast<std::size_t>(keep_)) {
+    ::unlink(window_->front().path.c_str());
+    std::rotate(window_->begin(), window_->begin() + 1, window_->end());
+  } else {
+    window_->emplace_back();
   }
+  SnapshotGeneration& g = window_->back();
+  g.index = index;
+  g.progress = progress;
+  g.fingerprint = fingerprint;
+  g.path = path_;
 }
 
 std::vector<SnapshotGeneration> SnapshotStore::window(

@@ -162,6 +162,8 @@ class SnapshotStore {
 
  private:
   std::string gen_path(int index) const;
+  /// gen_path written into `out` (replacing its contents).
+  void assign_gen_path(std::string& out, int index) const;
   /// The newest `keep` records, oldest first; `recorded`, when given,
   /// receives the index of every record in the manifest, ascending.
   std::vector<SnapshotGeneration> window(
@@ -174,6 +176,8 @@ class SnapshotStore {
   int keep_;
   /// window() as of the last write; loaded by the first one.
   std::optional<std::vector<SnapshotGeneration>> window_;
+  std::string path_;    ///< the generation file being written
+  std::string record_;  ///< its manifest record
 };
 
 }  // namespace treesched::exec

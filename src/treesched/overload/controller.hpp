@@ -15,7 +15,8 @@
 //  * deadline — admit only jobs whose best-leaf Lemma-4 congestion bound
 //    satisfies F(j, leaf) <= slack * p_j (at unit root-cut speed F bounds
 //    the volume draining ahead of j, hence its flow), taking the minimum
-//    from PaperGreedyPolicy::F_min: one cached F per root child.
+//    from PaperGreedyPolicy::F_min: one Lemma-4 sweep over the root
+//    children per arrival.
 //
 // Determinism contract: every decision is a pure function of engine queries
 // (pending_remaining, the F aggregates) plus static job attributes (p_j,
@@ -68,11 +69,13 @@ class AdmissionController : public sim::AdmissionPolicy {
   SaturationEstimator& estimator() { return estimator_; }
   const SaturationEstimator& estimator() const { return estimator_; }
 
+  /// The greedy rule whose sweep gives the deadline policy its F_min.
+  const algo::PaperGreedyPolicy& greedy() const { return greedy_; }
+
   /// Durable state round-trip: delegates to the estimator (the policies
-  /// themselves are stateless; PaperGreedyPolicy's epoch cache is keyed by
-  /// engine serial + mutation count and recomputes deterministically, so
-  /// it is deliberately not serialized). Same checksum-reject contract as
-  /// SaturationEstimator::load_state.
+  /// themselves are stateless; PaperGreedyPolicy's sweep vector is
+  /// recomputed for every arrival, so it is deliberately not serialized).
+  /// Same checksum-reject contract as SaturationEstimator::load_state.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 

@@ -205,15 +205,6 @@ int DispatchIndex::count_size_greater(double size) const {
   return acc;
 }
 
-DispatchIndex::Split DispatchIndex::split_at(const SjfKey& cand) const {
-  const int entries = static_cast<int>(size());
-  // Every entry is larger than the candidate: nothing precedes it, all of
-  // them count. (Also the empty index: min_size_ is +infinity, size() 0.)
-  if (cand.size < min_size_) return {0.0, entries};
-  if (entries <= kRankTableCap) return split_from_table(cand, entries);
-  return {remaining_before(cand), count_size_greater(cand.size)};
-}
-
 void DispatchIndex::fill_table(Ref t, double acc, TreapPool::RankTable& tab,
                                int& rank) const {
   // A candidate between two entries descends left past every later entry
@@ -237,34 +228,14 @@ void DispatchIndex::fill_table(Ref t, double acc, TreapPool::RankTable& tab,
   tab.before[uidx(rank)] = acc;
 }
 
-DispatchIndex::Split DispatchIndex::split_from_table(const SjfKey& cand,
-                                                     int n) const {
+void DispatchIndex::build_table() const {
   if (table_ == kNil) table_ = pool_->alloc_table();
   TreapPool::RankTable& tab = pool_->table(table_);
-  if (!table_fresh_) {
-    int rank = 0;
-    fill_table(root_, 0.0, tab, rank);
-    table_fresh_ = true;
-  }
-  // Both counts over the sorted sizes, without a data-dependent branch;
-  // then the entries of the candidate's own size that precede it on the
-  // rest of the key (a run that is empty unless sizes tie).
-  int below = 0;
-  int at_most = 0;
-  for (int i = 0; i < n; ++i) {
-    const double s = tab.size[uidx(i)];
-    below += static_cast<int>(s < cand.size);
-    at_most += static_cast<int>(s <= cand.size);
-  }
-  int rank = below;
-  for (int i = below; i < at_most; ++i) {
-    const auto r = uidx(i);
-    const bool precedes =
-        (tab.release[r] < cand.release) |
-        ((tab.release[r] == cand.release) & (tab.job[r] < cand.job));
-    rank += static_cast<int>(precedes);
-  }
-  return {tab.before[uidx(rank)], n - at_most};
+  int rank = 0;
+  fill_table(root_, 0.0, tab, rank);
+  for (; rank % 4 != 0; ++rank)
+    tab.size[uidx(rank)] = std::numeric_limits<double>::infinity();
+  table_fresh_ = true;
 }
 
 double DispatchIndex::fraction_size_greater(double size) const {

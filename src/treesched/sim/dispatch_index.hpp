@@ -40,6 +40,7 @@
 // randomness. Identical runs produce identical query results.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -83,10 +84,14 @@ class TreapPool {
   /// to 48 entries the branch-free count beats the descent's
   /// mispredictions; the wide-tree root-child queues hold 7.5 on average).
   static constexpr int kRankTableCap = 32;
+  static_assert(kRankTableCap % 4 == 0, "the table count runs in blocks of 4");
 
   /// Flat in-order image of one small index: the keys by rank (structure
   /// of arrays, so the counts run over contiguous doubles) and before[r],
   /// the descent's remaining_before for a candidate of rank r.
+  ///
+  /// size[] is padded with +infinity from row n up to the next multiple of
+  /// 4, so the count runs over whole blocks of four.
   struct RankTable {
     double size[kRankTableCap];
     double release[kRankTableCap];
@@ -184,8 +189,19 @@ class DispatchIndex {
   /// the two separate calls. O(1) when cand.size < min_size(); from the
   /// rank table (built here if stale, its sums made by the descent's
   /// additions in the descent's order) when size() <= kRankTableCap;
-  /// otherwise the two O(log n) descents themselves.
-  Split split_at(const SjfKey& cand) const;
+  /// otherwise the two O(log n) descents themselves. Inline: the shortcut
+  /// and the table count are the Lemma-4 sweep's whole per-root-child cost
+  /// on a fresh table.
+  Split split_at(const SjfKey& cand) const {
+    const int entries = static_cast<int>(size());
+    // Every entry is larger than the candidate: nothing precedes it, all of
+    // them count. (Also the empty index: min_size_ is +infinity, size() 0.)
+    if (cand.size < min_size_) return {0.0, entries};
+    if (entries > kRankTableCap)
+      return {remaining_before(cand), count_size_greater(cand.size)};
+    if (!table_fresh_) build_table();
+    return split_in_table(pool_->table(table_), cand, entries);
+  }
 
   static constexpr int kRankTableCap = TreapPool::kRankTableCap;
 
@@ -227,8 +243,37 @@ class DispatchIndex {
   Ref merge(Ref left, Ref right);
   Ref erase_rec(Ref t, const SjfKey& key, bool& erased);
   bool update_rec(Ref t, const SjfKey& key, double remaining);
-  /// split_at over the rank table, rebuilding it first when stale.
-  Split split_from_table(const SjfKey& cand, int n) const;
+  /// Fills this index's rank table from the treap (allocating the table on
+  /// first use) and marks it fresh.
+  void build_table() const;
+  /// split_at of an n-entry index over its fresh rank table.
+  static Split split_in_table(const TreapPool::RankTable& tab,
+                              const SjfKey& cand, int n) {
+    // Both counts over the sorted sizes, without a data-dependent branch;
+    // the +infinity padding counts for neither (and a +infinity candidate
+    // is clamped back to n). Then the entries of the candidate's own size
+    // that precede it on the rest of the key (a run that is empty unless
+    // sizes tie).
+    int below = 0;
+    int at_most = 0;
+    for (int b = 0; b < n; b += 4) {
+      for (int i = b; i < b + 4; ++i) {
+        const double s = tab.size[uidx(i)];
+        below += static_cast<int>(s < cand.size);
+        at_most += static_cast<int>(s <= cand.size);
+      }
+    }
+    at_most = std::min(at_most, n);
+    int rank = below;
+    for (int i = below; i < at_most; ++i) {
+      const auto r = uidx(i);
+      const bool precedes =
+          (tab.release[r] < cand.release) |
+          ((tab.release[r] == cand.release) & (tab.job[r] < cand.job));
+      rank += static_cast<int>(precedes);
+    }
+    return {tab.before[uidx(rank)], n - at_most};
+  }
   /// In-order fill of the subtree at t, entered with the descent's running
   /// sum acc; `rank` is the next free row.
   void fill_table(Ref t, double acc, TreapPool::RankTable& tab,

@@ -32,7 +32,6 @@ Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
   for (NodeState& ns : nodes_) ns.index.attach_pool(&index_pool_);
   index_pool_.reserve_tables(instance.tree().root_children().size());
   jobs_.resize(uidx(instance.job_count()));
-  subtree_mutations_.assign(uidx(instance.tree().node_count()), 0);
   if (cfg_.arena_reserve > 0) {
     a_chunks_done_.reserve(cfg_.arena_reserve);
     a_head_rem_.reserve(cfg_.arena_reserve);
@@ -65,11 +64,6 @@ std::uint32_t Engine::alloc_span(std::size_t len) {
   a_slot_.resize(off + len, -1);
   a_in_avail_.resize(off + len, 0);
   return static_cast<std::uint32_t>(off);
-}
-
-void Engine::bump_subtree(NodeId v) {
-  if (v == tree().root()) return;
-  ++subtree_mutations_[uidx(tree().root_child_of(v))];
 }
 
 int Engine::path_index(const JobState& js, NodeId v) const {
@@ -149,13 +143,6 @@ void Engine::tear_out(NodeId v, JobId j, int idx, Time t) {
   // A hop the job already finished (a fully forwarded router) left Q_v at
   // completion time.
   ns.index.erase_if_present(index_key(j, v));
-}
-
-double Engine::running_drain(const NodeState& ns, NodeId v) const {
-  if (!ns.has_running) return 0.0;
-  const double w = (now_ - ns.burst_start) * node_speed(v);
-  if (w <= 0.0) return 0.0;
-  return std::min(w, ns.running_rem);
 }
 
 PriorityKey Engine::make_key(JobId j, int idx, Time avail_time) const {
@@ -322,7 +309,6 @@ void Engine::pause(NodeId v, Time t) {
   const double done = std::min(w, stored);
   const double rem = stored - done;
   ++mutation_count_;
-  bump_subtree(v);
 
   if (cfg_.record_schedule)
     recorder_.add({v, j, ns.running.chunk, ns.burst_start, t, sp});
@@ -412,7 +398,6 @@ void Engine::handle_completion(NodeId v, Time t) {
   ns.has_running = false;
   erase_avail(v, j, idx);
   ++mutation_count_;
-  bump_subtree(v);
 
   if (is_leaf_index(js, idx)) {
     js.leaf_rem = 0.0;
@@ -487,7 +472,6 @@ void Engine::apply_next_fault() {
   const fault::FaultEvent& fe = fault_plan_->events[fault_cursor_++];
   const Time t = now_;
   ++mutation_count_;  // speed factors and topology state feed the queries
-  bump_subtree(fe.node);
   switch (fe.kind) {
     case fault::FaultKind::kNodeDown:
       fault_log_.push_back({FaultRecord::Kind::kNodeDown, t, fe.node, 1.0,
@@ -614,7 +598,7 @@ void Engine::redispatch_jobs_of(NodeId dead_leaf, Time t) {
 }
 
 void Engine::reassign_leaf(JobId j, NodeId new_leaf, Time t) {
-  ++mutation_count_;  // invalidate policy caches between successive reassigns
+  ++mutation_count_;
   JobState& js = jobs_[uidx(j)];
   TS_CHECK(!js.shed, "re-dispatching a shed job");
   js.redispatched = true;  // recovery claims the job: it is never shed now
@@ -625,8 +609,6 @@ void Engine::reassign_leaf(JobId j, NodeId new_leaf, Time t) {
   const std::vector<NodeId>& new_path = tree().path_to(new_leaf);
   const std::size_t old_len = old_path.size();
   const std::size_t new_len = new_path.size();
-  bump_subtree(old_path[0]);
-  bump_subtree(new_path[0]);
 
   // Shared prefix: hops where receipt/processing progress carries over.
   std::size_t shared = 0;
@@ -749,7 +731,6 @@ void Engine::shed(JobId j) {
   const Time t = now_;
   ++mutation_count_;
   const std::vector<NodeId>& path = *js.path;
-  bump_subtree(path[0]);
   // Tear the job out of every hop, exactly like the post-divergence half of
   // reassign_leaf.
   for (std::size_t i = 0; i < path.size(); ++i)
@@ -858,7 +839,6 @@ void Engine::admit_on_path(JobId j, const std::vector<NodeId>* path,
   ++mutation_count_;
   for (std::size_t i = 0; i < len; ++i) {
     const NodeId v = path_node(js, i);
-    bump_subtree(v);
     index_insert(v, j, static_cast<int>(i));
   }
 
@@ -992,26 +972,8 @@ double Engine::higher_priority_remaining(NodeId v, double cand_size,
   return drained_before(ns, v, cand, ns.index.remaining_before(cand));
 }
 
-double Engine::drained_before(const NodeState& ns, NodeId v,
-                              const SjfKey& cand, double index_sum) const {
-  // Index entries hold stored (as-of-burst-start) totals; at most one of
-  // them — the running item — is stale by the elapsed drain.
-  if (ns.has_running && ns.running.job != cand.job && ns.running_sjf < cand)
-    index_sum -= running_drain(ns, v);
-  return std::max(index_sum, 0.0);
-}
-
 int Engine::count_larger(NodeId v, double size) const {
   return nodes_[uidx(v)].index.count_size_greater(size);
-}
-
-Engine::PrioritySplit Engine::priority_split(NodeId v, double cand_size,
-                                             Time cand_release,
-                                             JobId cand_id) const {
-  const NodeState& ns = nodes_[uidx(v)];
-  const SjfKey cand{cand_size, cand_release, cand_id};
-  const DispatchIndex::Split s = ns.index.split_at(cand);
-  return {drained_before(ns, v, cand, s.remaining_before), s.size_greater};
 }
 
 double Engine::larger_residual_fraction(NodeId v, double size) const {

@@ -42,6 +42,7 @@
 // treesched_audit can re-check the overload invariants offline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -340,20 +341,9 @@ class Engine {
 
   /// Counts every state mutation that can change the aggregate queries
   /// (admissions, materialized bursts, completions, fault transitions,
-  /// re-dispatches). Together with now() this forms the epoch key policy
-  /// layers use to cache per-root-child aggregates across repeated
-  /// assignment-cost evaluations at one instant.
+  /// re-dispatches). Serialized with the clock; a run's count is a measure
+  /// of how much engine state its decisions saw change.
   std::uint64_t mutation_count() const { return mutation_count_; }
-
-  /// Per-root-child mutation epoch: bumped exactly when a mutation touches
-  /// state under that root child (admission, burst materialization,
-  /// completion, shed, fault transition, re-dispatch endpoint). Lets policy
-  /// caches invalidate only the touched subtree instead of every root child
-  /// — e.g. a shed cascade under one rack keeps the other racks' cached
-  /// congestion terms valid. Requires a root child.
-  std::uint64_t subtree_mutation_count(NodeId root_child) const {
-    return subtree_mutations_[uidx(root_child)];
-  }
 
   /// Number of release batches started by run(): arrivals sharing a release
   /// instant share one epoch. Monotone during run(); 0 before.
@@ -380,9 +370,17 @@ class Engine {
 
   /// higher_priority_remaining and count_larger in one index descent,
   /// bit-equal to the two separate calls; O(1) when the candidate is
-  /// smaller than everything queued at v.
+  /// smaller than everything queued at v. Inline, as are the drain
+  /// correction and DispatchIndex::split_at's shortcut and table count: a
+  /// Lemma-4 sweep over the root children makes no out-of-line call on a
+  /// fresh table.
   PrioritySplit priority_split(NodeId v, double cand_size, Time cand_release,
-                               JobId cand_id) const;
+                               JobId cand_id) const {
+    const NodeState& ns = nodes_[uidx(v)];
+    const SjfKey cand{cand_size, cand_release, cand_id};
+    const DispatchIndex::Split s = ns.index.split_at(cand);
+    return {drained_before(ns, v, cand, s.remaining_before), s.size_greater};
+  }
 
   /// sum_{i in Q_v, p_{i,v} > size} remaining_on(i,v) / p_{i,v} — the weight
   /// used by F' in the unrelated assignment rule (Section 3.6).
@@ -589,12 +587,23 @@ class Engine {
   void tear_out(NodeId v, JobId j, int idx, Time t);
   /// Work the running burst of v has drained off its item since burst
   /// start, clamped the way remaining_on clamps (never below zero).
-  double running_drain(const NodeState& ns, NodeId v) const;
+  double running_drain(const NodeState& ns, NodeId v) const {
+    if (!ns.has_running) return 0.0;
+    const double w = (now_ - ns.burst_start) * node_speed(v);
+    if (w <= 0.0) return 0.0;
+    return std::min(w, ns.running_rem);
+  }
   /// Index sum of the entries preceding `cand`, corrected for the running
   /// item's live drain and clamped at zero — the value
   /// higher_priority_remaining answers.
   double drained_before(const NodeState& ns, NodeId v, const SjfKey& cand,
-                        double index_sum) const;
+                        double index_sum) const {
+    // Index entries hold stored (as-of-burst-start) totals; at most one of
+    // them — the running item — is stale by the elapsed drain.
+    if (ns.has_running && ns.running.job != cand.job && ns.running_sjf < cand)
+      index_sum -= running_drain(ns, v);
+    return std::max(index_sum, 0.0);
+  }
   /// Marks the avail-heap top as v's running item from burst start t and
   /// schedules its completion event (resched / force_resched).
   void start_burst(NodeId v, Time t);
@@ -603,10 +612,6 @@ class Engine {
   double node_speed(NodeId v) const {
     return speeds_.speed(v) * nodes_[uidx(v)].factor;
   }
-
-  /// Bumps the per-root-child mutation epoch of the subtree containing v
-  /// (no-op for the root, whose queue state feeds no policy cache).
-  void bump_subtree(NodeId v);
 
   PriorityKey make_key(JobId j, int idx, Time avail_time) const;
   void insert_avail(NodeId v, JobId j, int idx, Time t);
@@ -665,7 +670,6 @@ class Engine {
   std::vector<std::int32_t> a_slot_;  ///< heap position per item; -1 = absent
   std::vector<std::uint8_t> a_in_avail_;  ///< byte-backed (no bit proxies)
   std::vector<NodeId> a_path_;  ///< backing storage for custom paths
-  std::vector<std::uint64_t> subtree_mutations_;  ///< per root child
   Metrics metrics_;
   ScheduleRecorder recorder_;
   EngineObserver* observer_ = nullptr;

@@ -5,12 +5,12 @@
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "treesched/util/assert.hpp"
 #include "treesched/util/csum.hpp"
 #include "treesched/util/hash.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::sim {
 
@@ -21,10 +21,6 @@ void expect_tag(std::istream& is, const char* tag) {
   is >> got;
   TS_REQUIRE(is && got == tag, std::string("metrics load: expected '") + tag +
                                    "', got '" + got + "'");
-}
-
-void save_csum(std::ostream& os, const util::CompensatedSum& s) {
-  os << s.sum() << ' ' << s.compensation();
 }
 
 void load_csum(std::istream& is, util::CompensatedSum& s) {
@@ -63,22 +59,31 @@ namespace {
 /// Canonical serialized head (counters + compensated sums) — the bytes the
 /// self-checksum covers. The sketches that follow carry their own checksums.
 std::string acc_head(const StreamAccumulator& a) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "acc " << a.completed << ' ' << a.shed << ' ' << a.rejected << ' '
-     << a.admitted << ' ' << a.max_flow << ' ' << a.makespan << '\n';
-  os << "sums ";
-  save_csum(os, a.flow);
-  os << ' ';
-  save_csum(os, a.weighted_flow);
-  os << ' ';
-  save_csum(os, a.frac);
-  os << ' ';
-  save_csum(os, a.weighted_frac);
-  os << ' ';
-  save_csum(os, a.shed_volume);
-  os << '\n';
-  return os.str();
+  // The bytes `os << std::setprecision(17)` writes, without a stream.
+  constexpr std::size_t kNum = 1 + util::kMaxNumberChars;  // separator too
+  std::string out;
+  out.reserve(4 + 6 * kNum + 5 + 10 * kNum);
+  out += "acc ";
+  util::append_number(out, a.completed);
+  for (const std::uint64_t n : {a.shed, a.rejected, a.admitted}) {
+    out += ' ';
+    util::append_number(out, n);
+  }
+  for (const double v : {a.max_flow, a.makespan}) {
+    out += ' ';
+    util::append_number(out, v);
+  }
+  out += "\nsums";
+  for (const util::CompensatedSum* s :
+       {&a.flow, &a.weighted_flow, &a.frac, &a.weighted_frac,
+        &a.shed_volume}) {
+    out += ' ';
+    util::append_number(out, s->sum());
+    out += ' ';
+    util::append_number(out, s->compensation());
+  }
+  out += '\n';
+  return out;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "treesched/util/fs.hpp"
 #include "treesched/util/string_util.hpp"
@@ -257,30 +258,40 @@ RunLog read_run_log_file(const std::string& path) {
 
 namespace {
 
-// Shared naming helper: inserts `tag` before the final extension of `base`
-// (appends when there is none). Both per-task and per-segment names go
-// through here so the two compose predictably.
-std::string tagged_log_path(const std::string& base, const std::string& tag) {
+// Shared naming helper: writes `base` into `out` with `tag` and `index`
+// (zero-padded to six digits) inserted before the final extension (appended
+// when there is none). Both per-task and per-segment names go through here
+// so the two compose predictably.
+void assign_tagged_log_path(std::string& out, const std::string& base,
+                            std::string_view tag, std::size_t index) {
   const std::size_t dot = base.find_last_of('.');
   const std::size_t slash = base.find_last_of('/');
   const bool has_ext =
       dot != std::string::npos && (slash == std::string::npos || dot > slash);
-  if (!has_ext) return base + tag;
-  return base.substr(0, dot) + tag + base.substr(dot);
+  const std::size_t stem = has_ext ? dot : base.size();
+  out.assign(base, 0, stem);
+  out += tag;
+  util::append_padded(out, index, 6);
+  out.append(base, stem);
 }
 
 }  // namespace
 
 std::string task_log_path(const std::string& base, std::size_t task_index) {
-  std::ostringstream tag;
-  tag << ".task" << std::setw(6) << std::setfill('0') << task_index;
-  return tagged_log_path(base, tag.str());
+  std::string out;
+  assign_tagged_log_path(out, base, ".task", task_index);
+  return out;
 }
 
 std::string segment_log_path(const std::string& base, std::size_t index) {
-  std::ostringstream tag;
-  tag << ".seg" << std::setw(6) << std::setfill('0') << index;
-  return tagged_log_path(base, tag.str());
+  std::string out;
+  assign_segment_log_path(out, base, index);
+  return out;
+}
+
+void assign_segment_log_path(std::string& out, const std::string& base,
+                             std::size_t index) {
+  assign_tagged_log_path(out, base, ".seg", index);
 }
 
 }  // namespace treesched::sim

@@ -94,6 +94,11 @@ std::string task_log_path(const std::string& base, std::size_t task_index);
 /// never collide.
 std::string segment_log_path(const std::string& base, std::size_t index);
 
+/// segment_log_path written into `out` (replacing its contents), so a
+/// writer that names a segment per commit reuses one buffer.
+void assign_segment_log_path(std::string& out, const std::string& base,
+                             std::size_t index);
+
 /// Parses a run log; throws std::invalid_argument on malformed input.
 RunLog read_run_log(std::istream& is);
 RunLog read_run_log_file(const std::string& path);

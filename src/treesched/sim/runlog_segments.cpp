@@ -190,17 +190,40 @@ void SegmentedRunLogWriter::on_reject(double t, std::uint64_t job) {
   push(t, kRankRetire, "reject", t, job);
 }
 
+void SegmentedRunLogWriter::order_pending() {
+  static_assert(static_cast<std::size_t>(kRankRetire) + 1 == kRankCount);
+  // Every line is pushed at its key instant in event order, so one rank's
+  // lines arrive sorted by key (in practice always; a bucket that is not
+  // gets sorted), while lines of different ranks interleave out of order.
+  // Split by rank in push order, then merge the buckets: the lowest rank
+  // wins a key tie. Offsets rise in push order, so this is the
+  // (key, rank, offset) order a full sort gives — the stable order by
+  // (key, rank).
+  for (std::vector<Pending>& bucket : buckets_) bucket.clear();
+  for (const Pending& p : pending_) buckets_[uidx(p.rank)].push_back(p);
+  const auto by_key = [](const Pending& a, const Pending& b) {
+    return a.key != b.key ? a.key < b.key : a.offset < b.offset;
+  };
+  for (std::vector<Pending>& bucket : buckets_)
+    if (!std::is_sorted(bucket.begin(), bucket.end(), by_key))
+      std::sort(bucket.begin(), bucket.end(), by_key);
+  std::size_t head[kRankCount] = {};
+  for (Pending& out : pending_) {
+    std::size_t best = kRankCount;
+    for (std::size_t r = 0; r < kRankCount; ++r) {
+      if (head[r] == buckets_[r].size()) continue;
+      if (best == kRankCount ||
+          buckets_[r][head[r]].key < buckets_[best][head[best]].key)
+        best = r;
+    }
+    out = buckets_[best][head[best]++];
+  }
+}
+
 void SegmentedRunLogWriter::commit(bool force) {
   if (pending_.empty()) return;
   if (!force && pending_.size() < cfg_.segment_cap) return;
-  // Offsets rise in push order, so (key, rank, offset) is the stable order
-  // by (key, rank) without a stable sort's buffer.
-  std::sort(pending_.begin(), pending_.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.offset < b.offset;
-            });
+  order_pending();
   content_.clear();
   content_ += "runlogseg-part 1 ";
   util::append_number(content_, next_index_);
@@ -216,8 +239,8 @@ void SegmentedRunLogWriter::commit(bool force) {
   content_ += '\n';
   const std::uint64_t fp = fnv1a_64(content_);
   chain_ = chain_step(chain_, fp);
-  util::write_file_atomic(segment_log_path(cfg_.base_path, next_index_),
-                          content_);
+  assign_segment_log_path(seg_path_, cfg_.base_path, next_index_);
+  util::write_file_atomic(seg_path_, content_);
   // Manifest entry: one fsynced append (failpoint site "manifest.append"),
   // so at worst a crash tears this one line — which readers drop as a torn
   // tail, and the next append heals.

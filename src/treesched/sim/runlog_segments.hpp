@@ -40,7 +40,9 @@
 // components are monotone over the writer's feed, so the order — and
 // therefore every segment byte and fingerprint — is independent of when the
 // driver drained the engine's recorder, which is what makes the kill/resume
-// differential byte-comparable.
+// differential byte-comparable. commit() reaches this order without a full
+// sort: one rank's lines arrive in key order, so it splits the pending lines
+// by rank and merges the ranks (sorting a rank only if it is out of order).
 //
 // Chain rule: chain_i = fnv1a(decimal(chain_{i-1}) + ":" + decimal(fp_i)),
 // chain_{-1} = the FNV offset basis. Segment files are written atomically;
@@ -131,6 +133,8 @@ class SegmentedRunLogWriter {
   /// util::append_number writes them) and queues it under (key, rank).
   template <class... Fields>
   void push(double key, int rank, const char* tag, Fields... fields);
+  /// Puts pending_ in (key, rank, offset) order for the segment file.
+  void order_pending();
   std::string header_text() const;
 
   Config cfg_;
@@ -141,9 +145,13 @@ class SegmentedRunLogWriter {
   double chunk_;
   overload::ShedConfig shed_;
   std::vector<Pending> pending_;
+  /// Line kinds, by canonical rank (jobrec, seg, done, shed/reject).
+  static constexpr std::size_t kRankCount = 4;
+  std::vector<Pending> buckets_[kRankCount];  ///< pending_ by rank, reused
   std::string lines_;    ///< pending payload lines, back to back
   std::string content_;  ///< segment file image, reused across commits
   std::string entry_;    ///< manifest entry, reused across commits
+  std::string seg_path_;  ///< segment file name, reused across commits
   std::size_t next_index_ = 0;
   std::uint64_t chain_;
   bool started_ = false;

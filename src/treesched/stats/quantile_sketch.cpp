@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "treesched/core/types.hpp"
 #include "treesched/util/assert.hpp"
 #include "treesched/util/csum.hpp"
 #include "treesched/util/hash.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::stats {
 
@@ -119,13 +118,22 @@ double P2Quantile::estimate() const {
 }
 
 std::string P2Quantile::payload() const {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "p2 " << q_ << ' ' << count_;
-  for (int i = 0; i < 5; ++i)
-    os << ' ' << height_[i] << ' ' << pos_[i] << ' ' << desired_[i];
-  os << '\n';
-  return os.str();
+  // The bytes `os << std::setprecision(17)` writes, without a stream.
+  constexpr std::size_t kNumbers = 2 + 3 * 5;
+  std::string out;
+  out.reserve(3 + kNumbers * (1 + util::kMaxNumberChars));
+  out += "p2 ";
+  util::append_number(out, q_);
+  out += ' ';
+  util::append_number(out, count_);
+  for (int i = 0; i < 5; ++i) {
+    for (const double v : {height_[i], pos_[i], desired_[i]}) {
+      out += ' ';
+      util::append_number(out, v);
+    }
+  }
+  out += '\n';
+  return out;
 }
 
 void P2Quantile::save(std::ostream& os) const {
@@ -257,14 +265,37 @@ double QuantileDigest::quantile(double q) const {
 }
 
 std::string QuantileDigest::payload() const {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "digest " << max_centroids_ << ' ' << count_ << ' ' << min_ << ' '
-     << max_ << ' ' << centroids_.size() << ' ' << buffer_.size() << '\n';
-  for (const Centroid& c : centroids_)
-    os << "c " << c.mean << ' ' << c.weight << '\n';
-  for (const double x : buffer_) os << "b " << x << '\n';
-  return os.str();
+  // The bytes `os << std::setprecision(17)` writes, without a stream.
+  constexpr std::size_t kNum = 1 + util::kMaxNumberChars;  // separator too
+  std::string out;
+  out.reserve(7 + 6 * kNum + centroids_.size() * (2 + 2 * kNum) +
+              buffer_.size() * (2 + kNum));
+  out += "digest ";
+  util::append_number(out, max_centroids_);
+  out += ' ';
+  util::append_number(out, count_);
+  out += ' ';
+  util::append_number(out, min_);
+  out += ' ';
+  util::append_number(out, max_);
+  out += ' ';
+  util::append_number(out, centroids_.size());
+  out += ' ';
+  util::append_number(out, buffer_.size());
+  out += '\n';
+  for (const Centroid& c : centroids_) {
+    out += "c ";
+    util::append_number(out, c.mean);
+    out += ' ';
+    util::append_number(out, c.weight);
+    out += '\n';
+  }
+  for (const double x : buffer_) {
+    out += "b ";
+    util::append_number(out, x);
+    out += '\n';
+  }
+  return out;
 }
 
 void QuantileDigest::save(std::ostream& os) const {

@@ -1,17 +1,22 @@
 #include "treesched/util/fs.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "treesched/util/failpoint.hpp"
@@ -36,25 +41,66 @@ namespace {
   fail(what, path);
 }
 
-/// write(2) until every byte landed; false, with errno set, on an error.
-bool write_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ::ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+/// `head` then `tail` (may be empty) in as many writev(2) calls as it
+/// takes — one, unless the kernel writes short; false, with errno set, on an
+/// error.
+bool write_all(int fd, std::string_view head, std::string_view tail = {}) {
+  ::iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(tail.data()), tail.size()}};
+  ::iovec* next = iov;
+  int left = tail.empty() ? 1 : 2;
+  while (left > 0) {
+    const ::ssize_t n = ::writev(fd, next, left);
     if (n < 0 && errno != EINTR) return false;
-    if (n > 0) off += static_cast<std::size_t>(n);
+    auto done = static_cast<std::size_t>(std::max<::ssize_t>(n, 0));
+    for (; left > 0 && done >= next->iov_len; ++next, --left)
+      done -= next->iov_len;
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + done;
+      next->iov_len -= done;
+    }
   }
   return true;
 }
+
+/// A NUL-terminated path in a stack buffer. The durable writes run once per
+/// segment, snapshot generation and manifest record, and a heap string for
+/// a derived name was all they allocated besides the bytes they write.
+class PathBuf {
+ public:
+  /// The concatenation of `parts`; false, with errno ENAMETOOLONG, when it
+  /// does not fit in PATH_MAX bytes.
+  bool assign(std::initializer_list<std::string_view> parts) {
+    std::size_t len = 0;
+    for (const std::string_view part : parts) {
+      if (part.size() >= sizeof buf_ - len) {
+        errno = ENAMETOOLONG;
+        return false;
+      }
+      std::memcpy(buf_ + len, part.data(), part.size());
+      len += part.size();
+    }
+    buf_[len] = '\0';
+    return true;
+  }
+  const char* c_str() const { return buf_; }
+
+ private:
+  char buf_[PATH_MAX];
+};
 
 /// fsync the directory containing `path`, so the rename that just landed a
 /// new directory entry survives power loss. rename(2) alone only orders the
 /// entry in page cache; the metadata reaches disk when the DIRECTORY is
 /// synced (fsync(2) NOTES).
 void fsync_parent_dir(const std::string& path) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  const std::string dir = parent.empty() ? std::string(".") : parent.string();
+  const std::size_t slash = path.find_last_of('/');
+  const std::string_view parent =
+      slash == std::string::npos ? std::string_view(".")
+      : slash == 0               ? std::string_view("/")
+                                 : std::string_view(path).substr(0, slash);
+  PathBuf dir;
+  if (!dir.assign({parent})) fail("cannot open parent directory of", path);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dfd < 0) fail("cannot open parent directory of", path);
   if (::fsync(dfd) != 0)
@@ -112,26 +158,33 @@ void write_file_atomic(const std::string& path, const std::string& content,
 
   // Same-directory temporary: rename() is only atomic within a filesystem,
   // and a pid suffix keeps concurrent writers off each other's temp file.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  char pid[24];
+  const std::string_view pid_text(
+      pid, static_cast<std::size_t>(
+               std::to_chars(pid, pid + sizeof pid, ::getpid()).ptr - pid));
+  PathBuf tmp_buf;
+  if (!tmp_buf.assign({path, ".tmp.", pid_text}))
+    fail("cannot create temporary file for", path);
+  const char* const tmp = tmp_buf.c_str();
+  const int fd = ::open(tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) fail("cannot create temporary file", tmp);
 
   if (inject_enospc) {
     errno = ENOSPC;
-    fail_closing(fd, tmp.c_str(), "write failed for", tmp);
+    fail_closing(fd, tmp, "write failed for", tmp);
   }
   if (!write_all(fd, *payload))
-    fail_closing(fd, tmp.c_str(), "write failed for", tmp);
+    fail_closing(fd, tmp, "write failed for", tmp);
   if (inject_fsync_fail) errno = EIO;
   if (inject_fsync_fail || ::fsync(fd) != 0)
-    fail_closing(fd, tmp.c_str(), "fsync failed for", tmp);
+    fail_closing(fd, tmp, "fsync failed for", tmp);
   if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
+    ::unlink(tmp);
     fail("close failed for", tmp);
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (::rename(tmp, path.c_str()) != 0) {
     const int saved = errno;
-    ::unlink(tmp.c_str());
+    ::unlink(tmp);
     errno = saved;
     fail("cannot rename temporary over", path);
   }
@@ -179,11 +232,17 @@ void append_line_durable(const std::string& path, const std::string& line,
                              "' contains a newline or the torn marker");
   // A torn record keeps the first half of "line\n", so it never carries the
   // newline: storage lied, and the next append must heal the tail.
+  // Disarmed failpoints evaluate nothing, so the record is only copied when
+  // a chaos run may corrupt it; otherwise line and newline go out as the
+  // two halves of one writev(2).
+  const bool armed = failpoints_armed();
   std::string record;
-  record.reserve(line.size() + 1);
-  record.append(line).push_back('\n');
-  const std::optional<FailKind> loud =
-      inject(failpoint_site, Seam::kWrite, record);
+  std::optional<FailKind> loud;
+  if (armed) {
+    record.reserve(line.size() + 1);
+    record.append(line).push_back('\n');
+    loud = inject(failpoint_site, Seam::kWrite, record);
+  }
   if (loud == FailKind::kEnospc) {
     errno = ENOSPC;
     fail("append failed for", path);
@@ -201,14 +260,18 @@ void append_line_durable(const std::string& path, const std::string& line,
   struct ::stat st{};
   if (::fstat(fd, &st) != 0)
     fail_closing(fd, nullptr, "fstat failed for", path);
+  static constexpr char kHealBytes[] = {kTornMarker, '\n'};
+  constexpr std::string_view kHeal(kHealBytes, sizeof kHealBytes);
   char tail = '\n';
   if (st.st_size > 0 && ::pread(fd, &tail, 1, st.st_size - 1) == 1 &&
-      tail != '\n' && !write_all(fd, {kTornMarker, '\n'}))
+      tail != '\n' && !write_all(fd, kHeal))
     fail_closing(fd, nullptr, "append (tail heal) failed for", path);
 
-  // One write(2) for the whole record: concurrent O_APPEND appenders never
+  // One writev(2) for the whole record: concurrent O_APPEND appenders never
   // interleave mid-record, and a crash tears at most this final line.
-  if (!write_all(fd, record))
+  const bool written =
+      armed ? write_all(fd, record) : write_all(fd, line, "\n");
+  if (!written)
     fail_closing(fd, nullptr, "append failed for", path);
   if (inject_fsync_fail) errno = EIO;
   if (inject_fsync_fail || ::fsync(fd) != 0)

@@ -12,7 +12,7 @@
 // Append-only logs (segment manifests, the snapshot manifest, the sweep
 // journal, guard and quarantine logs) follow ONE torn-record rule, decided
 // here and nowhere else. append_line_durable writes each record as one
-// fsynced O_APPEND write, so a crash tears at most the final line; before
+// fsynced O_APPEND writev, so a crash tears at most the final line; before
 // the next record it heals such a tail by ending it with kTornMarker and
 // '\n'. read_log drops exactly the records that rule marks as torn — an
 // unterminated final line, or a line whose last byte is kTornMarker — and
@@ -75,7 +75,7 @@ std::optional<LogLines> read_log(const std::string& path);
 
 /// Crash-safe append of one record to a line-oriented log. `line` must not
 /// contain '\n' or kTornMarker. The record plus its terminating newline
-/// goes to the kernel in a SINGLE O_APPEND write(2), so concurrent appenders
+/// goes to the kernel in a SINGLE O_APPEND writev(2), so concurrent appenders
 /// (supervisor + child) never interleave mid-record and a crash can tear at
 /// most the final line. Before appending, a torn tail from a previous crash
 /// (file not ending in '\n') is healed by writing kTornMarker and '\n': the

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstdint>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -38,12 +39,27 @@ bool starts_with(const std::string& s, const std::string& prefix);
 /// goes to std::to_chars(..., general, 17).
 void append_number(std::string& out, double v);
 
+/// The most bytes append_number writes for one number (a double's sign, 17
+/// digits, point and "e-308"; a 64-bit integer's 20 characters) — what a
+/// caller reserves per number to format without regrowing.
+inline constexpr std::size_t kMaxNumberChars = 24;
+
 /// Appends an integer in decimal, the bytes `os << v` writes.
 template <class Int,
           std::enable_if_t<std::is_integral_v<Int>, int> = 0>
 void append_number(std::string& out, Int v) {
   char buf[24];
   const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+/// Appends v in decimal with leading zeros up to `width` digits, the bytes
+/// `os << std::setw(width) << std::setfill('0') << v` writes.
+inline void append_padded(std::string& out, std::uint64_t v, int width) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  const auto digits = static_cast<int>(r.ptr - buf);
+  if (digits < width) out.append(static_cast<std::size_t>(width - digits), '0');
   out.append(buf, r.ptr);
 }
 

@@ -8,12 +8,16 @@
 // an unobserved run's byte for byte — the oracle only reads.
 //
 // Two sweep shortcuts have their own per-leaf references here:
-// PaperGreedyPolicy's grouped, epoch-cached leaf sweep against PerLeafGreedy
-// (every leaf, uncached F), and the deadline controller's representative
-// leaves against the minimum of uncached F over all leaves.
+// PaperGreedyPolicy's grouped leaf sweep against PerLeafGreedy (every leaf,
+// single-query F), and the deadline controller's root-child minimum against
+// the minimum of single-query F over all leaves. Under both, and under
+// FaultAwareGreedy's assignments and re-dispatches, SweepChecked compares
+// every entry of the per-decision Lemma-4 sweep with the single-query F at
+// its root child, bit for bit, at every decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -118,10 +122,12 @@ fault::FaultPlan case_fault_plan(const Tree& tree, std::uint64_t seed) {
 }
 
 /// Runs one case under `policy`; `oracle` (nullable) shadows the engine per
-/// event.
+/// event. Fault cases re-dispatch through `redispatch`, or through a fresh
+/// FaultAwareGreedy when it is null.
 RunResult run_with(const Instance& inst, const SpeedProfile& speeds,
                    const FastSlowCase& c, sim::AssignmentPolicy& policy,
-                   test::QueryOracle* oracle) {
+                   test::QueryOracle* oracle,
+                   sim::RedispatchPolicy* redispatch = nullptr) {
   sim::EngineConfig cfg;
   cfg.record_schedule = true;
   cfg.router_chunk_size = c.chunk;
@@ -129,11 +135,12 @@ RunResult run_with(const Instance& inst, const SpeedProfile& speeds,
   if (oracle != nullptr) engine.set_observer(oracle);
 
   fault::FaultPlan plan;
-  algo::FaultAwareGreedy redispatch(0.5);
+  algo::FaultAwareGreedy fault_greedy(0.5);
   if (c.faults) {
     // Crash, link, and slowdown events plus greedy re-dispatch.
     plan = case_fault_plan(inst.tree(), c.seed);
-    engine.set_fault_plan(&plan, &redispatch);
+    engine.set_fault_plan(&plan,
+                          redispatch != nullptr ? redispatch : &fault_greedy);
   }
 
   engine.run(policy);
@@ -429,11 +436,76 @@ TEST(QueryOracleComparator, PerturbedAnswerIsNamed) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-leaf reference for PaperGreedyPolicy's grouped, epoch-cached sweep.
+// The per-decision Lemma-4 sweep against single-query F.
+// ---------------------------------------------------------------------------
+
+/// Compares every entry of `greedy`'s last sweep with the single-query
+/// PaperGreedyPolicy::F at that root child, bit for bit. Run right after a
+/// decision, before the engine moves on, so both read the same state.
+class SweepCheck {
+ public:
+  explicit SweepCheck(const algo::PaperGreedyPolicy& greedy)
+      : greedy_(greedy) {}
+
+  void operator()(const sim::Engine& engine, const Job& job) {
+    const Tree& tree = engine.tree();
+    const std::vector<NodeId>& rcs = tree.root_children();
+    const std::vector<double>& swept = greedy_.swept_F();
+    ASSERT_EQ(swept.size(), rcs.size()) << "job " << job.id;
+    for (std::size_t k = 0; k < rcs.size(); ++k) {
+      const NodeId leaf = tree.leaves_under(rcs[k]).front();
+      const double single = algo::PaperGreedyPolicy::F(engine, job, leaf);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(swept[k]),
+                std::bit_cast<std::uint64_t>(single))
+          << "job " << job.id << ", root child " << rcs[k] << " at t="
+          << engine.now() << ": swept " << swept[k] << ", F " << single;
+    }
+    ++checked_;
+  }
+  int checked() const { return checked_; }
+
+ private:
+  const algo::PaperGreedyPolicy& greedy_;
+  int checked_ = 0;
+};
+
+/// Decorates a policy built on a PaperGreedyPolicy (the policy itself, or
+/// a FaultAwareGreedy in both roles): every assignment and re-dispatch is
+/// passed through unchanged and then SweepCheck'ed.
+class SweepChecked : public sim::AssignmentPolicy,
+                     public sim::RedispatchPolicy {
+ public:
+  SweepChecked(sim::AssignmentPolicy& assign, sim::RedispatchPolicy* redispatch,
+               const algo::PaperGreedyPolicy& greedy)
+      : assign_(assign), redispatch_(redispatch), check_(greedy) {}
+
+  NodeId assign(const sim::Engine& engine, const Job& job) override {
+    const NodeId leaf = assign_.assign(engine, job);
+    check_(engine, job);
+    return leaf;
+  }
+  NodeId reassign(const sim::Engine& engine, JobId job,
+                  NodeId dead_leaf) override {
+    const NodeId leaf = redispatch_->reassign(engine, job, dead_leaf);
+    check_(engine, engine.instance().job(job));
+    return leaf;
+  }
+  const char* name() const override { return assign_.name(); }
+
+  int checked() const { return check_.checked(); }
+
+ private:
+  sim::AssignmentPolicy& assign_;
+  sim::RedispatchPolicy* redispatch_;
+  SweepCheck check_;
+};
+
+// ---------------------------------------------------------------------------
+// Per-leaf reference for PaperGreedyPolicy's grouped sweep.
 // ---------------------------------------------------------------------------
 
 /// Test-only reference: the Lemma-4 rule by its per-leaf definition. Every
-/// leaf is evaluated with the static, uncached F and F', plus the 6/eps^2
+/// leaf is evaluated with the single-query F and F', plus the 6/eps^2
 /// depth penalty, under the same two-pass strict-min plus rotation
 /// tie-break as PaperGreedyPolicy.
 class PerLeafGreedy : public sim::AssignmentPolicy {
@@ -506,8 +578,17 @@ TEST_P(PerLeafReference, GreedyRunLogsMatchPerLeafSweep) {
   algo::PaperGreedyPolicy paper(0.5, 6.0 / (0.5 * 0.5), tie);
   PerLeafGreedy reference(0.5, tie);
   test::QueryOracle oracle;
-  const RunResult fast = run_with(inst, speeds, base, paper, &oracle);
+  SweepChecked checked(paper, nullptr, paper);
+  algo::FaultAwareGreedy fault_greedy(0.5);
+  SweepChecked checked_redispatch(fault_greedy, &fault_greedy,
+                                  fault_greedy.greedy());
+  const RunResult fast = run_with(inst, speeds, base, checked, &oracle,
+                                  &checked_redispatch);
   EXPECT_GT(oracle.answers_checked(), 0u);
+  EXPECT_EQ(checked.checked(), inst.job_count());
+  if (c.faults) {
+    EXPECT_GT(checked_redispatch.checked(), 0);
+  }
   expect_same_run(fast, run_with(inst, speeds, base, reference, nullptr));
 }
 
@@ -527,18 +608,48 @@ std::vector<PerLeafCase> per_leaf_cases() {
 INSTANTIATE_TEST_SUITE_P(Grid, PerLeafReference,
                          testing::ValuesIn(per_leaf_cases()), per_leaf_name);
 
+// FaultAwareGreedy in both roles — live-leaf assignment and crash
+// re-dispatch — decides from the same sweep; every decision is checked, and
+// the checked run is the unchecked one byte for byte.
+TEST(FaultAwareSweep, EveryDecisionSweepEqualsSingleQueryF) {
+  for (const PerLeafCase& c : per_leaf_cases()) {
+    if (c.rotate) continue;  // FaultAwareGreedy has no tie rotation
+    SCOPED_TRACE(testing::Message() << "tree" << c.tree_id
+                                    << (c.faults ? " faults" : ""));
+    const FastSlowCase base{.policy = kPaper, .tree_id = c.tree_id,
+                            .endpoints = c.endpoints, .faults = c.faults};
+    const Instance inst = case_instance(base);
+    const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
+
+    algo::FaultAwareGreedy greedy(0.5);
+    SweepChecked checked(greedy, &greedy, greedy.greedy());
+    const RunResult run =
+        run_with(inst, speeds, base, checked, nullptr, &checked);
+    // One check per arrival, plus one per re-dispatch under faults.
+    if (c.faults) {
+      EXPECT_GE(checked.checked(), inst.job_count());
+    } else {
+      EXPECT_EQ(checked.checked(), inst.job_count());
+    }
+    algo::FaultAwareGreedy plain(0.5);
+    expect_same_run(run,
+                    run_with(inst, speeds, base, plain, nullptr, &plain));
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Deadline admission: the controller's representative-leaf sweep through
-// the F cache must record exactly the minimum of uncached F over all leaves.
+// Deadline admission: the controller's root-child sweep must record exactly
+// the minimum of single-query F over all leaves.
 // ---------------------------------------------------------------------------
 
 /// Decorates the deadline controller: before each decision it computes the
-/// minimum of the uncached PaperGreedyPolicy::F over every leaf, and after
-/// it checks that the new shed_log() entry carries that value bit for bit.
+/// minimum of the single-query PaperGreedyPolicy::F over every leaf, and
+/// after it checks that the new shed_log() entry carries that value bit for
+/// bit, and SweepChecks the controller's sweep.
 class UncachedFAdmissionCheck : public sim::AdmissionPolicy {
  public:
   explicit UncachedFAdmissionCheck(overload::AdmissionController& inner)
-      : inner_(inner) {}
+      : inner_(inner), sweep_check_(inner.greedy()) {}
 
   bool admit(sim::Engine& engine, const Job& job) override {
     double fmin = std::numeric_limits<double>::infinity();
@@ -546,6 +657,7 @@ class UncachedFAdmissionCheck : public sim::AdmissionPolicy {
       fmin = std::min(fmin, algo::PaperGreedyPolicy::F(engine, job, leaf));
     const std::size_t before = engine.shed_log().size();
     const bool admitted = inner_.admit(engine, job);
+    sweep_check_(engine, job);
     EXPECT_EQ(engine.shed_log().size(), before + 1) << "job " << job.id;
     if (engine.shed_log().size() == before + 1) {
       const sim::ShedRecord& rec = engine.shed_log().back();
@@ -562,9 +674,11 @@ class UncachedFAdmissionCheck : public sim::AdmissionPolicy {
 
   int admits() const { return admits_; }
   int rejects() const { return rejects_; }
+  int sweeps_checked() const { return sweep_check_.checked(); }
 
  private:
   overload::AdmissionController& inner_;
+  SweepCheck sweep_check_;
   int admits_ = 0;
   int rejects_ = 0;
 };
@@ -598,16 +712,21 @@ TEST(DeadlineAdmission, RecordedFEqualsUncachedMinimumOverAllLeaves) {
         engine.set_observer(&oracle);
         fault::FaultPlan plan;
         algo::FaultAwareGreedy redispatch(0.5);
+        SweepChecked checked_redispatch(redispatch, &redispatch,
+                                        redispatch.greedy());
         if (faults) {
           plan = case_fault_plan(inst.tree(), 7);
-          engine.set_fault_plan(&plan, &redispatch);
+          engine.set_fault_plan(&plan, &checked_redispatch);
         }
         algo::PaperGreedyPolicy policy(0.5);
-        engine.run(policy);
+        SweepChecked checked(policy, nullptr, policy);
+        engine.run(checked);
 
         EXPECT_GT(check.admits(), 0);
         EXPECT_GT(check.rejects(), 0);
         EXPECT_EQ(check.admits() + check.rejects(), inst.job_count());
+        EXPECT_EQ(check.sweeps_checked(), inst.job_count());
+        EXPECT_EQ(checked.checked(), check.admits());
         EXPECT_GT(oracle.answers_checked(), 0u);
       }
     }
