@@ -1,5 +1,7 @@
 #include "treesched/algo/policies.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -8,6 +10,7 @@
 
 #include "treesched/algo/general_tree.hpp"
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fields.hpp"
 
 namespace treesched::algo {
 
@@ -329,29 +332,23 @@ std::string rng_token(const util::Rng& rng) {
   return os.str();
 }
 
-util::Rng rng_from_token(const std::string& token) {
-  std::array<std::uint64_t, 4> s{};
-  char c1 = 0, c2 = 0, c3 = 0;
-  std::istringstream is(token);
-  std::string tag(4, '\0');
-  is.read(tag.data(), 4);
-  is >> s[0] >> c1 >> s[1] >> c2 >> s[2] >> c3 >> s[3];
-  TS_REQUIRE(is && tag == "rng:" && c1 == ':' && c2 == ':' && c3 == ':',
-             "malformed rng stream-state token: " + token);
-  util::Rng rng;
-  rng.set_state(s);
-  return rng;
-}
-
-std::size_t counter_from_token(const std::string& token, const char* tag) {
-  const std::string prefix = std::string(tag) + ":";
-  TS_REQUIRE(token.compare(0, prefix.size(), prefix) == 0,
-             "malformed stream-state token: " + token);
-  std::istringstream is(token.substr(prefix.size()));
-  std::size_t n = 0;
-  is >> n;
-  TS_REQUIRE(static_cast<bool>(is), "malformed stream-state token: " + token);
-  return n;
+/// The N numbers of a "<tag>:<n_1>:...:<n_N>" token, each a whole decimal
+/// field; any other shape throws std::invalid_argument.
+template <std::size_t N>
+std::array<std::uint64_t, N> from_state_token(std::string_view token,
+                                              std::string_view tag) {
+  std::array<std::uint64_t, N> out{};
+  bool ok = token.starts_with(tag);
+  std::string_view rest = token.substr(ok ? tag.size() : token.size());
+  for (std::uint64_t& n : out) {
+    const std::size_t end = std::min(rest.find(':', 1), rest.size());
+    ok = ok && rest.starts_with(':') &&
+         util::parse_number(rest.substr(1, end - 1), n);
+    rest.remove_prefix(end);
+  }
+  TS_REQUIRE(ok && rest.empty(),
+             "malformed stream-state token: " + std::string(token));
+  return out;
 }
 
 }  // namespace
@@ -363,13 +360,13 @@ std::string PaperGreedyPolicy::stream_state() const {
 }
 
 void PaperGreedyPolicy::restore_stream_state(const std::string& state) {
-  rotation_ = counter_from_token(state, "rot");
+  rotation_ = from_state_token<1>(state, "rot")[0];
 }
 
 std::string RandomLeafPolicy::stream_state() const { return rng_token(rng_); }
 
 void RandomLeafPolicy::restore_stream_state(const std::string& state) {
-  rng_ = rng_from_token(state);
+  rng_.set_state(from_state_token<4>(state, "rng"));
 }
 
 std::string RoundRobinPolicy::stream_state() const {
@@ -379,13 +376,13 @@ std::string RoundRobinPolicy::stream_state() const {
 }
 
 void RoundRobinPolicy::restore_stream_state(const std::string& state) {
-  next_ = counter_from_token(state, "rr");
+  next_ = from_state_token<1>(state, "rr")[0];
 }
 
 std::string TwoChoicePolicy::stream_state() const { return rng_token(rng_); }
 
 void TwoChoicePolicy::restore_stream_state(const std::string& state) {
-  rng_ = rng_from_token(state);
+  rng_.set_state(from_state_token<4>(state, "rng"));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fields.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
 #include "treesched/util/string_util.hpp"
@@ -59,11 +60,11 @@ std::vector<SnapshotSection> decode_snapshot_envelope(
     TS_REQUIRE(read_line(line),
                "snapshot envelope: truncated before the whole-file "
                "fingerprint line");
-    if (util::starts_with(line, "whole ")) {
-      std::istringstream ls(line.substr(6));
+    util::Fields f(line);
+    const std::string_view tag = f.next();
+    if (tag == "whole") {
       std::uint64_t fp = 0;
-      ls >> fp;
-      TS_REQUIRE(static_cast<bool>(ls),
+      TS_REQUIRE((f >> fp) && f.done(),
                  "snapshot envelope: malformed whole-file fingerprint line");
       TS_REQUIRE(fp == util::fnv1a_64(bytes.substr(0, header_pos)),
                  "snapshot envelope: whole-file fingerprint mismatch "
@@ -72,15 +73,13 @@ std::vector<SnapshotSection> decode_snapshot_envelope(
                  "snapshot envelope: trailing bytes after the fingerprint");
       return out;
     }
-    TS_REQUIRE(util::starts_with(line, "section "),
+    TS_REQUIRE(tag == "section",
                "snapshot envelope: expected a section header, got '" + line +
                    "'");
-    std::istringstream ls(line.substr(8));
     SnapshotSection sec;
     std::size_t len = 0;
     std::uint64_t fp = 0;
-    ls >> sec.name >> len >> fp;
-    TS_REQUIRE(static_cast<bool>(ls),
+    TS_REQUIRE((f >> sec.name >> len >> fp) && f.done(),
                "snapshot envelope: malformed section header '" + line + "'");
     // Length-driven: the payload may contain anything, including lines that
     // look like headers.
@@ -196,12 +195,10 @@ std::vector<SnapshotGeneration> SnapshotStore::window(
   std::vector<SnapshotGeneration> gens;
   for (std::size_t i = 1; i < log->lines.size(); ++i) {
     const util::LogLine& line = log->lines[i];
-    std::istringstream ls(line.text);
-    std::string tag;
+    util::Fields f(line.text);
     SnapshotGeneration g;
-    TS_REQUIRE((ls >> tag >> g.index >> g.progress >> g.fingerprint) &&
-                   tag == "gen" && ls.eof() &&
-                   (gens.empty() || g.index > gens.back().index),
+    TS_REQUIRE((f.expect("gen") >> g.index >> g.progress >> g.fingerprint) &&
+                   f.done() && (gens.empty() || g.index > gens.back().index),
                where + ": line " + std::to_string(line.number) +
                    " is corrupt: " + line.text);
     g.path = gen_path(g.index);
@@ -243,7 +240,7 @@ std::vector<SnapshotGeneration> SnapshotStore::strays(bool recorded) const {
                      name.end(), [](char c) { return c >= '0' && c <= '9'; }))
       continue;
     SnapshotGeneration g;
-    g.index = std::stoi(name.substr(prefix.size()));
+    util::parse_number(std::string_view(name).substr(prefix.size()), g.index);
     g.path = gen_path(g.index);
     if (std::filesystem::path(g.path).filename() != name) continue;
     const bool listed = std::any_of(

@@ -22,6 +22,7 @@
 #include "treesched/sim/engine.hpp"
 #include "treesched/sim/runlog_segments.hpp"
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fields.hpp"
 #include "treesched/util/hash.hpp"
 #include "treesched/util/mem.hpp"
 #include "treesched/util/stopwatch.hpp"
@@ -86,14 +87,6 @@ std::string spec_string(const Tree& tree, const SpeedProfile& speeds,
 /// tick would be the largest cost of supervision. Watchdog deadlines are
 /// seconds, and 64 ticks are tens of microseconds.
 constexpr std::uint32_t kClockTicks = 64;
-
-void expect_tag(std::istream& is, const char* tag) {
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == tag,
-             std::string("snapshot: expected '") + tag + "', got '" + got +
-                 "'");
-}
 
 class StreamRunner;
 
@@ -272,7 +265,7 @@ class StreamRunner {
 
   /// Creates the engine over `inst`. Exactly one of `state` (snapshot engine
   /// section) / `acc` (fresh streaming window) is given.
-  void rebuild_engine(std::unique_ptr<Instance> inst, std::istream* state,
+  void rebuild_engine(std::unique_ptr<Instance> inst, const std::string* state,
                       sim::StreamAccumulator* acc) {
     // Carry the retiring engine's arena footprint forward so the next
     // window's job arenas start at their steady-state size instead of
@@ -545,41 +538,31 @@ class StreamRunner {
   /// leave the runner half-mutated on throw — the ladder either retries
   /// (which overwrites everything) or aborts the run.
   void restore_from_sections(const std::vector<SnapshotSection>& sections) {
-    std::istringstream is(find_snapshot_section(sections, "stream"));
-    expect_tag(is, "streamsnap");
+    util::Fields f(find_snapshot_section(sections, "stream"));
     int version = 0;
-    TS_REQUIRE(static_cast<bool>(is >> version) && version == 2,
+    TS_REQUIRE((f.expect("streamsnap") >> version) && version == 2,
                "unsupported snapshot version (want streamsnap 2)");
-    expect_tag(is, "spec");
     std::uint64_t fp = 0;
-    is >> fp;
-    TS_REQUIRE(static_cast<bool>(is), "truncated spec line");
+    TS_REQUIRE(f.expect("spec") >> fp, "truncated spec line");
     if (fp != spec_fp_)
       throw SnapshotSpecMismatchError(
           "snapshot was taken under a different run spec (tree, stream, "
           "policy, windowing, or shed config differ) — resume with the "
           "original flags or start fresh without --resume-snapshot");
-    expect_tag(is, "progress");
     std::uint64_t done = 0;
-    is >> done;
-    expect_tag(is, "window");
     std::size_t count = 0;
-    is >> base_ >> count >> processed_;
-    expect_tag(is, "wcursor");
-    is >> window_cursor_.index >> window_cursor_.clock;
-    expect_tag(is, "gcursor");
     workload::StreamCursor gcur;
-    is >> gcur.index >> gcur.clock;
-    expect_tag(is, "policystate");
     std::string pstate;
-    is >> pstate;
-    expect_tag(is, "shedconsumed");
-    is >> shed_consumed_;
-    expect_tag(is, "writer");
     std::size_t widx = 0;
     std::uint64_t wchain = 0;
-    is >> widx >> wchain;
-    TS_REQUIRE(static_cast<bool>(is), "truncated snapshot header");
+    f.expect("progress") >> done;
+    f.expect("window") >> base_ >> count >> processed_;
+    f.expect("wcursor") >> window_cursor_.index >> window_cursor_.clock;
+    f.expect("gcursor") >> gcur.index >> gcur.clock;
+    f.expect("policystate") >> pstate;
+    f.expect("shedconsumed") >> shed_consumed_;
+    f.expect("writer") >> widx >> wchain;
+    TS_REQUIRE(f && f.done(), "truncated snapshot header");
     TS_REQUIRE(done == base_ + processed_,
                "snapshot progress disagrees with its window position");
 
@@ -591,12 +574,10 @@ class StreamRunner {
     TS_REQUIRE(gen_cursor_.index == gcur.index &&
                    gen_cursor_.clock == gcur.clock,
                "regenerated window does not land on the saved cursor");
-    std::istringstream es(find_snapshot_section(sections, "engine"));
-    rebuild_engine(std::move(inst), &es, nullptr);
-    if (admission_) {
-      std::istringstream as(find_snapshot_section(sections, "overload"));
-      admission_->load_state(as);
-    }
+    rebuild_engine(std::move(inst), &find_snapshot_section(sections, "engine"),
+                   nullptr);
+    if (admission_)
+      admission_->load_state(find_snapshot_section(sections, "overload"));
     policy_->restore_stream_state(pstate);
     // Cross-check the segmented run log: resume() verifies the manifest
     // chain prefix BEFORE rewriting anything, so a mismatch here (damaged

@@ -25,6 +25,7 @@
 #include "treesched/sim/run_log.hpp"
 #include "treesched/stats/bootstrap.hpp"
 #include "treesched/stats/summary.hpp"
+#include "treesched/util/fields.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
 #include "treesched/util/rng.hpp"
@@ -206,42 +207,29 @@ class Checkpoint {
           "' is not a sweepjournal-2 checkpoint (pre-overload journals "
           "cannot be resumed; rerun without --resume)");
     std::uint64_t fp = 0;
-    {
-      std::string tag;
-      std::istringstream ls(lines.size() > 1 ? lines[1].text : std::string());
-      if (!(ls >> tag >> fp) || tag != "fingerprint")
-        throw std::invalid_argument("checkpoint journal '" + path_ +
-                                    "' is missing its fingerprint");
-    }
+    util::Fields header(lines.size() > 1 ? std::string_view(lines[1].text)
+                                         : std::string_view());
+    if (!(header.expect("fingerprint") >> fp) || !header.done())
+      throw std::invalid_argument("checkpoint journal '" + path_ +
+                                  "' is missing its fingerprint");
     if (fp != fingerprint)
       throw std::invalid_argument(
           "checkpoint journal '" + path_ +
           "' belongs to a different sweep grid; rerun without --resume or "
           "point --checkpoint elsewhere");
     for (std::size_t i = 2; i < lines.size(); ++i) {
-      std::istringstream ls(lines[i].text);
-      std::string tag, tail;
-      // Doubles go through stod, not operator>>: a fully-shed cell journals
-      // its mean flow as "nan", which stream extraction need not accept.
-      std::string ratio, alg_flow, lower_bound, mean_flow, goodput;
+      // A fully-shed cell journals its mean flow as "nan", which
+      // util::parse_number reads.
+      util::Fields f(lines[i].text);
       SweepTask t;
-      try {
-        if (!(ls >> tag >> t.index >> ratio >> alg_flow >> lower_bound >>
-              mean_flow >> goodput >> t.completed >> t.shed_jobs >> tail) ||
-            tag != "task" || tail != "ok")
-          throw std::invalid_argument("malformed record");
-        t.ratio = std::stod(ratio);
-        t.alg_flow = std::stod(alg_flow);
-        t.lower_bound = std::stod(lower_bound);
-        t.mean_flow = std::stod(mean_flow);
-        t.goodput = std::stod(goodput);
-      } catch (const std::exception&) {
+      f.expect("task") >> t.index >> t.ratio >> t.alg_flow >> t.lower_bound >>
+          t.mean_flow >> t.goodput >> t.completed >> t.shed_jobs;
+      if (!f.expect("ok") || !f.done())
         throw std::invalid_argument(
             "checkpoint journal '" + path_ + "' line " +
             std::to_string(lines[i].number) +
             " is corrupt (not a torn record, or a tear healed by an older "
             "build); rerun without --resume");
-      }
       t.status = TaskStatus::kOk;
       done_[t.index] = t;
     }

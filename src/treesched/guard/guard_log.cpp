@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "treesched/util/fields.hpp"
 #include "treesched/util/fs.hpp"
 
 namespace treesched::guard {
@@ -92,56 +93,22 @@ int watchdog_rank_of(const std::string& action) {
   return 0;
 }
 
-bool parse_u64(const std::string& tok, std::uint64_t& out) {
-  if (tok.empty()) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(tok, &pos);
-    return pos == tok.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_double(const std::string& tok, double& out) {
-  if (tok.empty()) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stod(tok, &pos);
-    return pos == tok.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-/// Expects `key <number>` next in the stream; false on any mismatch.
-bool expect_kv_u64(std::istringstream& is, const char* key,
-                   std::uint64_t& out) {
-  std::string k, v;
-  if (!(is >> k >> v) || k != key) return false;
-  return parse_u64(v, out);
-}
-
 /// Parses one line; returns false (with `why`) on malformed input. Updates
 /// the audit state and appends violations for semantic rule breaches.
 bool audit_line(AuditState& st, std::size_t line_no, const std::string& line,
                 std::string& why) {
-  std::istringstream is(line);
-  std::string head;
-  is >> head;
+  util::Fields f(line);
+  const std::string_view head = f.next();
 
   if (head == "ceiling") {
     std::uint64_t rss = 0, queue = 0, arena = 0;
-    std::string dkey, dval;
-    if (!expect_kv_u64(is, "rss", rss) || !expect_kv_u64(is, "queue", queue) ||
-        !expect_kv_u64(is, "arena", arena) || !(is >> dkey >> dval) ||
-        dkey != "deadline") {
-      why = "malformed ceiling line";
-      return false;
-    }
     double deadline = 0.0;
-    if (!parse_double(dval, deadline)) {
-      why = "malformed ceiling deadline";
+    f.expect("rss") >> rss;
+    f.expect("queue") >> queue;
+    f.expect("arena") >> arena;
+    f.expect("deadline") >> deadline;
+    if (!f || !f.done()) {
+      why = "malformed ceiling line";
       return false;
     }
     // New child incarnation: ladder and watchdog episode start over, and the
@@ -159,24 +126,21 @@ bool audit_line(AuditState& st, std::size_t line_no, const std::string& line,
   }
 
   if (head != "guard") {
-    why = "unknown record type '" + head + "'";
+    why = "unknown record type '" + std::string(head) + "'";
     return false;
   }
 
-  std::string t_tok, kind;
-  if (!(is >> t_tok >> kind)) {
-    why = "truncated guard line";
-    return false;
-  }
   double t = 0.0;
-  if (!parse_double(t_tok, t)) {
-    why = "malformed guard timestamp";
+  std::string kind;
+  if (!(f >> t >> kind)) {
+    why = "malformed guard line";
     return false;
   }
 
+  // The supervisor's event is free text: its first word is required, the
+  // rest is not parsed.
   if (kind == "supervisor") {
-    std::string detail;
-    if (!(is >> detail)) {
+    if (f.done()) {
       why = "supervisor line missing event";
       return false;
     }
@@ -198,11 +162,13 @@ bool audit_line(AuditState& st, std::size_t line_no, const std::string& line,
   st.last_child_t = t;
 
   if (kind == "governor") {
-    std::string verb, from_s, to_s;
+    std::string from_s, to_s;
     std::uint64_t rss = 0, queue = 0, arena = 0;
-    if (!(is >> verb >> from_s >> to_s) || verb != "escalate" ||
-        !expect_kv_u64(is, "rss", rss) || !expect_kv_u64(is, "queue", queue) ||
-        !expect_kv_u64(is, "arena", arena)) {
+    f.expect("escalate") >> from_s >> to_s;
+    f.expect("rss") >> rss;
+    f.expect("queue") >> queue;
+    f.expect("arena") >> arena;
+    if (!f || !f.done()) {
       why = "malformed governor line";
       return false;
     }
@@ -242,16 +208,14 @@ bool audit_line(AuditState& st, std::size_t line_no, const std::string& line,
   }
 
   if (kind == "watchdog") {
-    std::string action, skey, sval, akey, aval;
-    if (!(is >> action >> skey >> sval >> akey >> aval) || skey != "stalled" ||
-        akey != "arrivals") {
-      why = "malformed watchdog line";
-      return false;
-    }
+    std::string action, sval;
     double stalled = 0.0;
     std::uint64_t arrivals = 0;
-    if (!parse_double(sval, stalled) || !parse_u64(aval, arrivals)) {
-      why = "malformed watchdog numbers";
+    f >> action;
+    f.expect("stalled") >> sval;
+    f.expect("arrivals") >> arrivals;
+    if (!f || !f.done() || !util::parse_number(sval, stalled)) {
+      why = "malformed watchdog line";
       return false;
     }
     const int rank = watchdog_rank_of(action);

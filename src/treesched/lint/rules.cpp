@@ -576,26 +576,34 @@ void rule_hyg_assert_side_effect(const FileCtx& ctx) {
 
 // ---------------------------------------------------------------------------
 // hyg-raw-fstream — file streams in src/ or tools/ outside util/fs
+// hyg-istringstream — a stream decoder in src/ or tools/
 // ---------------------------------------------------------------------------
 //
-// Guarantee protected: every file the program writes or reads goes through
+// Guarantees protected: every file the program writes or reads goes through
 // util/fs, where writes are atomic or durably appended, every I/O
 // failpoint is evaluated, and the append-only logs share one torn-record
-// rule. A std::ifstream / std::ofstream / std::fstream elsewhere bypasses
-// all three. Tests, benches and examples may use them freely.
+// rule; a std::ifstream / std::ofstream / std::fstream elsewhere bypasses
+// all three. And every text decoder reads tokens through util::Fields,
+// whose numbers are whole tokens and whose records can be checked for
+// leftovers, where stream extraction wraps "-1" into an unsigned field,
+// reads "1.5x" as 1.5 and ignores trailing fields. Tests, benches and
+// examples may use streams freely.
 
-void rule_hyg_raw_fstream(const FileCtx& ctx) {
+void rule_hyg_streams(const FileCtx& ctx) {
   if (!ctx.in_dir("src/") && !ctx.in_dir("tools/")) return;
-  if (ctx.path == "src/treesched/util/fs.cpp") return;  // the seam itself
   for (const Token& tok : ctx.code) {
-    if (tok.kind != TokKind::kIdentifier ||
-        (tok.text != "ifstream" && tok.text != "ofstream" &&
-         tok.text != "fstream"))
-      continue;
-    ctx.report("hyg-raw-fstream", Severity::kError, tok.line, tok.col,
-               "std::" + tok.text +
-                   " bypasses util/fs; use util::read_file, "
-                   "util::write_file_atomic or util::append_line_durable");
+    if (tok.kind != TokKind::kIdentifier) continue;
+    if (tok.text == "istringstream")
+      ctx.report("hyg-istringstream", Severity::kError, tok.line, tok.col,
+                 "std::istringstream decodes leniently; read tokens with "
+                 "util::Fields (treesched/util/fields.hpp)");
+    else if ((tok.text == "ifstream" || tok.text == "ofstream" ||
+              tok.text == "fstream") &&
+             ctx.path != "src/treesched/util/fs.cpp")  // the seam itself
+      ctx.report("hyg-raw-fstream", Severity::kError, tok.line, tok.col,
+                 "std::" + tok.text +
+                     " bypasses util/fs; use util::read_file, "
+                     "util::write_file_atomic or util::append_line_durable");
   }
 }
 
@@ -781,6 +789,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "side effect inside assert/TS_REQUIRE/TS_CHECK condition"},
       {"hyg-raw-fstream", Severity::kError,
        "std file stream in src/ or tools/ outside util/fs"},
+      {"hyg-istringstream", Severity::kError,
+       "std::istringstream in src/ or tools/ instead of util::Fields"},
       {"lint-bad-suppression", Severity::kError,
        "malformed, unknown, or justification-free allow() annotation"},
       {"lint-stale-suppression", Severity::kWarning,
@@ -814,7 +824,7 @@ std::vector<Finding> lint_source(std::string_view source,
   rule_hyg_pragma_once(ctx);
   rule_hyg_todo_ref(ctx);
   rule_hyg_assert_side_effect(ctx);
-  rule_hyg_raw_fstream(ctx);
+  rule_hyg_streams(ctx);
 
   std::vector<Suppression> sups = collect_suppressions(ctx);
   for (Finding& f : findings) {

@@ -107,8 +107,10 @@ void AdmissionController::save_state(std::ostream& os) const {
   estimator_.save_state(os);
 }
 
-void AdmissionController::load_state(std::istream& is) {
-  estimator_.load_state(is);
+void AdmissionController::load_state(std::string_view bytes) {
+  util::Fields f(bytes);
+  estimator_.load_state(f);
+  TS_REQUIRE(f.done(), "admission load: bytes after the estimator state");
 }
 
 bool AdmissionController::admit_deadline(sim::Engine& engine, const Job& job) {

@@ -75,9 +75,10 @@ class AdmissionController : public sim::AdmissionPolicy {
   /// Durable state round-trip: delegates to the estimator (the policies
   /// themselves are stateless; PaperGreedyPolicy's sweep vector is
   /// recomputed for every arrival, so it is deliberately not serialized).
-  /// Same checksum-reject contract as SaturationEstimator::load_state.
+  /// Same checksum-reject contract as SaturationEstimator::load_state;
+  /// `bytes` is one saved state with nothing after it.
   void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  void load_state(std::string_view bytes);
 
  private:
   bool admit_bounded_queue(sim::Engine& engine, const Job& job);

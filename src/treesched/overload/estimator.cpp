@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -82,33 +81,31 @@ void SaturationEstimator::save_state(std::ostream& os) const {
   util::seal(os, "satcsum", payload());
 }
 
-void SaturationEstimator::load_state(std::istream& is) {
-  std::string tag;
+void SaturationEstimator::load_state(util::Fields& f) {
   int version = 0;
-  is >> tag >> version;
-  TS_REQUIRE(is && tag == "satest" && version == 1,
+  TS_REQUIRE((f.expect("satest") >> version) && version == 1,
              "estimator load: bad magic/version (corrupt or unsupported)");
   SaturationEstimator tmp(window_);
   double window = 0.0;
   std::size_t nodes = 0;
-  is >> window >> nodes;
-  TS_REQUIRE(is && window == window_,
+  TS_REQUIRE((f >> window >> nodes) && window == window_,
              "estimator load: window mismatch (state from a different run?)");
-  tmp.arrivals_.resize(nodes);
-  tmp.sums_.assign(nodes, 0.0);
+  // Grown record by record: a corrupt count cannot drive an allocation.
   for (std::size_t v = 0; v < nodes; ++v) {
     std::size_t id = 0, n = 0;
-    is >> tag >> id >> n >> tmp.sums_[v];
-    TS_REQUIRE(is && tag == "sat" && id == v,
+    double sum = 0.0;
+    TS_REQUIRE((f.expect("sat") >> id >> n >> sum) && id == v,
                "estimator load: node record out of order (corrupt state)");
-    for (std::size_t i = 0; i < n; ++i) {
+    tmp.sums_.push_back(sum);
+    tmp.arrivals_.emplace_back();
+    for (std::size_t i = 0; i < n && f; ++i) {
       Arrival a;
-      is >> a.t >> a.work;
+      f >> a.t >> a.work;
       tmp.arrivals_[v].push_back(a);
     }
   }
-  TS_REQUIRE(static_cast<bool>(is), "estimator load: truncated state");
-  util::expect_seal(is, "satcsum", tmp.payload(), "estimator load");
+  TS_REQUIRE(f, "estimator load: truncated state");
+  util::expect_seal(f, "satcsum", tmp.payload(), "estimator load");
   arrivals_ = std::move(tmp.arrivals_);
   sums_ = std::move(tmp.sums_);
 }

@@ -48,7 +48,7 @@ class SaturationEstimator : public sim::EngineObserver {
   /// byte-identically across kill/resume. load_state rejects truncated or
   /// bit-flipped bytes and a mismatched window with std::invalid_argument.
   void save_state(std::ostream& os) const;
-  void load_state(std::istream& is);
+  void load_state(util::Fields& f);
 
  private:
   struct Arrival {

@@ -445,8 +445,9 @@ class Engine {
   /// untouched. The dispatch indices are rebuilt from the restored per-hop
   /// progress. Retired jobs come back as flags only (no path, no per-hop
   /// state). Arm set_admission BEFORE calling load_state. Throws
-  /// std::invalid_argument on any other enginestate version than 3.
-  void load_state(std::istream& is);
+  /// std::invalid_argument on any other enginestate version than 3, and on
+  /// any token after the closing "end".
+  void load_state(std::string_view bytes);
 
  private:
   /// One member of a node's availability heap. The heap is ordered by the

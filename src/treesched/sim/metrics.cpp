@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
-#include <istream>
 #include <ostream>
 #include <string>
 
@@ -13,23 +12,6 @@
 #include "treesched/util/string_util.hpp"
 
 namespace treesched::sim {
-
-namespace {
-
-void expect_tag(std::istream& is, const char* tag) {
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == tag, std::string("metrics load: expected '") + tag +
-                                   "', got '" + got + "'");
-}
-
-void load_csum(std::istream& is, util::CompensatedSum& s) {
-  double sum = 0.0, comp = 0.0;
-  is >> sum >> comp;
-  s.set_state(sum, comp);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // StreamAccumulator
@@ -94,24 +76,24 @@ void StreamAccumulator::save(std::ostream& os) const {
   p99_marker.save(os);
 }
 
-void StreamAccumulator::load(std::istream& is) {
+void StreamAccumulator::load(util::Fields& f) {
   StreamAccumulator tmp;
-  expect_tag(is, "acc");
-  is >> tmp.completed >> tmp.shed >> tmp.rejected >> tmp.admitted >>
-      tmp.max_flow >> tmp.makespan;
-  expect_tag(is, "sums");
-  load_csum(is, tmp.flow);
-  load_csum(is, tmp.weighted_flow);
-  load_csum(is, tmp.frac);
-  load_csum(is, tmp.weighted_frac);
-  load_csum(is, tmp.shed_volume);
-  TS_REQUIRE(static_cast<bool>(is), "accumulator load: truncated state");
+  f.expect("acc") >> tmp.completed >> tmp.shed >> tmp.rejected >>
+      tmp.admitted >> tmp.max_flow >> tmp.makespan;
+  f.expect("sums");
+  for (util::CompensatedSum* s : {&tmp.flow, &tmp.weighted_flow, &tmp.frac,
+                                  &tmp.weighted_frac, &tmp.shed_volume}) {
+    double sum = 0.0, comp = 0.0;
+    f >> sum >> comp;
+    s->set_state(sum, comp);
+  }
+  TS_REQUIRE(f, "accumulator load: truncated state");
   // Reject corrupt bytes before they become state: re-serialize what was
   // parsed and require the recorded checksum to reproduce (truncations die
   // above or on the missing tag; flipped digits re-serialize differently).
-  util::expect_seal(is, "acccsum", acc_head(tmp), "accumulator load");
-  tmp.flow_digest.load(is);
-  tmp.p99_marker.load(is);
+  util::expect_seal(f, "acccsum", acc_head(tmp), "accumulator load");
+  tmp.flow_digest.load(f);
+  tmp.p99_marker.load(f);
   *this = tmp;
 }
 
@@ -346,38 +328,35 @@ void Metrics::save(std::ostream& os) const {
   os.precision(prec);
 }
 
-void Metrics::load(std::istream& is) {
-  expect_tag(is, "metrics");
-  std::string mode;
+void Metrics::load(util::Fields& f) {
+  std::string_view mode;
   std::size_t n = 0, nrec = 0;
-  is >> mode >> n >> nrec;
-  TS_REQUIRE(is && (mode == "streaming" || mode == "full"),
+  f.expect("metrics") >> mode >> n >> nrec;
+  TS_REQUIRE(f && (mode == "streaming" || mode == "full"),
              "metrics load: bad mode");
   TS_REQUIRE(jobs_.size() >= n,
              "metrics load: window smaller than serialized record count");
   TS_REQUIRE(nrec <= n, "metrics load: more records than the window");
   mode_ = mode == "streaming" ? MetricsMode::kStreaming : MetricsMode::kFull;
-  if (mode_ == MetricsMode::kStreaming) acc_.load(is);
+  if (mode_ == MetricsMode::kStreaming) acc_.load(f);
   JobId prev = kInvalidJob;
   for (std::size_t i = 0; i < nrec; ++i) {
-    expect_tag(is, "jr");
     JobId id = kInvalidJob;
-    is >> id;
-    TS_REQUIRE(is && id > prev && uidx(id) < n,
+    TS_REQUIRE((f.expect("jr") >> id) && id > prev && uidx(id) < n,
                "metrics load: record id out of order");
     prev = id;
     JobRecord& r = jobs_[uidx(id)];
     int shed = 0, rejected = 0;
     std::size_t nc = 0;
-    is >> r.release >> r.weight >> r.size >> r.leaf >> r.completion >>
+    f >> r.release >> r.weight >> r.size >> r.leaf >> r.completion >>
         r.fractional_area >> shed >> rejected >> nc;
-    TS_REQUIRE(static_cast<bool>(is), "metrics load: truncated record");
+    TS_REQUIRE(f, "metrics load: truncated record");
     r.shed = shed != 0;
     r.rejected = rejected != 0;
     open_node_completion(id, nc);
-    for (Time& t : node_completion(id)) is >> t;
+    for (Time& t : node_completion(id)) f >> t;
   }
-  TS_REQUIRE(static_cast<bool>(is), "metrics load: truncated state");
+  TS_REQUIRE(f, "metrics load: truncated state");
 }
 
 }  // namespace treesched::sim

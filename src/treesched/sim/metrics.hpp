@@ -10,6 +10,7 @@
 #include "treesched/core/types.hpp"
 #include "treesched/stats/quantile_sketch.hpp"
 #include "treesched/util/csum.hpp"
+#include "treesched/util/fields.hpp"
 
 namespace treesched::sim {
 
@@ -76,7 +77,7 @@ struct StreamAccumulator {
   /// rejects truncated or bit-flipped state with std::invalid_argument
   /// instead of silently mis-loading.
   void save(std::ostream& os) const;
-  void load(std::istream& is);
+  void load(util::Fields& f);
 };
 
 /// Aggregates over a run. Populated by the Engine; query helpers compute the
@@ -141,7 +142,7 @@ class Metrics {
   /// reset() with at least the serialized window size first (extra records
   /// stay fresh — window extension).
   void save(std::ostream& os) const;
-  void load(std::istream& is);
+  void load(util::Fields& f);
 
   /// In streaming mode: scoped to the current window (history is retired).
   bool all_completed() const;

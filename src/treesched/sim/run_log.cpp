@@ -1,13 +1,13 @@
 #include "treesched/sim/run_log.hpp"
 
 #include <iomanip>
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
+#include "treesched/util/fields.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/string_util.hpp"
 
@@ -35,8 +35,8 @@ NodePolicy parse_policy(const std::string& s) {
   throw std::invalid_argument("runlog: unknown node policy '" + s + "'");
 }
 
-[[noreturn]] void bad(const std::string& msg) {
-  throw std::invalid_argument("runlog: " + msg);
+[[noreturn]] void bad(const std::string& msg, std::string_view line = {}) {
+  throw std::invalid_argument("runlog: " + msg + std::string(line));
 }
 
 const char* fault_token(FaultRecord::Kind k) {
@@ -155,39 +155,39 @@ void write_run_log_file(const std::string& path, const RunLog& log) {
   util::write_file_atomic(path, os.str());
 }
 
-RunLog read_run_log(std::istream& is) {
+RunLog read_run_log(std::string_view bytes) {
   RunLog log;
   bool header_seen = false;
-  std::string line;
-  while (std::getline(is, line)) {
-    line = util::trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+  std::string_view line;
+  while (util::next_line(bytes, line)) {
+    util::Fields f(line);
+    const std::string_view tag = f.next();
+    if (tag.empty() || tag[0] == '#') continue;
+    // Each record reads its fields; one check below rejects a malformed
+    // field or one left over.
     if (tag == "runlog") {
       int version = 0;
-      if (!(ls >> version) || version != 1) bad("unsupported version");
+      if (!(f >> version) || version != 1) bad("unsupported version");
       header_seen = true;
     } else if (!header_seen) {
       bad("missing 'runlog 1' header");
     } else if (tag == "policy") {
       std::string p;
-      if (!(ls >> p)) bad("bad policy line");
+      f >> p;
       log.node_policy = parse_policy(p);
     } else if (tag == "chunk") {
-      if (!(ls >> log.router_chunk_size) || log.router_chunk_size < 0.0)
-        bad("bad chunk line");
+      f >> log.router_chunk_size;
+      if (log.router_chunk_size < 0.0) bad("bad chunk line");
     } else if (tag == "speeds") {
       std::size_t n = 0;
-      if (!(ls >> n)) bad("bad speeds line");
+      if (!(f >> n) || n > line.size()) bad("bad speeds line");
       log.speeds.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        if (!(ls >> log.speeds[i])) bad("speeds line truncated");
+      for (double& s : log.speeds) f >> s;
     } else if (tag == "job") {
       std::size_t id = 0, len = 0;
       Time completion = -1.0;
-      if (!(ls >> id >> completion >> len)) bad("bad job line: " + line);
+      if (!(f >> id >> completion >> len) || len > line.size())
+        bad("bad job line: ", line);
       if (id >= 1000000) bad("job id out of range");
       if (log.paths.size() <= id) {
         log.paths.resize(id + 1);
@@ -195,30 +195,25 @@ RunLog read_run_log(std::istream& is) {
       }
       log.completion[id] = completion;
       log.paths[id].resize(len);
-      for (std::size_t i = 0; i < len; ++i)
-        if (!(ls >> log.paths[id][i])) bad("job path truncated: " + line);
+      for (NodeId& v : log.paths[id]) f >> v;
     } else if (tag == "seg") {
       Segment s;
-      if (!(ls >> s.node >> s.job >> s.chunk >> s.t0 >> s.t1 >> s.rate))
-        bad("bad seg line: " + line);
+      f >> s.node >> s.job >> s.chunk >> s.t0 >> s.t1 >> s.rate;
       log.segments.push_back(s);
     } else if (tag == "fevent") {
       std::string tok;
       FaultRecord fr;
-      if (!(ls >> tok >> fr.t >> fr.node >> fr.factor))
-        bad("bad fevent line: " + line);
+      f >> tok >> fr.t >> fr.node >> fr.factor;
       fr.kind = parse_fault_token(tok);
       log.faults.push_back(fr);
     } else if (tag == "redispatch") {
       FaultRecord fr;
       fr.kind = FaultRecord::Kind::kRedispatch;
-      if (!(ls >> fr.t >> fr.job >> fr.node >> fr.to))
-        bad("bad redispatch line: " + line);
+      f >> fr.t >> fr.job >> fr.node >> fr.to;
       log.faults.push_back(fr);
     } else if (tag == "shedcfg") {
       std::string p;
-      if (!(ls >> p >> log.shed.queue_cap >> log.shed.deadline_slack))
-        bad("bad shedcfg line: " + line);
+      f >> p >> log.shed.queue_cap >> log.shed.deadline_slack;
       try {
         log.shed.policy = overload::parse_shed_policy(p);
       } catch (const std::invalid_argument&) {
@@ -227,23 +222,18 @@ RunLog read_run_log(std::istream& is) {
     } else if (tag == "shed") {
       ShedRecord sr;
       sr.kind = ShedRecord::Kind::kShed;
-      if (!(ls >> sr.t >> sr.job)) bad("bad shed line: " + line);
+      f >> sr.t >> sr.job;
       log.sheds.push_back(sr);
-    } else if (tag == "reject") {
+    } else if (tag == "reject" || tag == "admitf") {
       ShedRecord sr;
-      sr.kind = ShedRecord::Kind::kReject;
-      if (!(ls >> sr.t >> sr.job >> sr.f >> sr.bound))
-        bad("bad reject line: " + line);
-      log.sheds.push_back(sr);
-    } else if (tag == "admitf") {
-      ShedRecord sr;
-      sr.kind = ShedRecord::Kind::kAdmit;
-      if (!(ls >> sr.t >> sr.job >> sr.f >> sr.bound))
-        bad("bad admitf line: " + line);
+      sr.kind = tag == "reject" ? ShedRecord::Kind::kReject
+                                : ShedRecord::Kind::kAdmit;
+      f >> sr.t >> sr.job >> sr.f >> sr.bound;
       log.sheds.push_back(sr);
     } else {
-      bad("unknown tag '" + tag + "'");
+      bad("unknown tag '" + std::string(tag) + "'");
     }
+    if (!f || !f.done()) bad("bad " + std::string(tag) + " line: ", line);
   }
   if (!header_seen) bad("missing 'runlog 1' header");
   return log;
@@ -252,8 +242,7 @@ RunLog read_run_log(std::istream& is) {
 RunLog read_run_log_file(const std::string& path) {
   const std::optional<std::string> bytes = util::read_file(path);
   if (!bytes) throw std::runtime_error("cannot open run log: " + path);
-  std::istringstream is(*bytes);
-  return read_run_log(is);
+  return read_run_log(*bytes);
 }
 
 namespace {

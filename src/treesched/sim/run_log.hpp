@@ -30,6 +30,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "treesched/core/instance.hpp"
@@ -100,7 +101,7 @@ void assign_segment_log_path(std::string& out, const std::string& base,
                              std::size_t index);
 
 /// Parses a run log; throws std::invalid_argument on malformed input.
-RunLog read_run_log(std::istream& is);
+RunLog read_run_log(std::string_view bytes);
 RunLog read_run_log_file(const std::string& path);
 
 }  // namespace treesched::sim

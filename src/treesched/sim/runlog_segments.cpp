@@ -14,6 +14,7 @@
 #include "treesched/sim/run_log.hpp"
 #include "treesched/util/assert.hpp"
 #include "treesched/util/csum.hpp"
+#include "treesched/util/fields.hpp"
 #include "treesched/util/fs.hpp"
 #include "treesched/util/hash.hpp"
 #include "treesched/util/string_util.hpp"
@@ -58,6 +59,97 @@ constexpr int kRankJobrec = 0;
 constexpr int kRankSeg = 1;
 constexpr int kRankDone = 2;
 constexpr int kRankRetire = 3;
+
+struct ManifestEntry {
+  std::size_t lines = 0;
+  std::uint64_t fp = 0;
+  std::uint64_t chain = 0;
+};
+
+/// The manifest records parsed so far.
+struct Manifest {
+  bool header = false;
+  double chunk = 0.0;
+  std::vector<double> speeds;
+  std::vector<NodeId> parents;
+  std::vector<char> kinds;
+  std::vector<ManifestEntry> entries;
+  bool has_final = false;
+  std::uint64_t arrivals = 0, completed = 0, shed = 0, rejected = 0;
+  double total_flow = 0.0, makespan = 0.0;
+};
+
+/// The one manifest grammar, shared by resume and the audit. Parses `lines`
+/// into `m` and returns how many it read: all of them, or fewer when it
+/// stops before a `segment` or `final` record that would follow
+/// `max_segments` entries, or at the first malformed record. Malformed is
+/// anything the writer does not emit, blank and '#' lines included; then,
+/// or when the records read lack the header or disagree on the node count,
+/// `error` says so.
+std::size_t parse_manifest(const std::vector<util::LogLine>& lines,
+                           std::size_t max_segments, Manifest& m,
+                           std::string& error) {
+  std::size_t i = 0;
+  for (; i < lines.size(); ++i) {
+    util::Fields f(lines[i].text);
+    const std::string_view tag = f.next();
+    if ((tag == "segment" || tag == "final") &&
+        m.entries.size() == max_segments)
+      break;
+    bool ok = true;
+    if (tag == "runlogseg") {
+      int v = 0;
+      ok = (f >> v) && v == 1;
+      m.header = ok;
+    } else if (!m.header) {
+      ok = false;  // nothing precedes the header
+    } else if (tag == "policy") {
+      std::string_view p;
+      f >> p;
+    } else if (tag == "chunk") {
+      f >> m.chunk;
+    } else if (tag == "speeds") {
+      std::size_t n = 0;
+      ok = (f >> n) && n <= lines[i].text.size();
+      m.speeds.assign(ok ? n : 0, 0.0);
+      for (double& s : m.speeds) f >> s;
+    } else if (tag == "shedcfg") {
+      std::string_view p;
+      double cap = 0, slack = 0;
+      f >> p >> cap >> slack;
+    } else if (tag == "node") {
+      std::size_t id = 0;
+      NodeId parent = kInvalidNode;
+      char kind = 0;
+      ok = (f >> id >> parent >> kind) && id == m.parents.size();
+      m.parents.push_back(parent);
+      m.kinds.push_back(kind);
+    } else if (tag == "segment") {
+      std::size_t idx = 0;
+      ManifestEntry e;
+      ok = (f >> idx >> e.lines >> e.fp >> e.chain) && f.done() &&
+           idx == m.entries.size() && !m.has_final;
+      if (ok) m.entries.push_back(e);
+    } else if (tag == "final") {
+      ok = (f >> m.arrivals >> m.completed >> m.shed >> m.rejected >>
+            m.total_flow >> m.makespan) &&
+           !m.has_final;
+      m.has_final = true;
+    } else {
+      ok = false;
+    }
+    if (!ok || !f || !f.done()) {
+      error = "malformed manifest line " + std::to_string(lines[i].number) +
+              ": " + lines[i].text;
+      return i;
+    }
+  }
+  if (!m.header)
+    error = "manifest missing 'runlogseg 1' header";
+  else if (m.speeds.size() != m.parents.size())
+    error = "manifest speeds/node count mismatch";
+  return i;
+}
 
 }  // namespace
 
@@ -121,35 +213,26 @@ void SegmentedRunLogWriter::resume(std::size_t next_index,
       util::read_log(cfg_.base_path);
   TS_REQUIRE(manifest.has_value(),
              "resume: cannot open manifest " + cfg_.base_path);
-  std::ostringstream kept;
-  std::size_t seg_lines = 0;
-  for (const util::LogLine& line : manifest->lines) {
-    if (seg_lines == next_index) break;
-    std::istringstream ls(line.text);
-    std::string tag;
-    ls >> tag;
-    if (tag == "final") break;  // stale trailer from the killed run
-    if (tag == "segment") {
-      std::size_t idx = 0, n = 0;
-      std::uint64_t fp = 0, ch = 0;
-      TS_REQUIRE(static_cast<bool>(ls >> idx >> n >> fp >> ch) &&
-                     idx == seg_lines,
-                 "resume: manifest line " + std::to_string(line.number) +
-                     " is corrupt (not a torn record, or a tear healed by "
-                     "an older build): " + line.text);
-      ++seg_lines;
-      if (seg_lines == next_index)
-        TS_REQUIRE(ch == chain,
-                   "resume: manifest chain does not match the snapshot");
-    }
-    kept << line.text << '\n';
-  }
-  TS_REQUIRE(seg_lines == next_index,
+  // Kept: the header and the first next_index entries. Stale entries and a
+  // stale trailer of the killed run come after them and are not read.
+  Manifest m;
+  std::string error;
+  const std::size_t kept =
+      parse_manifest(manifest->lines, next_index, m, error);
+  TS_REQUIRE(error.empty(), "resume: " + error +
+                                " (not a torn record, or a tear healed by an "
+                                "older build)");
+  TS_REQUIRE(m.entries.size() == next_index,
              "resume: manifest has fewer segments than the snapshot");
-  if (next_index == 0)
-    TS_REQUIRE(chain == kFnvOffsetBasis,
-               "resume: chain of an empty log must be the FNV offset basis");
-  util::write_file_atomic(cfg_.base_path, kept.str());
+  TS_REQUIRE((m.entries.empty() ? kFnvOffsetBasis : m.entries.back().chain) ==
+                 chain,
+             "resume: manifest chain does not match the snapshot");
+  std::string text;
+  for (std::size_t i = 0; i < kept; ++i) {
+    text += manifest->lines[i].text;
+    text += '\n';
+  }
+  util::write_file_atomic(cfg_.base_path, text);
   next_index_ = next_index;
   chain_ = chain;
 }
@@ -279,23 +362,6 @@ void SegmentedRunLogWriter::write_final(std::uint64_t arrivals,
 
 namespace {
 
-struct ManifestEntry {
-  std::size_t lines = 0;
-  std::uint64_t fp = 0;
-  std::uint64_t chain = 0;
-};
-
-struct ManifestData {
-  double chunk = 0.0;
-  std::vector<double> speeds;
-  std::vector<NodeId> parents;
-  std::vector<char> kinds;
-  std::vector<ManifestEntry> entries;
-  bool has_final = false;
-  std::uint64_t arrivals = 0, completed = 0, shed = 0, rejected = 0;
-  double total_flow = 0.0, makespan = 0.0;
-};
-
 struct LiveJob {
   double release = 0.0;
   double size = 0.0;
@@ -317,6 +383,11 @@ class SegmentAuditor {
       out_.violations.push_back({segment, msg});
   }
 
+  void fail_line(std::size_t segment, const char* what,
+                 std::string_view line) {
+    fail(segment, what + std::string(line));
+  }
+
   /// Records the FIRST segment whose file integrity broke (missing file,
   /// fingerprint mismatch, chain mismatch) so treesched_audit can name the
   /// exact file and suggest quarantining it.
@@ -328,7 +399,21 @@ class SegmentAuditor {
   }
 
   bool run(const std::string& manifest_path) {
-    if (!parse_manifest(manifest_path)) return finish();
+    const std::optional<util::LogLines> manifest =
+        util::read_log(manifest_path);
+    std::string error;
+    if (!manifest)
+      error = "cannot open manifest: " + manifest_path;
+    else
+      parse_manifest(manifest->lines, SIZE_MAX, m_, error);
+    if (!error.empty()) {
+      fail(m_.entries.size(), error);
+      return finish();
+    }
+    if (!m_.has_final)
+      fail(m_.entries.size(),
+           "manifest has no final trailer (unfinished run?)");
+    node_last_t1_.assign(m_.parents.size(), 0.0);
     for (std::size_t i = 0; i < m_.entries.size(); ++i)
       check_segment(manifest_path, i);
     check_final();
@@ -343,88 +428,6 @@ class SegmentAuditor {
     out_.arrivals = admitted_ + rejected_;
     out_.completed = done_;
     return out_.ok;
-  }
-
-  bool parse_manifest(const std::string& path) {
-    const std::optional<util::LogLines> manifest = util::read_log(path);
-    if (!manifest) {
-      fail(0, "cannot open manifest: " + path);
-      return false;
-    }
-    bool header = false;
-    for (const util::LogLine& record : manifest->lines) {
-      const std::string line = util::trim(record.text);
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      bool ok = true;
-      if (tag == "runlogseg") {
-        int v = 0;
-        ok = static_cast<bool>(ls >> v) && v == 1;
-        header = ok;
-      } else if (!header) {
-        fail(0, "manifest missing 'runlogseg 1' header");
-        return false;
-      } else if (tag == "policy") {
-        std::string p;
-        ok = static_cast<bool>(ls >> p);
-      } else if (tag == "chunk") {
-        ok = static_cast<bool>(ls >> m_.chunk);
-      } else if (tag == "speeds") {
-        std::size_t n = 0;
-        ok = static_cast<bool>(ls >> n);
-        if (ok) {
-          m_.speeds.resize(n);
-          for (std::size_t k = 0; ok && k < n; ++k)
-            ok = static_cast<bool>(ls >> m_.speeds[k]);
-        }
-      } else if (tag == "shedcfg") {
-        std::string p;
-        double cap = 0, slack = 0;
-        ok = static_cast<bool>(ls >> p >> cap >> slack);
-      } else if (tag == "node") {
-        std::size_t id = 0;
-        NodeId parent = kInvalidNode;
-        char kind = 0;
-        ok = static_cast<bool>(ls >> id >> parent >> kind) &&
-             id == m_.parents.size();
-        if (ok) {
-          m_.parents.push_back(parent);
-          m_.kinds.push_back(kind);
-        }
-      } else if (tag == "segment") {
-        std::size_t idx = 0;
-        ManifestEntry e;
-        ok = static_cast<bool>(ls >> idx >> e.lines >> e.fp >> e.chain) &&
-             idx == m_.entries.size() && !m_.has_final;
-        if (ok) m_.entries.push_back(e);
-      } else if (tag == "final") {
-        ok = static_cast<bool>(ls >> m_.arrivals >> m_.completed >> m_.shed >>
-                               m_.rejected >> m_.total_flow >> m_.makespan) &&
-             !m_.has_final;
-        if (ok) m_.has_final = true;
-      } else {
-        ok = false;
-      }
-      if (!ok) {
-        fail(m_.entries.size(), "malformed manifest line " +
-                                    std::to_string(record.number) + ": " +
-                                    line);
-        return false;
-      }
-    }
-    if (!header) {
-      fail(0, "manifest missing 'runlogseg 1' header");
-      return false;
-    }
-    if (m_.speeds.size() != m_.parents.size()) {
-      fail(0, "manifest speeds/node count mismatch");
-      return false;
-    }
-    if (!m_.has_final)
-      fail(m_.entries.size(), "manifest has no final trailer (unfinished run?)");
-    return true;
   }
 
   std::vector<NodeId> path_of(NodeId leaf, std::size_t segment, bool& ok) {
@@ -479,47 +482,47 @@ class SegmentAuditor {
     }
     chain_ = want_chain;
 
-    std::istringstream is(content);
-    std::string line;
+    // Lines are parsed in place from the slurped bytes.
+    std::string_view rest = content;
+    std::string_view line;
+    util::next_line(rest, line);
+    util::Fields head(line);
+    int version = 0;
+    std::size_t index = 0;
+    if (!(head.expect("runlogseg-part") >> version >> index) || !head.done() ||
+        version != 1 || index != idx)
+      fail_line(idx, "bad segment header: ", line);
     std::size_t payload = 0;
     bool saw_end = false;
-    bool first = true;
-    while (std::getline(is, line)) {
-      line = util::trim(line);
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      if (first) {
-        int v = 0;
-        std::size_t i = 0;
-        if (tag != "runlogseg-part" || !(ls >> v >> i) || v != 1 || i != idx)
-          fail(idx, "bad segment header: " + line);
-        first = false;
-        continue;
-      }
+    while (util::next_line(rest, line)) {
+      util::Fields f(line);
+      const std::string_view tag = f.next();
       if (saw_end) {
-        fail(idx, "payload after end marker: " + line);
+        fail_line(idx, "payload after end marker: ", line);
         break;
       }
       if (tag == "end") {
         std::size_t i = 0, n = 0;
-        if (!(ls >> i >> n) || i != idx || n != payload)
-          fail(idx, "bad end marker: " + line);
+        if (!(f >> i >> n) || !f.done() || i != idx || n != payload)
+          fail_line(idx, "bad end marker: ", line);
         saw_end = true;
         continue;
       }
       ++payload;
       double key = 0.0;
       int rank = 0;
+      // A record with a malformed field, or one left over, is skipped.
+      const auto malformed = [&] {
+        if (f && f.done()) return false;
+        fail_line(idx, "malformed record: ", line);
+        return true;
+      };
       if (tag == "jobrec") {
         std::uint64_t job = 0;
         double release = 0, weight = 0, size = 0;
         NodeId leaf = kInvalidNode;
-        if (!(ls >> job >> release >> weight >> size >> leaf)) {
-          fail(idx, "bad jobrec line: " + line);
-          continue;
-        }
+        f >> job >> release >> weight >> size >> leaf;
+        if (malformed()) continue;
         key = release;
         rank = kRankJobrec;
         if (live_.count(job) != 0) {
@@ -540,30 +543,24 @@ class SegmentAuditor {
         std::uint64_t job = 0;
         std::int32_t chunk = 0;
         double t0 = 0, t1 = 0, rate = 0;
-        if (!(ls >> node >> job >> chunk >> t0 >> t1 >> rate)) {
-          fail(idx, "bad seg line: " + line);
-          continue;
-        }
+        f >> node >> job >> chunk >> t0 >> t1 >> rate;
+        if (malformed()) continue;
         key = t1;
         rank = kRankSeg;
         check_burst(idx, node, job, t0, t1, rate, line);
       } else if (tag == "done") {
         std::uint64_t job = 0;
         double t = 0;
-        if (!(ls >> job >> t)) {
-          fail(idx, "bad done line: " + line);
-          continue;
-        }
+        f >> job >> t;
+        if (malformed()) continue;
         key = t;
         rank = kRankDone;
         check_done(idx, job, t);
       } else if (tag == "shed" || tag == "reject") {
         double t = 0;
         std::uint64_t job = 0;
-        if (!(ls >> t >> job)) {
-          fail(idx, "bad " + tag + " line: " + line);
-          continue;
-        }
+        f >> t >> job;
+        if (malformed()) continue;
         key = t;
         rank = kRankRetire;
         if (tag == "shed") {
@@ -579,7 +576,7 @@ class SegmentAuditor {
           ++rejected_;
         }
       } else {
-        fail(idx, "unknown payload tag: " + line);
+        fail_line(idx, "unknown payload tag: ", line);
         continue;
       }
       // Canonical order: (key, rank) within the segment, key alone across
@@ -588,7 +585,7 @@ class SegmentAuditor {
       if (have_any_ &&
           (key < prev_key_ ||
            (have_prev_in_segment_ && key == prev_key_ && rank < prev_rank_)))
-        fail(idx, "canonical order violated at: " + line);
+        fail_line(idx, "canonical order violated at: ", line);
       prev_key_ = key;
       prev_rank_ = rank;
       have_prev_in_segment_ = true;
@@ -602,43 +599,44 @@ class SegmentAuditor {
   }
 
   void check_burst(std::size_t idx, NodeId node, std::uint64_t job, double t0,
-                   double t1, double rate, const std::string& line) {
+                   double t1, double rate, std::string_view line) {
     if (node < 0 || uidx(node) >= m_.speeds.size()) {
-      fail(idx, "seg on unknown node: " + line);
+      fail_line(idx, "seg on unknown node: ", line);
       return;
     }
     if (t1 <= t0 || t0 < 0.0) {
-      fail(idx, "degenerate burst interval: " + line);
+      fail_line(idx, "degenerate burst interval: ", line);
       return;
     }
     const double speed = m_.speeds[uidx(node)];
     if (std::abs(rate - speed) > tol_for(speed))
-      fail(idx, "burst rate differs from node speed: " + line);
+      fail_line(idx, "burst rate differs from node speed: ", line);
     // Unit capacity: one item at a time per node.
-    double& last = node_last_t1_[node];
+    double& last = node_last_t1_[uidx(node)];
     if (t0 < last - tol_for(last))
       fail(idx, "overlapping bursts on node " + std::to_string(node));
     last = std::max(last, t1);
 
     const auto it = live_.find(job);
     if (it == live_.end()) {
-      fail(idx, "burst for a job not live (unadmitted or retired): " + line);
+      fail_line(idx, "burst for a job not live (unadmitted or retired): ",
+                line);
       return;
     }
     LiveJob& lj = it->second;
     const NodeId want = lj.path[lj.hop];
     if (node != want) {
       if (lj.hop + 1 < lj.path.size() && node == lj.path[lj.hop + 1])
-        fail(idx, "store-and-forward violated (work before data): " + line);
+        fail_line(idx, "store-and-forward violated (work before data): ", line);
       else
-        fail(idx, "burst off the job's current hop: " + line);
+        fail_line(idx, "burst off the job's current hop: ", line);
       return;
     }
     if (t0 < lj.data_ready_t - tol_for(lj.data_ready_t))
-      fail(idx, "hop started before its data arrived: " + line);
+      fail_line(idx, "hop started before its data arrived: ", line);
     lj.acc += (t1 - t0) * rate;
     if (lj.acc > lj.size + tol_for(lj.size))
-      fail(idx, "more work than the requirement: " + line);
+      fail_line(idx, "more work than the requirement: ", line);
     if (lj.acc >= lj.size - tol_for(lj.size)) {
       if (lj.hop + 1 < lj.path.size()) {
         ++lj.hop;
@@ -691,11 +689,11 @@ class SegmentAuditor {
 
   const SegmentAuditOptions& opts_;
   SegmentAuditResult& out_;
-  ManifestData m_;
+  Manifest m_;
   std::size_t violation_count_ = 0;
   std::uint64_t chain_ = kFnvOffsetBasis;
   std::map<std::uint64_t, LiveJob> live_;
-  std::map<NodeId, double> node_last_t1_;
+  std::vector<double> node_last_t1_;  ///< per node, sized by the manifest
   double prev_key_ = 0.0;
   int prev_rank_ = 0;
   bool have_prev_in_segment_ = false;

@@ -49,8 +49,9 @@
 // each manifest entry and the final trailer is one fsynced
 // util::append_line_durable record (failpoint site "manifest.append"), so a
 // crash can tear at most the final line. Readers go through util::read_log,
-// which drops torn records (util/fs.hpp); any other malformed line is
-// corruption, for the audit and for resume alike.
+// which drops torn records (util/fs.hpp). The audit and resume parse the
+// manifest with one grammar; any other malformed line, blank and '#' lines
+// included, is corruption for both, and so is one in a segment file.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +92,7 @@ class SegmentedRunLogWriter {
   /// only the header and segment entries [0, next_index) — stale entries and
   /// torn records from the killed run disappear — and restores the
   /// fingerprint chain position (verified against the kept entries). A
-  /// malformed entry among the kept ones throws std::invalid_argument.
+  /// malformed record among the kept ones throws std::invalid_argument.
   /// Header parameters must match the original run.
   void resume(std::size_t next_index, std::uint64_t chain);
 

@@ -32,7 +32,6 @@
 // runs satisfy all three by construction.
 #include <algorithm>
 #include <iomanip>
-#include <istream>
 #include <ostream>
 #include <string>
 
@@ -45,13 +44,6 @@ namespace {
 
 constexpr char kMagic[] = "enginestate";
 constexpr int kVersion = 3;
-
-void expect_tag(std::istream& is, const char* tag) {
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == tag, std::string("engine load: expected '") + tag +
-                                   "', got '" + got + "'");
-}
 
 }  // namespace
 
@@ -146,43 +138,37 @@ void Engine::save_state(std::ostream& os) const {
   os.precision(prec);
 }
 
-void Engine::load_state(std::istream& is) {
+void Engine::load_state(std::string_view bytes) {
   TS_REQUIRE(now_ == 0.0 && seq_ == 0 && mutation_count_ == 0 &&
                  admitted_count_ == 0 && rejected_count_ == 0 &&
                  events_.empty() && fault_plan_ == nullptr,
              "load_state requires a pristine engine");
 
-  expect_tag(is, kMagic);
+  util::Fields f(bytes);
   int version = 0;
-  is >> version;
-  TS_REQUIRE(is && version == kVersion,
+  TS_REQUIRE((f.expect(kMagic) >> version) && version == kVersion,
              "engine load: unsupported enginestate version " +
                  std::to_string(version) + " (want " +
                  std::to_string(kVersion) + ")");
 
-  expect_tag(is, "config");
-  std::string policy;
+  std::string_view policy;
   int record = 0;
   double chunk = 0.0;
-  is >> policy >> record >> chunk;
-  TS_REQUIRE(is && policy == node_policy_name(cfg_.node_policy),
+  f.expect("config") >> policy >> record >> chunk;
+  TS_REQUIRE(f && policy == node_policy_name(cfg_.node_policy),
              "engine load: node policy mismatch");
   TS_REQUIRE((record != 0) == cfg_.record_schedule,
              "engine load: record_schedule mismatch");
   TS_REQUIRE(chunk == cfg_.router_chunk_size,
              "engine load: router_chunk_size mismatch");
 
-  expect_tag(is, "clock");
-  long long adm = 0, rej = 0;
-  is >> now_ >> seq_ >> mutation_count_ >> adm >> rej;
-  admitted_count_ = static_cast<JobId>(adm);
-  rejected_count_ = static_cast<JobId>(rej);
+  f.expect("clock") >> now_ >> seq_ >> mutation_count_ >> admitted_count_ >>
+      rejected_count_;
 
-  expect_tag(is, "status");
   std::size_t n = 0;
-  std::string status;
-  is >> n >> status;
-  TS_REQUIRE(is && status.size() == n, "engine load: malformed status chart");
+  std::string_view status;
+  f.expect("status") >> n >> status;
+  TS_REQUIRE(f && status.size() == n, "engine load: malformed status chart");
   TS_REQUIRE(n <= jobs_.size(),
              "engine load: snapshot has more jobs than the instance");
   std::size_t live = 0;
@@ -200,39 +186,39 @@ void Engine::load_state(std::istream& is) {
 
   std::size_t prev = 0;
   for (std::size_t line = 0; line < live; ++line) {
-    expect_tag(is, "job");
-    std::size_t j = 0;
-    std::size_t len = 0;
-    is >> j;
-    TS_REQUIRE(is && j < n && status[j] == 'L' && (line == 0 || j > prev),
+    std::size_t j = 0, len = 0;
+    TS_REQUIRE((f.expect("job") >> j) && j < n && status[j] == 'L' &&
+                   (line == 0 || j > prev),
                "engine load: job line is not the next live job");
     prev = j;
     JobState& js = jobs_[j];
-    is >> js.leaf >> js.chunks >> js.chunk_size >> js.leaf_rem >> js.frac >>
+    f >> js.leaf >> js.chunks >> js.chunk_size >> js.leaf_rem >> js.frac >>
         js.frac_touch >> len;
-    TS_REQUIRE(static_cast<bool>(is), "engine load: bad job line");
-    TS_REQUIRE(tree().is_leaf(js.leaf), "engine load: job leaf is no machine");
+    TS_REQUIRE(f, "engine load: bad job line");
+    TS_REQUIRE(js.leaf >= 0 && js.leaf < tree().node_count() &&
+                   tree().is_leaf(js.leaf),
+               "engine load: job leaf is no machine");
     js.path = &tree().path_to(js.leaf);
     TS_REQUIRE(js.path->size() == len, "engine load: path length mismatch");
     js.admitted = true;
     js.span = alloc_span(len);
     js.len = static_cast<std::uint32_t>(len);
     for (std::size_t i = 0; i + 1 < len; ++i)
-      is >> chunks_done(js, i) >> head_rem(js, i);
+      f >> chunks_done(js, i) >> head_rem(js, i);
     for (std::size_t i = 0; i < len; ++i) {
       int avail = 0;
-      is >> avail;
+      f >> avail;
       if (avail == 0) continue;
       PriorityKey k;
       k.job = static_cast<JobId>(j);
-      is >> k.a >> k.b >> k.chunk;
+      f >> k.a >> k.b >> k.chunk;
       in_avail(js, i) = 1;
       avail_key(js, i) = k;
       // Availability heaps rebuild from the per-job arrays; their internal
       // layout is never observable (pops follow the full key order).
       avail_push((*js.path)[i], k, static_cast<int>(i));
     }
-    TS_REQUIRE(static_cast<bool>(is), "engine load: truncated job line");
+    TS_REQUIRE(f, "engine load: truncated job line");
     // Queue membership mirrors unfinished work per hop; the dispatch-index
     // treaps rebuild bit-identically from the restored key set.
     for (std::size_t i = 0; i + 1 < len; ++i) {
@@ -243,32 +229,34 @@ void Engine::load_state(std::istream& is) {
   }
 
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    expect_tag(is, "node");
     std::size_t id = 0;
     int has_running = 0;
     NodeState& ns = nodes_[v];
-    is >> id >> ns.version >> ns.burst_start >> has_running;
-    TS_REQUIRE(is && id == v, "engine load: node section out of order");
+    f.expect("node") >> id >> ns.version >> ns.burst_start >> has_running;
+    TS_REQUIRE(f && id == v, "engine load: node section out of order");
     ns.has_running = has_running != 0;
     if (ns.has_running) {
-      is >> ns.running.a >> ns.running.b >> ns.running.job >>
+      f >> ns.running.a >> ns.running.b >> ns.running.job >>
           ns.running.chunk >> ns.running_rem;
+      // The running item must be a live job; path_index then requires v on
+      // its path.
+      const JobId rj = ns.running.job;
+      TS_REQUIRE(f && rj >= 0 && uidx(rj) < n && status[uidx(rj)] == 'L',
+                 "engine load: running item is not a live job");
       // Derived, not serialized: the running item's path index and
       // dispatch-index key.
-      ns.running_idx =
-          path_index(jobs_[uidx(ns.running.job)], static_cast<NodeId>(v));
-      ns.running_sjf = index_key(ns.running.job, static_cast<NodeId>(v));
+      ns.running_idx = path_index(jobs_[uidx(rj)], static_cast<NodeId>(v));
+      ns.running_sjf = index_key(rj, static_cast<NodeId>(v));
     }
   }
 
-  expect_tag(is, "events");
   std::size_t nev = 0;
-  is >> nev;
-  for (std::size_t i = 0; i < nev; ++i) {
-    expect_tag(is, "ev");
+  f.expect("events") >> nev;
+  for (std::size_t i = 0; i < nev && f; ++i) {
     SimEvent ev;
-    is >> ev.t >> ev.seq >> ev.node >> ev.version;
-    TS_REQUIRE(is && ev.seq < seq_, "engine load: event from the future");
+    TS_REQUIRE((f.expect("ev") >> ev.t >> ev.seq >> ev.node >> ev.version) &&
+                   ev.seq < seq_,
+               "engine load: event from the future");
     TS_REQUIRE(ev.node >= 0 && uidx(ev.node) < nodes_.size(),
                "engine load: event on an unknown node");
     NodeState& ns = nodes_[uidx(ev.node)];
@@ -276,27 +264,27 @@ void Engine::load_state(std::istream& is) {
     events_.push(ev);
   }
 
-  expect_tag(is, "shedlog");
   std::size_t nsl = 0;
-  is >> nsl;
-  shed_log_.assign(nsl, ShedRecord{});
-  for (std::size_t i = 0; i < nsl; ++i) {
-    expect_tag(is, "sl");
+  f.expect("shedlog") >> nsl;
+  for (std::size_t i = 0; i < nsl && f; ++i) {
+    ShedRecord sr;
     int kind = 0;
-    is >> kind >> shed_log_[i].t >> shed_log_[i].job >> shed_log_[i].f >>
-        shed_log_[i].bound;
-    shed_log_[i].kind = static_cast<ShedRecord::Kind>(kind);
+    TS_REQUIRE((f.expect("sl") >> kind >> sr.t >> sr.job >> sr.f >> sr.bound) &&
+                   kind >= 0 &&
+                   kind <= static_cast<int>(ShedRecord::Kind::kAdmit),
+               "engine load: bad shed record");
+    sr.kind = static_cast<ShedRecord::Kind>(kind);
+    shed_log_.push_back(sr);
   }
 
-  metrics_.load(is);
+  metrics_.load(f);
   // A retired job whose record was not written had been folded into the
   // streaming accumulator: mark it so, exactly as the saved engine had it.
   for (std::size_t j = 0; j < n; ++j) {
     JobRecord& r = metrics_.job(static_cast<JobId>(j));
     if (status[j] != '.' && status[j] != 'L' && !r.touched()) r.finalized = true;
   }
-  expect_tag(is, "end");
-  TS_REQUIRE(static_cast<bool>(is), "engine load: truncated snapshot");
+  TS_REQUIRE(f.expect("end") && f.done(), "engine load: truncated snapshot");
 }
 
 }  // namespace treesched::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -18,13 +17,6 @@ namespace treesched::stats {
 namespace {
 
 double quiet_nan() { return std::numeric_limits<double>::quiet_NaN(); }
-
-void expect_tag(std::istream& is, const char* tag) {
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == tag, std::string("sketch load: expected '") + tag +
-                                   "', got '" + got + "'");
-}
 
 }  // namespace
 
@@ -140,16 +132,15 @@ void P2Quantile::save(std::ostream& os) const {
   util::seal(os, "p2csum", payload());
 }
 
-void P2Quantile::load(std::istream& is) {
-  expect_tag(is, "p2");
+void P2Quantile::load(util::Fields& f) {
   P2Quantile tmp(q_);
-  double q;
-  is >> q >> tmp.count_;
-  TS_REQUIRE(is && q == q_, "p2 load: quantile mismatch");
+  double q = 0.0;
+  TS_REQUIRE((f.expect("p2") >> q >> tmp.count_) && q == q_,
+             "p2 load: quantile mismatch");
   for (int i = 0; i < 5; ++i)
-    is >> tmp.height_[i] >> tmp.pos_[i] >> tmp.desired_[i];
-  TS_REQUIRE(static_cast<bool>(is), "p2 load: truncated state");
-  util::expect_seal(is, "p2csum", tmp.payload(), "p2 load");
+    f >> tmp.height_[i] >> tmp.pos_[i] >> tmp.desired_[i];
+  TS_REQUIRE(f, "p2 load: truncated state");
+  util::expect_seal(f, "p2csum", tmp.payload(), "p2 load");
   *this = tmp;
 }
 
@@ -302,29 +293,22 @@ void QuantileDigest::save(std::ostream& os) const {
   util::seal(os, "digestcsum", payload());
 }
 
-void QuantileDigest::load(std::istream& is) {
-  expect_tag(is, "digest");
+void QuantileDigest::load(util::Fields& f) {
   QuantileDigest tmp(max_centroids_);
   std::size_t mc = 0, nc = 0, nb = 0;
-  is >> mc >> tmp.count_ >> tmp.min_ >> tmp.max_ >> nc >> nb;
-  TS_REQUIRE(is && mc == max_centroids_, "digest load: max_centroids mismatch");
+  f.expect("digest") >> mc >> tmp.count_ >> tmp.min_ >> tmp.max_ >> nc >> nb;
+  TS_REQUIRE(f && mc == max_centroids_, "digest load: max_centroids mismatch");
   // Structural bounds BEFORE any allocation: a corrupt count must not drive
   // a giant .assign() — the writer never exceeds these (compress() caps the
   // centroid list and flushes the buffer at 2 * max_centroids).
   TS_REQUIRE(nc <= 2 * max_centroids_ + 2 && nb < 2 * max_centroids_,
              "digest load: implausible centroid/buffer count (corrupt state)");
   tmp.centroids_.assign(nc, Centroid{});
-  for (std::size_t i = 0; i < nc; ++i) {
-    expect_tag(is, "c");
-    is >> tmp.centroids_[i].mean >> tmp.centroids_[i].weight;
-  }
+  for (Centroid& c : tmp.centroids_) f.expect("c") >> c.mean >> c.weight;
   tmp.buffer_.assign(nb, 0.0);
-  for (std::size_t i = 0; i < nb; ++i) {
-    expect_tag(is, "b");
-    is >> tmp.buffer_[i];
-  }
-  TS_REQUIRE(static_cast<bool>(is), "digest load: truncated state");
-  util::expect_seal(is, "digestcsum", tmp.payload(), "digest load");
+  for (double& x : tmp.buffer_) f.expect("b") >> x;
+  TS_REQUIRE(f, "digest load: truncated state");
+  util::expect_seal(f, "digestcsum", tmp.payload(), "digest load");
   *this = tmp;
 }
 

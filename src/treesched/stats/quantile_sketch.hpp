@@ -45,6 +45,8 @@
 #include <iosfwd>
 #include <vector>
 
+#include "treesched/util/fields.hpp"
+
 namespace treesched::stats {
 
 /// P² fixed-marker estimator for one quantile q in (0, 1).
@@ -66,7 +68,7 @@ class P2Quantile {
   /// parsed state and rejects (std::invalid_argument) any bytes that do not
   /// reproduce the checksum — truncated or bit-flipped state never loads.
   void save(std::ostream& os) const;
-  void load(std::istream& is);
+  void load(util::Fields& f);
 
  private:
   std::string payload() const;  ///< canonical serialized state (checksummed)
@@ -107,7 +109,7 @@ class QuantileDigest {
   /// self-checksum contract as P2Quantile: corrupt state is rejected with
   /// std::invalid_argument, never silently mis-loaded.
   void save(std::ostream& os) const;
-  void load(std::istream& is);
+  void load(util::Fields& f);
 
  private:
   struct Centroid {

@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
 
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fields.hpp"
 
 namespace treesched::util {
 
@@ -39,22 +39,18 @@ inline void seal(std::ostream& os, const char* tag,
   os << payload << tag << ' ' << fnv1a_64(payload) << '\n';
 }
 
-/// Reads the "<tag> <fnv>" seal line from `is` and checks it against
+/// Reads the "<tag> <fnv>" seal line from `f` and checks it against
 /// `payload` — the canonical re-serialization of what was just parsed. A
 /// mutation that parses to the same values re-serializes identically and
 /// passes (nothing was mis-loaded); anything else throws
 /// std::invalid_argument prefixed with `what`.
-inline void expect_seal(std::istream& is, const char* tag,
-                        const std::string& payload, const char* what) {
-  std::string got;
-  is >> got;
-  TS_REQUIRE(is && got == tag, std::string(what) + ": missing '" + tag +
-                                   "' checksum line (truncated or corrupt "
-                                   "state)");
+inline void expect_seal(Fields& f, const char* tag, const std::string& payload,
+                        const char* what) {
+  TS_REQUIRE(f.expect(tag), std::string(what) + ": missing '" + tag +
+                                "' checksum line (truncated or corrupt "
+                                "state)");
   std::uint64_t fp = 0;
-  is >> fp;
-  TS_REQUIRE(static_cast<bool>(is),
-             std::string(what) + ": truncated checksum");
+  TS_REQUIRE(f >> fp, std::string(what) + ": truncated checksum");
   TS_REQUIRE(fp == fnv1a_64(payload),
              std::string(what) + ": checksum mismatch (corrupt state)");
 }

@@ -1,15 +1,14 @@
 #include "treesched/workload/trace_io.hpp"
 
 #include <iomanip>
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "treesched/util/assert.hpp"
+#include "treesched/util/fields.hpp"
 #include "treesched/util/fs.hpp"
-#include "treesched/util/string_util.hpp"
 
 namespace treesched::workload {
 
@@ -30,8 +29,8 @@ NodeKind parse_kind(const std::string& s) {
   throw std::invalid_argument("trace: unknown node kind '" + s + "'");
 }
 
-[[noreturn]] void bad(const std::string& msg) {
-  throw std::invalid_argument("trace: " + msg);
+[[noreturn]] void bad(const std::string& msg, std::string_view line = {}) {
+  throw std::invalid_argument("trace: " + msg + std::string(line));
 }
 }  // namespace
 
@@ -60,8 +59,8 @@ void write_trace_file(const std::string& path, const Instance& instance) {
   util::write_file_atomic(path, os.str());
 }
 
-Instance read_trace(std::istream& is) {
-  std::string line;
+Instance read_trace(std::string_view bytes) {
+  const std::size_t size = bytes.size();  // bounds the node count
   int node_count = -1;
   std::vector<NodeId> parent;
   std::vector<NodeKind> kind;
@@ -69,41 +68,44 @@ Instance read_trace(std::istream& is) {
   EndpointModel model = EndpointModel::kIdentical;
   std::vector<Job> jobs;
 
-  while (std::getline(is, line)) {
-    line = util::trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+  std::string_view line;
+  while (util::next_line(bytes, line)) {
+    util::Fields f(line);
+    const std::string_view tag = f.next();
+    if (tag.empty() || tag[0] == '#') continue;
     if (tag == "tree") {
-      if (!(ls >> node_count) || node_count <= 0) bad("bad tree header");
+      if (!(f >> node_count) || node_count <= 0 || uidx(node_count) > size)
+        bad("bad tree header");
       parent.assign(uidx(node_count), kInvalidNode);
       kind.assign(uidx(node_count), NodeKind::kRouter);
     } else if (tag == "node") {
       if (node_count < 0) bad("node before tree header");
-      int id, par;
+      int id = -1, par = -1;
       std::string kname;
-      if (!(ls >> id >> par >> kname)) bad("bad node line: " + line);
+      if (!(f >> id >> par >> kname)) bad("bad node line: ", line);
       if (id < 0 || id >= node_count) bad("node id out of range");
       parent[uidx(id)] = static_cast<NodeId>(par);
       kind[uidx(id)] = parse_kind(kname);
     } else if (tag == "model") {
       std::string m;
-      if (!(ls >> m)) bad("bad model line");
+      if (!(f >> m)) bad("bad model line");
       if (m == "identical") model = EndpointModel::kIdentical;
       else if (m == "unrelated") model = EndpointModel::kUnrelated;
       else bad("unknown model '" + m + "'");
       model_seen = true;
     } else if (tag == "job") {
       Job j;
-      if (!(ls >> j.id >> j.release >> j.size >> j.weight >> j.source))
-        bad("bad job line: " + line);
-      double p;
-      while (ls >> p) j.leaf_sizes.push_back(p);
+      f >> j.id >> j.release >> j.size >> j.weight >> j.source;
+      while (f && !f.done()) {
+        double p = 0.0;
+        f >> p;
+        j.leaf_sizes.push_back(p);
+      }
       jobs.push_back(std::move(j));
     } else {
-      bad("unknown tag '" + tag + "'");
+      bad("unknown tag '" + std::string(tag) + "'");
     }
+    if (!f || !f.done()) bad("bad " + std::string(tag) + " line: ", line);
   }
   if (node_count < 0) bad("missing tree header");
   if (!model_seen) bad("missing model line");
@@ -114,8 +116,7 @@ Instance read_trace(std::istream& is) {
 Instance read_trace_file(const std::string& path) {
   const std::optional<std::string> bytes = util::read_file(path);
   if (!bytes) throw std::runtime_error("cannot open trace file: " + path);
-  std::istringstream is(*bytes);
-  return read_trace(is);
+  return read_trace(*bytes);
 }
 
 }  // namespace treesched::workload

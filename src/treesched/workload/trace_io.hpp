@@ -12,6 +12,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "treesched/core/instance.hpp"
 
@@ -22,7 +23,7 @@ void write_trace(std::ostream& os, const Instance& instance);
 void write_trace_file(const std::string& path, const Instance& instance);
 
 /// Parses an instance; throws std::invalid_argument on malformed input.
-Instance read_trace(std::istream& is);
+Instance read_trace(std::string_view bytes);
 Instance read_trace_file(const std::string& path);
 
 }  // namespace treesched::workload

@@ -54,7 +54,7 @@ TEST(RunLog, RoundTripIsExact) {
   Baseline b = make_baseline();
   std::stringstream ss;
   sim::write_run_log(ss, b.log);
-  const RunLog back = sim::read_run_log(ss);
+  const RunLog back = sim::read_run_log(ss.str());
   EXPECT_EQ(back.node_policy, b.log.node_policy);
   EXPECT_EQ(back.router_chunk_size, b.log.router_chunk_size);
   EXPECT_EQ(back.speeds, b.log.speeds);
@@ -75,23 +75,23 @@ TEST(RunLog, RoundTripIsExact) {
 TEST(RunLog, RejectsMalformedInput) {
   {
     std::istringstream ss("job 0 1.0 1 2\n");  // body before header
-    EXPECT_THROW(sim::read_run_log(ss), std::invalid_argument);
+    EXPECT_THROW(sim::read_run_log(ss.str()), std::invalid_argument);
   }
   {
     std::istringstream ss("runlog 2\n");  // unknown version
-    EXPECT_THROW(sim::read_run_log(ss), std::invalid_argument);
+    EXPECT_THROW(sim::read_run_log(ss.str()), std::invalid_argument);
   }
   {
     std::istringstream ss("runlog 1\nfrobnicate 3\n");  // unknown tag
-    EXPECT_THROW(sim::read_run_log(ss), std::invalid_argument);
+    EXPECT_THROW(sim::read_run_log(ss.str()), std::invalid_argument);
   }
   {
     std::istringstream ss("runlog 1\nseg 0 0 0 1.0\n");  // truncated seg
-    EXPECT_THROW(sim::read_run_log(ss), std::invalid_argument);
+    EXPECT_THROW(sim::read_run_log(ss.str()), std::invalid_argument);
   }
   {
     std::istringstream ss("");  // empty
-    EXPECT_THROW(sim::read_run_log(ss), std::invalid_argument);
+    EXPECT_THROW(sim::read_run_log(ss.str()), std::invalid_argument);
   }
 }
 

@@ -107,7 +107,7 @@ TEST(TraceIo, PreservesWeightAndSource) {
   Instance inst(std::move(tree), {j}, EndpointModel::kIdentical);
   std::stringstream ss;
   workload::write_trace(ss, inst);
-  const Instance back = workload::read_trace(ss);
+  const Instance back = workload::read_trace(ss.str());
   EXPECT_DOUBLE_EQ(back.job(0).weight, 3.5);
   EXPECT_EQ(back.job(0).source, inst.tree().leaves()[1]);
 }

@@ -663,8 +663,7 @@ TEST_F(DurabilityChaosTest, AdmissionControllerRoundTripsByteIdentically) {
   shed.policy = overload::ShedPolicy::kLargestFirst;
   shed.queue_cap = 32.0;
   overload::AdmissionController ctl(shed);
-  std::istringstream is(ref.res.overload_state);
-  ctl.load_state(is);
+  ctl.load_state(ref.res.overload_state);
   std::ostringstream os;
   ctl.save_state(os);
   EXPECT_EQ(os.str(), ref.res.overload_state);
@@ -680,9 +679,8 @@ TEST_F(DurabilityChaosTest, OverloadStateRejectsTruncationAndFlips) {
   const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 256);
   const auto check_mutation = [&](const std::string& mut) {
     overload::AdmissionController ctl(shed);
-    std::istringstream is(mut);
     try {
-      ctl.load_state(is);
+      ctl.load_state(mut);
     } catch (const std::invalid_argument&) {
       return;  // rejected: good
     }
@@ -707,9 +705,9 @@ TEST_F(DurabilityChaosTest, StreamAccumulatorRejectsTruncationAndFlips) {
   const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 256);
   const auto check_mutation = [&](const std::string& mut) {
     sim::StreamAccumulator acc;
-    std::istringstream is(mut);
+    util::Fields f(mut);
     try {
-      acc.load(is);
+      acc.load(f);
     } catch (const std::invalid_argument&) {
       return;
     }

@@ -164,8 +164,7 @@ TEST(FaultEngine, FaultyRunsAreReproducible) {
 
 TEST(FaultEngine, FaultyRunsPassTheOfflineAudit) {
   const FaultyRun run = faulty_run(21);
-  std::istringstream is(run.run_log_text);
-  const sim::RunLog log = sim::read_run_log(is);
+  const sim::RunLog log = sim::read_run_log(run.run_log_text);
   EXPECT_FALSE(log.faults.empty());
   const sim::AuditReport report = sim::audit_run(run.inst, log);
   EXPECT_TRUE(report.ok) << report.summary();
@@ -173,8 +172,7 @@ TEST(FaultEngine, FaultyRunsPassTheOfflineAudit) {
 
 TEST(FaultEngine, AuditCatchesTamperedFaultRun) {
   const FaultyRun run = faulty_run(31);
-  std::istringstream is(run.run_log_text);
-  sim::RunLog log = sim::read_run_log(is);
+  sim::RunLog log = sim::read_run_log(run.run_log_text);
   ASSERT_FALSE(log.segments.empty());
   log.segments.front().rate *= 2.0;  // claim work faster than the speed
   const sim::AuditReport report = sim::audit_run(run.inst, log);

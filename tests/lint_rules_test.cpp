@@ -344,6 +344,31 @@ TEST(LintRules, RawFstreamAcceptsUtilFsTestsAndProse) {
   EXPECT_EQ(count_rule(prose, "hyg-raw-fstream"), 0);
 }
 
+// --- hyg-istringstream -----------------------------------------------------
+
+TEST(LintRules, IstringstreamRejectsStreamDecodersInSrcAndTools) {
+  const auto src = lint_source(
+      "void f(const std::string& s) { std::istringstream is(s); }",
+      "src/treesched/sim/x.cpp");
+  EXPECT_EQ(count_rule(src, "hyg-istringstream"), 1);
+  const auto tool = lint_source(
+      "void f() { std::istringstream a(\"1\"), b(\"2\"); }", "tools/x.cpp");
+  EXPECT_EQ(count_rule(tool, "hyg-istringstream"), 1);
+}
+
+TEST(LintRules, IstringstreamAcceptsTestsAndProse) {
+  const char* code = "void f() { std::istringstream is(\"1\"); }";
+  EXPECT_EQ(count_rule(lint_source(code, "tests/x_test.cpp"),
+                       "hyg-istringstream"),
+            0);
+  EXPECT_EQ(count_rule(lint_source(code, "bench/x.cpp"), "hyg-istringstream"),
+            0);
+  const auto prose = lint_source(
+      "// no std::istringstream here\nconst char* s = \"istringstream\";",
+      "src/treesched/sim/x.cpp");
+  EXPECT_EQ(count_rule(prose, "hyg-istringstream"), 0);
+}
+
 // --- suppressions ----------------------------------------------------------
 
 TEST(LintSuppression, TrailingAllowSuppressesOwnLine) {
@@ -436,10 +461,11 @@ TEST(LintReport, JsonCarriesSchemaAndFindings) {
 
 TEST(LintReport, CatalogueHasStableRuleSet) {
   const auto& rules = treesched::lint::rule_catalogue();
-  EXPECT_EQ(rules.size(), 14u);
+  EXPECT_EQ(rules.size(), 15u);
   // Spot-check ids the docs and suppressions depend on.
   bool has_wallclock = false, has_stale = false, has_sketch = false;
   bool has_hot_container = false, has_raw_fstream = false;
+  bool has_istringstream = false;
   for (const auto& r : rules) {
     if (std::string(r.id) == "det-wallclock") has_wallclock = true;
     if (std::string(r.id) == "lint-stale-suppression") has_stale = true;
@@ -447,12 +473,14 @@ TEST(LintReport, CatalogueHasStableRuleSet) {
     if (std::string(r.id) == "perf-engine-hot-container")
       has_hot_container = true;
     if (std::string(r.id) == "hyg-raw-fstream") has_raw_fstream = true;
+    if (std::string(r.id) == "hyg-istringstream") has_istringstream = true;
   }
   EXPECT_TRUE(has_wallclock);
   EXPECT_TRUE(has_stale);
   EXPECT_TRUE(has_sketch);
   EXPECT_TRUE(has_hot_container);
   EXPECT_TRUE(has_raw_fstream);
+  EXPECT_TRUE(has_istringstream);
 }
 
 }  // namespace

@@ -368,7 +368,7 @@ TEST(RunLog, ShedRecordsRoundTripAndAuditPasses) {
   const sim::RunLog log = sim::make_run_log(inst, eng);
   std::stringstream ss;
   sim::write_run_log(ss, log);
-  const sim::RunLog back = sim::read_run_log(ss);
+  const sim::RunLog back = sim::read_run_log(ss.str());
 
   EXPECT_EQ(back.shed.policy, overload::ShedPolicy::kLargestFirst);
   EXPECT_DOUBLE_EQ(back.shed.queue_cap, 6.0);

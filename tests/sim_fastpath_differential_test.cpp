@@ -366,8 +366,7 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   sim::Engine res(inst, speeds, cfg);
   test::QueryOracle res_oracle;
   if (rc.shed) res.set_admission(&adm_res);
-  std::istringstream in(snap.str());
-  res.load_state(in);
+  res.load_state(snap.str());
   res.set_observer(&res_oracle);
   drive(res, p_res, rc.shed ? &adm_res : nullptr, cut, inst.jobs().size());
   res.run_to_completion();

@@ -104,8 +104,7 @@ TEST(SimSnapshotTest, MidRunRestoreFinishesByteIdentically) {
 
   // ...and the restored one must match it byte for byte.
   sim::Engine resumed(inst, speeds, sim::EngineConfig{});
-  std::istringstream in(snap.str());
-  resumed.load_state(in);
+  resumed.load_state(snap.str());
   EXPECT_DOUBLE_EQ(resumed.now(), inst.jobs()[80].release * 0.999);
   admit_range(resumed, pb, inst, 80, jobs.size());
   resumed.run_to_completion();
@@ -132,8 +131,7 @@ TEST(SimSnapshotTest, RestoredEngineAnswersPrioritySplitExactly) {
   std::ostringstream snap;
   orig.save_state(snap);
   sim::Engine restored(inst, speeds, sim::EngineConfig{});
-  std::istringstream in(snap.str());
-  restored.load_state(in);
+  restored.load_state(snap.str());
 
   std::size_t compared = 0;
   for (NodeId v = 0; v < tree->node_count(); ++v) {
@@ -171,8 +169,7 @@ TEST(SimSnapshotTest, RestoreThenContinueUnderQueryOracle) {
   // aggregate the rebuilt indices answer must match a rescan of Q_v, and
   // the bits of the finished run cannot move.
   sim::Engine resumed(inst, speeds, sim::EngineConfig{});
-  std::istringstream in(snap.str());
-  resumed.load_state(in);
+  resumed.load_state(snap.str());
   test::QueryOracle oracle;
   oracle.check(resumed, resumed.now());
   resumed.set_observer(&oracle);
@@ -206,8 +203,7 @@ TEST(SimSnapshotTest, RestoreIntoExtendedInstance) {
   // Extension: restore the 100-job state into the 150-job instance (the
   // extra jobs are untouched in the snapshot), then admit the remainder.
   sim::Engine extended(big_inst, speeds, sim::EngineConfig{});
-  std::istringstream in(snap.str());
-  extended.load_state(in);
+  extended.load_state(snap.str());
   admit_range(extended, pb, big_inst, 100, jobs.size());
   extended.run_to_completion();
 
@@ -228,8 +224,7 @@ TEST(SimSnapshotTest, LoadRequiresPristineEngine) {
 
   sim::Engine dirty(inst, speeds, sim::EngineConfig{});
   admit_range(dirty, policy, inst, 0, 1);
-  std::istringstream in(snap.str());
-  EXPECT_THROW(dirty.load_state(in), std::invalid_argument);
+  EXPECT_THROW(dirty.load_state(snap.str()), std::invalid_argument);
 }
 
 TEST(SimSnapshotTest, StreamAccumulatorRoundTripContinuesIdentically) {
@@ -248,8 +243,9 @@ TEST(SimSnapshotTest, StreamAccumulatorRoundTripContinuesIdentically) {
   std::ostringstream os;
   acc.save(os);
   sim::StreamAccumulator back;
-  std::istringstream is(os.str());
-  back.load(is);
+  const std::string bytes = os.str();
+  util::Fields fields(bytes);
+  back.load(fields);
 
   std::ostringstream a2, b2;
   acc.save(a2);
@@ -326,8 +322,7 @@ TEST(SimSnapshotTest, SaveLoadSaveIsByteIdentical) {
   const std::string first = state_bytes(orig);
 
   sim::Engine restored(inst, speeds, sim::EngineConfig{});
-  std::istringstream in(first);
-  restored.load_state(in);
+  restored.load_state(first);
   EXPECT_EQ(state_bytes(restored), first);
   for (const Job& job : inst.jobs()) {
     EXPECT_EQ(restored.metrics().job(job.id).finalized,
@@ -375,8 +370,7 @@ TEST(SimSnapshotTest, ExtendInPlaceMatchesRestoreAndMonolithicRun) {
   sim::Engine window(small_inst, speeds, sim::EngineConfig{});
   admit_range(window, pb, small_inst, 0, 100);
   sim::Engine loaded(big_inst, speeds, sim::EngineConfig{});
-  std::istringstream in(state_bytes(window));
-  loaded.load_state(in);
+  loaded.load_state(state_bytes(window));
   admit_range(loaded, pb, big_inst, 100, jobs.size());
   loaded.run_to_completion();
 
@@ -419,6 +413,5 @@ TEST(SimSnapshotTest, LoadRejectsOlderEngineStateVersion) {
   ASSERT_EQ(snap.rfind("enginestate 3\n", 0), 0u);
   snap[12] = '2';  // a v2 blob (one line per touched job) is not readable
   sim::Engine b(inst, speeds, sim::EngineConfig{});
-  std::istringstream in(snap);
-  EXPECT_THROW(b.load_state(in), std::invalid_argument);
+  EXPECT_THROW(b.load_state(snap), std::invalid_argument);
 }

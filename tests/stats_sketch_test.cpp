@@ -97,8 +97,9 @@ TEST(P2QuantileTest, SaveLoadRoundTripsExactly) {
   std::ostringstream os;
   p.save(os);
   P2Quantile q(0.99);  // load() restores state into a same-q sketch
-  std::istringstream is(os.str());
-  q.load(is);
+  const std::string saved = os.str();
+  treesched::util::Fields f(saved);
+  q.load(f);
   EXPECT_DOUBLE_EQ(q.estimate(), p.estimate());
   EXPECT_EQ(q.count(), p.count());
   // Identical continuation after the round trip.
@@ -173,9 +174,9 @@ TEST(P2QuantileTest, RejectsTruncatedAndBitFlippedState) {
   // byte) — it never silently mis-loads.
   const auto check = [&](const std::string& mut) {
     P2Quantile q(0.99);
-    std::istringstream is(mut);
+    treesched::util::Fields f(mut);
     try {
-      q.load(is);
+      q.load(f);
     } catch (const std::invalid_argument&) {
       return;
     }
@@ -199,9 +200,9 @@ TEST(QuantileDigestTest, RejectsTruncatedAndBitFlippedState) {
   const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 512);
   const auto check = [&](const std::string& mut) {
     QuantileDigest e(64);
-    std::istringstream is(mut);
+    treesched::util::Fields f(mut);
     try {
-      e.load(is);
+      e.load(f);
     } catch (const std::invalid_argument&) {
       return;
     }
@@ -222,8 +223,9 @@ TEST(QuantileDigestTest, SaveLoadRoundTripsExactly) {
   std::ostringstream os;
   d.save(os);
   QuantileDigest e(128);  // load() restores state into a same-shape sketch
-  std::istringstream is(os.str());
-  e.load(is);
+  const std::string saved = os.str();
+  treesched::util::Fields f(saved);
+  e.load(f);
   EXPECT_EQ(digest_bytes(e), digest_bytes(d));
   EXPECT_EQ(e.max_centroids(), d.max_centroids());
   // Identical continuation: resume-from-snapshot must not fork the stream.

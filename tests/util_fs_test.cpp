@@ -251,11 +251,11 @@ TEST_F(UtilFsTest, SealRoundTripsAndRejectsDamage) {
   const std::string sealed = os.str();
   EXPECT_EQ(sealed, payload + "p2csum " +
                         std::to_string(util::fnv1a_64(payload)) + "\n");
-  {
-    std::istringstream is(sealed.substr(payload.size()));
-    EXPECT_NO_THROW(util::expect_seal(is, "p2csum", payload, "test load"));
-  }
   const std::string seal_line = sealed.substr(payload.size());
+  {
+    util::Fields f(seal_line);
+    EXPECT_NO_THROW(util::expect_seal(f, "p2csum", payload, "test load"));
+  }
   const std::vector<std::string> damaged = {
       "",                                   // missing
       "p2sum " + seal_line.substr(7),       // wrong tag
@@ -265,13 +265,13 @@ TEST_F(UtilFsTest, SealRoundTripsAndRejectsDamage) {
   };
   for (const std::string& bytes : damaged) {
     SCOPED_TRACE(bytes);
-    std::istringstream is(bytes);
-    EXPECT_THROW(util::expect_seal(is, "p2csum", payload, "test load"),
+    util::Fields f(bytes);
+    EXPECT_THROW(util::expect_seal(f, "p2csum", payload, "test load"),
                  std::invalid_argument);
   }
   // The payload the reader re-serialized differs from what was sealed.
-  std::istringstream is(seal_line);
-  EXPECT_THROW(util::expect_seal(is, "p2csum", "p2 0.5 18 1.25\n", "test load"),
+  util::Fields f(seal_line);
+  EXPECT_THROW(util::expect_seal(f, "p2csum", "p2 0.5 18 1.25\n", "test load"),
                std::invalid_argument);
 }
 

@@ -203,7 +203,7 @@ TEST(TraceIo, RoundTripsIdenticalInstance) {
   const Instance inst = generate(rng, builders::figure1_tree(), spec);
   std::stringstream ss;
   write_trace(ss, inst);
-  const Instance back = read_trace(ss);
+  const Instance back = read_trace(ss.str());
   ASSERT_EQ(back.job_count(), inst.job_count());
   EXPECT_EQ(back.tree().node_count(), inst.tree().node_count());
   for (JobId j = 0; j < inst.job_count(); ++j) {
@@ -220,7 +220,7 @@ TEST(TraceIo, RoundTripsUnrelatedInstance) {
   const Instance inst = generate(rng, builders::star_of_paths(2, 1), spec);
   std::stringstream ss;
   write_trace(ss, inst);
-  const Instance back = read_trace(ss);
+  const Instance back = read_trace(ss.str());
   for (JobId j = 0; j < inst.job_count(); ++j)
     EXPECT_EQ(back.job(j).leaf_sizes, inst.job(j).leaf_sizes);
 }
@@ -228,15 +228,15 @@ TEST(TraceIo, RoundTripsUnrelatedInstance) {
 TEST(TraceIo, RejectsMalformedInput) {
   {
     std::stringstream ss("model identical\n");
-    EXPECT_THROW(read_trace(ss), std::invalid_argument);
+    EXPECT_THROW(read_trace(ss.str()), std::invalid_argument);
   }
   {
     std::stringstream ss("tree 2\nnode 0 -1 root\nnode 1 0 router\nbogus\n");
-    EXPECT_THROW(read_trace(ss), std::invalid_argument);
+    EXPECT_THROW(read_trace(ss.str()), std::invalid_argument);
   }
   {
     std::stringstream ss("tree 1\nnode 0 -1 alien\nmodel identical\n");
-    EXPECT_THROW(read_trace(ss), std::invalid_argument);
+    EXPECT_THROW(read_trace(ss.str()), std::invalid_argument);
   }
 }
 
