@@ -183,6 +183,54 @@ void BM_DispatchWideTree(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchWideTree);
 
+// BM_DispatchWideTree's tree and arrivals under largest-first shedding at
+// volume cap 2000: the dispatch layer on bounded queues beside admission
+// control, whose two root-cut queries (the backlog and each root child's
+// largest queued key) run once or more per arrival. The CI perf leg pins
+// total_flow bit for bit and the shed + reject count exactly: every
+// admission decision and every greedy decision after it.
+void BM_ShedWideTree(benchmark::State& state) {
+  util::Rng rng(42);
+  const Tree tree = builders::fat_tree(100, 1, 100);
+  workload::WorkloadSpec spec;
+  spec.jobs = 4000;
+  spec.load = 4.0;
+  spec.sizes.dist = workload::SizeDistribution::kBoundedPareto;
+  const Instance inst = workload::generate(rng, tree, spec);
+  const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
+  sim::EngineConfig cfg;
+  cfg.shed.policy = overload::ShedPolicy::kLargestFirst;
+  cfg.shed.queue_cap = 2000.0;
+#ifdef TREESCHED_BENCH_COUNT_ALLOCS
+  const std::uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+#endif
+  double total_flow = 0.0;
+  std::size_t turned_away = 0;
+  for (auto _ : state) {
+    algo::PaperGreedyPolicy policy(0.5);
+    overload::AdmissionController admission(cfg.shed, 0.5);
+    sim::Engine engine(inst, speeds, cfg);
+    engine.set_admission(&admission);
+    engine.run(policy);
+    total_flow = engine.metrics().total_flow_time();
+    turned_away =
+        engine.metrics().shed_count() + engine.metrics().rejected_count();
+    benchmark::DoNotOptimize(total_flow);
+  }
+  state.SetItemsProcessed(state.iterations() * spec.jobs);
+  state.counters["total_flow"] = total_flow;
+  state.counters["shed_and_rejected"] = static_cast<double>(turned_away);
+#ifdef TREESCHED_BENCH_COUNT_ALLOCS
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_job"] =
+      static_cast<double>(allocs) /
+      (static_cast<double>(state.iterations()) * spec.jobs);
+#endif
+}
+BENCHMARK(BM_ShedWideTree);
+
 // Run-log number formatting: the cost of one util::append_number(double) on
 // the values a stream's segment writer prints (Poisson release times,
 // bounded-Pareto sizes, finish times, speeds), against std::to_chars at

@@ -37,13 +37,6 @@ void AdmissionController::tighten(double factor) {
   cfg_.deadline_slack *= factor;
 }
 
-double AdmissionController::root_backlog(const sim::Engine& engine) {
-  double sum = 0.0;
-  for (const NodeId rc : engine.tree().root_children())
-    sum += engine.pending_remaining(rc);
-  return sum;
-}
-
 bool AdmissionController::admit(sim::Engine& engine, const Job& job) {
   switch (cfg_.policy) {
     case ShedPolicy::kNone:
@@ -60,14 +53,14 @@ bool AdmissionController::admit(sim::Engine& engine, const Job& job) {
 
 bool AdmissionController::admit_bounded_queue(sim::Engine& engine,
                                               const Job& job) {
-  if (root_backlog(engine) + job.size <= cfg_.queue_cap) return true;
+  if (engine.root_backlog() + job.size <= cfg_.queue_cap) return true;
   engine.reject(job.id);
   return false;
 }
 
 bool AdmissionController::admit_largest_first(sim::Engine& engine,
                                               const Job& job) {
-  if (root_backlog(engine) + job.size <= cfg_.queue_cap) return true;
+  if (engine.root_backlog() + job.size <= cfg_.queue_cap) return true;
   // Over the cap: evict the largest candidate until the arrival fits (or the
   // arrival itself is the largest, in which case it is rejected). Candidates
   // are the jobs still pending at their root-child hop — jobs already
@@ -79,18 +72,31 @@ bool AdmissionController::admit_largest_first(sim::Engine& engine,
   // That is exactly the dispatch-index key order at a root child — the tree
   // forbids machines adjacent to the root, so a root child is a router and
   // keys its queue by (p_j, r_j, j) — so each root child's candidate is the
-  // first job from the top of its index that was not re-dispatched.
+  // first job from the top of its index that was not re-dispatched. The
+  // index keeps its top key; only when that job was re-dispatched does the
+  // descending visit continue below it.
+  const bool exempt_possible = engine.redispatched_count() != 0;
   for (;;) {
     sim::SjfKey best{job.size, job.release, job.id};
     bool best_is_arrival = true;
+    const auto consider = [&](const sim::SjfKey& key) {
+      if (best < key) {
+        best = key;
+        best_is_arrival = false;
+      }
+    };
     for (const NodeId rc : engine.tree().root_children()) {
       TS_CHECK(!engine.tree().is_leaf(rc), "machine adjacent to the root");
+      // An empty queue's top is kNoKey, which never outranks best.
+      const sim::SjfKey top = engine.largest_queued(rc);
+      if (!exempt_possible || engine.queue_size(rc) == 0 ||
+          !engine.job_redispatched(top.job)) {
+        consider(top);
+        continue;
+      }
       engine.find_queued_descending(rc, [&](const sim::SjfKey& key) {
         if (engine.job_redispatched(key.job)) return false;
-        if (best < key) {
-          best = key;
-          best_is_arrival = false;
-        }
+        consider(key);
         return true;
       });
     }
@@ -99,7 +105,7 @@ bool AdmissionController::admit_largest_first(sim::Engine& engine,
       return false;
     }
     engine.shed(best.job);
-    if (root_backlog(engine) + job.size <= cfg_.queue_cap) return true;
+    if (engine.root_backlog() + job.size <= cfg_.queue_cap) return true;
   }
 }
 

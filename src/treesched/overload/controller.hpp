@@ -5,13 +5,18 @@
 // Three shedding disciplines are provided beyond `none`:
 //
 //  * bounded-queue — reject the arrival when the root-cut backlog (total
-//    remaining volume pending at the root children, via the O(log n)
-//    pending_remaining aggregates) would exceed the volume cap.
+//    remaining volume pending at the root children,
+//    Engine::root_backlog: O(1) per root child, the index's total less the
+//    running item's live drain) would exceed the volume cap.
 //  * largest-first — keep the backlog under the cap by evicting the LARGEST
 //    job first, the SJF-dual choice: by Lemma 2 a job j delays only
 //    (2/eps)*p_j of higher-priority volume, so shedding the largest p_j
 //    frees the most backlog while disturbing the least SJF priority mass.
 //    If the arrival itself is the largest candidate it is rejected instead.
+//    Each root child's candidate is the largest key its dispatch index
+//    keeps, read in O(1); only when that job was re-dispatched (shed-exempt,
+//    possible only under a fault plan) does a descending walk of the index
+//    look below it.
 //  * deadline — admit only jobs whose best-leaf Lemma-4 congestion bound
 //    satisfies F(j, leaf) <= slack * p_j (at unit root-cut speed F bounds
 //    the volume draining ahead of j, hence its flow), taking the minimum
@@ -59,8 +64,10 @@ class AdmissionController : public sim::AdmissionPolicy {
   /// configured knobs with its ladder at stage normal.
   void tighten(double factor);
 
-  /// Root-cut backlog: sum of pending_remaining over the root children.
-  static double root_backlog(const sim::Engine& engine);
+  /// The root-cut backlog the volume policies hold under the cap.
+  static double root_backlog(const sim::Engine& engine) {
+    return engine.root_backlog();
+  }
 
   /// The controller-owned saturation estimator: callers feed it admissions
   /// (it is a passive observer) and read rho-hat from it. Owning it here

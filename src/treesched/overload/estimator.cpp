@@ -58,13 +58,6 @@ double SaturationEstimator::max_root_child_rho(const sim::Engine& engine) {
   return mx;
 }
 
-double SaturationEstimator::root_backlog(const sim::Engine& engine) {
-  double sum = 0.0;
-  for (const NodeId rc : engine.tree().root_children())
-    sum += engine.pending_remaining(rc);
-  return sum;
-}
-
 std::string SaturationEstimator::payload() const {
   std::ostringstream os;
   os << std::setprecision(17);

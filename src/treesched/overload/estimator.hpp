@@ -5,8 +5,7 @@
 // the job's per-node work to a sliding arrival window, so rho-hat(v) =
 // (work routed through v over the last W of simulated time) / (W * s_v) —
 // an online estimate of the offered load the generator aimed at. Backlog
-// readings delegate to Engine::pending_remaining, which the engine answers
-// from the dispatch-index aggregates in O(1).
+// readings are the engine's own (Engine::pending_remaining, root_backlog).
 #pragma once
 
 #include <deque>
@@ -34,13 +33,6 @@ class SaturationEstimator : public sim::EngineObserver {
   /// Max rho_hat over the root children — the saturation headline number
   /// (the root cut is the paper's bottleneck).
   double max_root_child_rho(const sim::Engine& engine);
-
-  /// Instantaneous backlog at v (Engine::pending_remaining pass-through).
-  static double backlog(const sim::Engine& engine, NodeId v) {
-    return engine.pending_remaining(v);
-  }
-  /// Root-cut backlog: sum of pending_remaining over the root children.
-  static double root_backlog(const sim::Engine& engine);
 
   /// Text round-trip (full %.17g precision) of the windowed state — the
   /// per-node arrival deques and their running sums — with an FNV-1a-64

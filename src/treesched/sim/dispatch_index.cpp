@@ -111,23 +111,22 @@ void DispatchIndex::insert(const SjfKey& key, double remaining) {
   // The key must be new: the smallest entry of `right`, if any, differs.
   root_ = merge(merge(left, fresh), right);
   min_size_ = std::min(min_size_, key.size);
+  if (max_ == kNil || pool_->node(max_).key < key) max_ = fresh;
   table_fresh_ = false;
 }
 
 DispatchIndex::Ref DispatchIndex::erase_rec(Ref t, const SjfKey& key,
-                                            bool& erased) {
+                                            Ref& gone) {
   if (t == kNil) return kNil;
   Node& n = pool_->node(t);
   if (key == n.key) {
-    const Ref replacement = merge(n.left, n.right);
-    pool_->free(t);
-    erased = true;
-    return replacement;
+    gone = t;
+    return merge(n.left, n.right);
   }
   if (key < n.key)
-    n.left = erase_rec(n.left, key, erased);
+    n.left = erase_rec(n.left, key, gone);
   else
-    n.right = erase_rec(n.right, key, erased);
+    n.right = erase_rec(n.right, key, gone);
   pull(t);
   return t;
 }
@@ -138,14 +137,22 @@ void DispatchIndex::erase(const SjfKey& key) {
 }
 
 bool DispatchIndex::erase_if_present(const SjfKey& key) {
-  bool erased = false;
-  root_ = erase_rec(root_, key, erased);
-  if (erased) table_fresh_ = false;
-  if (!erased || key.size != min_size_) return erased;
-  // The minimum may have left: re-read it from the end of the left spine.
-  min_size_ = std::numeric_limits<double>::infinity();
-  for (Ref t = root_; t != kNil; t = pool_->node(t).left)
-    min_size_ = pool_->node(t).key.size;
+  Ref gone = kNil;
+  root_ = erase_rec(root_, key, gone);
+  if (gone == kNil) return false;
+  pool_->free(gone);
+  table_fresh_ = false;
+  if (key.size == min_size_) {
+    // The minimum may have left: re-read it from the end of the left spine.
+    min_size_ = std::numeric_limits<double>::infinity();
+    for (Ref t = root_; t != kNil; t = pool_->node(t).left)
+      min_size_ = pool_->node(t).key.size;
+  }
+  if (gone == max_) {
+    // The maximum left: re-read it from the end of the right spine.
+    max_ = kNil;
+    for (Ref t = root_; t != kNil; t = pool_->node(t).right) max_ = t;
+  }
   return true;
 }
 

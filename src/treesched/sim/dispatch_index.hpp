@@ -17,7 +17,9 @@
 // every query is a single root-to-leaf descent. The Lemma-4 term F needs
 // both ranges for the same candidate; split_at answers both, without
 // descending at all when the candidate is smaller than every entry (the
-// index keeps its minimum size).
+// index keeps its minimum size). The index also keeps the node of its
+// largest key, the first key find_descending visits, which largest-first
+// shedding reads in O(1) per root child.
 //
 // Small indices answer split_at from a flat RANK TABLE: the first
 // split_at after a mutation on an index of at most kRankTableCap entries
@@ -208,6 +210,15 @@ class DispatchIndex {
   /// Smallest key size present; +infinity when empty. O(1).
   double min_size() const { return min_size_; }
 
+  /// Largest key present, the first key find_descending visits; when empty,
+  /// kNoKey, which every key outranks. O(1).
+  SjfKey max_key() const {
+    return max_ == kNil ? kNoKey : pool_->node(max_).key;
+  }
+  static constexpr SjfKey kNoKey{-std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 kInvalidJob};
+
   /// Sum of remaining / size over entries with size strictly greater than
   /// `size`. O(log n).
   double fraction_size_greater(double size) const;
@@ -241,7 +252,9 @@ class DispatchIndex {
   void pull(Ref t);
   void split(Ref t, const SjfKey& key, Ref& left, Ref& right);
   Ref merge(Ref left, Ref right);
-  Ref erase_rec(Ref t, const SjfKey& key, bool& erased);
+  /// Unlinks the entry with `key` from the subtree at t; `gone` receives
+  /// the unlinked node (kNil when absent), which the caller frees.
+  Ref erase_rec(Ref t, const SjfKey& key, Ref& gone);
   bool update_rec(Ref t, const SjfKey& key, double remaining);
   /// Fills this index's rank table from the treap (allocating the table on
   /// first use) and marks it fresh.
@@ -288,12 +301,14 @@ class DispatchIndex {
     return false;
   }
 
+  // The fields the engine's root-cut queries read come first.
   TreapPool* pool_ = nullptr;
-  std::unique_ptr<TreapPool> owned_;  ///< lazy fallback for standalone use
   Ref root_ = kNil;
-  double min_size_ = std::numeric_limits<double>::infinity();
   mutable Ref table_ = kNil;         ///< this index's rank table, once built
+  double min_size_ = std::numeric_limits<double>::infinity();
+  Ref max_ = kNil;                   ///< the node holding the largest key
   mutable bool table_fresh_ = false;  ///< table_ matches the treap
+  std::unique_ptr<TreapPool> owned_;  ///< lazy fallback for standalone use
 };
 
 }  // namespace treesched::sim

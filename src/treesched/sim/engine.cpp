@@ -601,7 +601,9 @@ void Engine::reassign_leaf(JobId j, NodeId new_leaf, Time t) {
   ++mutation_count_;
   JobState& js = jobs_[uidx(j)];
   TS_CHECK(!js.shed, "re-dispatching a shed job");
-  js.redispatched = true;  // recovery claims the job: it is never shed now
+  // Recovery claims the job: it is never shed now.
+  if (!js.redispatched) ++redispatched_count_;
+  js.redispatched = true;
   TS_REQUIRE(js.path != nullptr,
              "re-dispatch is unsupported for custom-path jobs");
   TS_CHECK(js.chunks == 1, "re-dispatch requires whole-job forwarding");
@@ -993,11 +995,6 @@ double Engine::alpha_leaf(NodeId leaf) const {
   if (ns.has_running)
     sum -= running_drain(ns, leaf) / size_on(ns.running.job, leaf);
   return std::max(sum, 0.0);
-}
-
-double Engine::pending_remaining(NodeId v) const {
-  const NodeState& ns = nodes_[uidx(v)];
-  return std::max(ns.index.total_remaining() - running_drain(ns, v), 0.0);
 }
 
 double Engine::alpha_root_child(NodeId root_child) const {

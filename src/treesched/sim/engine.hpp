@@ -240,6 +240,9 @@ class Engine {
   bool job_rejected(JobId j) const { return jobs_[uidx(j)].rejected; }
   /// True once fault recovery has re-dispatched j (such jobs are shed-exempt).
   bool job_redispatched(JobId j) const { return jobs_[uidx(j)].redispatched; }
+  /// Jobs re-dispatched so far (0 without a fault plan): while it is 0, no
+  /// queued job is shed-exempt.
+  JobId redispatched_count() const { return redispatched_count_; }
   /// Admission-control decision timeline, in decision order.
   const std::vector<ShedRecord>& shed_log() const { return shed_log_; }
 
@@ -338,6 +341,11 @@ class Engine {
   bool find_queued_descending(NodeId v, Visit&& visit) const {
     return nodes_[uidx(v)].index.find_descending(visit);
   }
+  /// The key find_queued_descending visits first; DispatchIndex::kNoKey when
+  /// Q_v is empty. O(1).
+  SjfKey largest_queued(NodeId v) const {
+    return nodes_[uidx(v)].index.max_key();
+  }
 
   /// Counts every state mutation that can change the aggregate queries
   /// (admissions, materialized bursts, completions, fault transitions,
@@ -388,7 +396,20 @@ class Engine {
 
   /// sum_{i in Q_v} remaining_on(i, v): total queued volume pending at v
   /// (the load-aware baselines' bottleneck term). O(1).
-  double pending_remaining(NodeId v) const;
+  double pending_remaining(NodeId v) const {
+    const NodeState& ns = nodes_[uidx(v)];
+    return std::max(ns.index.total_remaining() - running_drain(ns, v), 0.0);
+  }
+
+  /// Root-cut backlog: pending_remaining summed over the root children in
+  /// root_children() order. O(1) per root child.
+  double root_backlog() const {
+    double sum = 0.0;
+    // treesched-lint: allow(inv-fp-accum): the volume policies compare this
+    // exact rounding against the cap; the run logs pin every decision.
+    for (const NodeId rc : tree().root_children()) sum += pending_remaining(rc);
+    return sum;
+  }
 
   /// alpha_{v,now} for a root child v (Section 3.5): total remaining leaf
   /// fraction over all jobs routed through v and unfinished at their leaf.
@@ -460,34 +481,37 @@ class Engine {
     std::int32_t idx = 0;
   };
 
+  /// Hot fields first: the root-cut backlog and the Lemma-4 sweep's drain
+  /// correction read only the fields from index through running_sjf, the
+  /// struct's first two cache lines.
   struct NodeState {
-    std::vector<AvailEntry> avail;  ///< flat min-heap of available items
     /// Q_v (routed through, unfinished here) with incremental SJF
     /// aggregates; values are the stored remaining as of the last
     /// materialized burst, so queries subtract the running item's live
     /// drain.
     DispatchIndex index;
-    PriorityKey running{};         ///< cached top at burst start
-    /// Dispatch-index key of the running item's job, cached at burst start
-    /// (derived, not serialized) so the queries' drain adjustment compares
-    /// keys without re-reading the instance.
-    SjfKey running_sjf{};
     bool has_running = false;
+    // Fault state, in has_running's padding.
+    bool down = false;             ///< crashed: runs nothing until recovery
+    bool edge_down = false;        ///< link from the parent severed
     std::int32_t running_idx = 0;  ///< path index of the running item
     /// Stored remaining-on-v of the running item's job (whole job, pending
     /// chunks included) as of burst_start — refreshed whenever the stored
     /// arrays mutate, so remaining_on and the aggregate-query adjustments
     /// never re-derive it per call.
     double running_rem = 0.0;
+    Time burst_start = 0.0;
+    double factor = 1.0;           ///< fault slowdown on the base speed
+    /// Dispatch-index key of the running item's job, cached at burst start
+    /// (derived, not serialized) so the queries' drain adjustment compares
+    /// keys without re-reading the instance.
+    SjfKey running_sjf{};
+    PriorityKey running{};         ///< cached top at burst start
     /// Time of the running item's pending completion event (derived, not
     /// serialized: restored from the event queue).
     Time running_finish = 0.0;
-    Time burst_start = 0.0;
     std::uint64_t version = 0;     ///< invalidates stale completion events
-    // Fault state.
-    bool down = false;             ///< crashed: runs nothing until recovery
-    bool edge_down = false;        ///< link from the parent severed
-    double factor = 1.0;           ///< slowdown multiplier on the base speed
+    std::vector<AvailEntry> avail;  ///< flat min-heap of available items
     /// Deliveries (job, path index) blocked by the severed incoming edge,
     /// in arrival order; flushed on edge recovery.
     std::vector<std::pair<JobId, int>> deferred;
@@ -601,7 +625,8 @@ class Engine {
                         double index_sum) const {
     // Index entries hold stored (as-of-burst-start) totals; at most one of
     // them — the running item — is stale by the elapsed drain.
-    if (ns.has_running && ns.running.job != cand.job && ns.running_sjf < cand)
+    if (ns.has_running && ns.running_sjf.job != cand.job &&
+        ns.running_sjf < cand)
       index_sum -= running_drain(ns, v);
     return std::max(index_sum, 0.0);
   }
@@ -686,6 +711,7 @@ class Engine {
   std::uint64_t release_epoch_ = 0;
   JobId admitted_count_ = 0;
   JobId rejected_count_ = 0;
+  JobId redispatched_count_ = 0;
 };
 
 }  // namespace treesched::sim

@@ -351,6 +351,8 @@ void Metrics::load(util::Fields& f) {
     f >> r.release >> r.weight >> r.size >> r.leaf >> r.completion >>
         r.fractional_area >> shed >> rejected >> nc;
     TS_REQUIRE(f, "metrics load: truncated record");
+    TS_REQUIRE(nc <= f.token_room(),
+               "metrics load: more node-completion stamps than bytes left");
     r.shed = shed != 0;
     r.rejected = rejected != 0;
     open_node_completion(id, nc);

@@ -24,10 +24,9 @@ class QueueSampler : public EngineObserver {
       if (tree.is_root(v)) continue;
       s.queued_jobs += engine.queue_size(v);
     }
-    for (const NodeId rc : tree.root_children()) {
+    for (const NodeId rc : tree.root_children())
       s.alive_jobs += engine.queue_size(rc);
-      s.backlog += engine.pending_remaining(rc);
-    }
+    s.backlog = engine.root_backlog();
     s.shed_decisions = engine.shed_log().size();
     samples_.push_back(s);
   }

@@ -52,6 +52,11 @@ class Fields {
   /// True when no token is left.
   bool done() const { return peek().empty(); }
 
+  /// The most tokens the bytes left can hold (each takes a character and
+  /// all but the last a separator): a bound a decoder checks a serialized
+  /// count against before it allocates for that many.
+  std::size_t token_room() const { return (rest_.size() + 1) / 2; }
+
   /// The next token, consumed; empty (and a failure) when none is left.
   std::string_view next() {
     const std::string_view tok = ok_ ? peek() : std::string_view();

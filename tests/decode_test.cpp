@@ -3,7 +3,8 @@
 // first and reject the second with a typed error or an audit violation —
 // the defects are ones stream extraction let through: a field left over, a
 // negative value in an unsigned field, a number with trailing characters,
-// and values a crafted snapshot envelope can carry past its fingerprints.
+// and values a crafted snapshot envelope can carry past its fingerprints
+// (among them a count that would size an allocation).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -287,6 +288,15 @@ std::vector<Case> cases() {
                                           "shedlog 1\nsl 3 0 0 -1 -1");
                                     })),
                  loads});
+  // A metrics record whose node-completion stamp count (token 10) no bytes
+  // left could hold: rejected before the stamps are sized from it.
+  out.push_back(
+      {"engine state, stamp count", envelope(snap->state),
+       envelope(edit_line(snap->state, "jr ",
+                          [](const std::string& l) {
+                            return with_token(l, 10, "4000000000");
+                          })),
+       loads});
   return out;
 }
 

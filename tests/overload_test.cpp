@@ -281,6 +281,49 @@ TEST(LargestFirstVictims, UnrelatedLeavesDoNotReorderCandidates) {
   expect_same_victims(inst, 10.0, nullptr, oracle);
 }
 
+/// Share of the arrivals a largest-first run turned away (shed or
+/// rejected).
+double turned_away_share(const VictimRun& run, const Instance& inst) {
+  const auto n = std::count_if(
+      run.shed_log.begin(), run.shed_log.end(), [](const sim::ShedRecord& r) {
+        return r.kind != sim::ShedRecord::Kind::kAdmit;
+      });
+  return static_cast<double>(n) / static_cast<double>(inst.job_count());
+}
+
+TEST(LargestFirstVictims, WideTreeMatchesFullScanWithAndWithoutFaults) {
+  // 20 root children, each a router over 5 machines, at rho ~ 4: the
+  // controller answers each root child from the key its index keeps on top,
+  // and under a fault plan walks below a re-dispatched top.
+  util::Rng rng(17);
+  workload::WorkloadSpec spec;
+  spec.jobs = 600;
+  spec.load = 4.0;
+  spec.sizes.dist = workload::SizeDistribution::kBoundedPareto;
+  const Instance inst =
+      workload::generate(rng, builders::fat_tree(20, 1, 5), spec);
+  constexpr double kCap = 60.0;
+
+  FullScanLargestFirst clean(kCap);
+  expect_same_victims(inst, kCap, nullptr, clean);
+  EXPECT_GE(turned_away_share(run_largest_first(inst, kCap, nullptr, nullptr),
+                              inst),
+            0.2);
+
+  fault::FaultModel model;
+  model.node_failure_rate = 0.05;
+  model.node_mttr = 6.0;
+  model.fail_routers = false;  // leaf crashes re-dispatch queued jobs
+  model.horizon = 150.0;
+  const fault::FaultPlan plan = fault::generate_plan(inst.tree(), model, 5);
+  FullScanLargestFirst faulty(kCap);
+  expect_same_victims(inst, kCap, &plan, faulty);
+  EXPECT_GT(faulty.exempt_tops(), 0);
+  EXPECT_GE(
+      turned_away_share(run_largest_first(inst, kCap, &plan, nullptr), inst),
+      0.2);
+}
+
 TEST(Deadline, AdmitsIffLemma4BoundWithinSlack) {
   // Two unit jobs at t=0, slack 1.5: the first sees an empty system
   // (F = p_j <= 1.5), the second queues behind it (F > 1.5) and is rejected.
@@ -489,7 +532,7 @@ TEST(Estimator, WindowedRhoMatchesOfferedWork) {
   EXPECT_NEAR(est.rho_hat(eng, router), 0.5, 1e-12);
   EXPECT_NEAR(est.max_root_child_rho(eng), 0.5, 1e-12);
   // Everything drained: no instantaneous backlog left.
-  EXPECT_DOUBLE_EQ(overload::SaturationEstimator::root_backlog(eng), 0.0);
+  EXPECT_DOUBLE_EQ(eng.root_backlog(), 0.0);
 }
 
 TEST(Workload, OfferedLoadMatchesRootCutArithmetic) {

@@ -1,9 +1,10 @@
 // DispatchIndex differential test: random insert/update/erase traffic
 // checked after every operation against a naive flat-vector model. Sums are
 // compared with a relative tolerance (the treap reassociates additions);
-// counts, membership and the minimum size are exact, and the fused split_at
-// query — answered from the rank table up to kRankTableCap entries, by the
-// two descents themselves above it — is bit-equal to those descents.
+// counts, membership, the minimum size and the largest key are exact, and
+// the fused split_at query — answered from the rank table up to
+// kRankTableCap entries, by the two descents themselves above it — is
+// bit-equal to those descents.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -322,6 +323,106 @@ TEST(DispatchIndex, RankTableMatchesDescentAcrossTheCap) {
   EXPECT_GT(cov.under_cap, 0);
   EXPECT_GT(cov.at_cap, 0);
   EXPECT_GT(cov.over_cap, 0);
+}
+
+TEST(DispatchIndex, MaxKeyIsTheFirstDescendingKey) {
+  // Random insert / update / erase / erase_if_present traffic on two indices
+  // sharing a pool, with sizes and releases from tiny grids so the maximum
+  // is often decided by the release or the job id. Ids are a permutation of
+  // the insertion order, so a later insert may or may not outrank the
+  // maximum. Erasures prefer the maximum (the right-spine re-read), and the
+  // indices are emptied now and then: max_key() must reset to kNoKey.
+  constexpr int kIndices = 2;
+  util::Rng rng(4242);
+  TreapPool pool;
+  std::vector<DispatchIndex> fast(kIndices);
+  for (DispatchIndex& d : fast) d.attach_pool(&pool);
+  std::vector<NaiveIndex> naive(kIndices);
+  int step = 0;
+  int max_erased = 0;
+  int emptied = 0;
+  int tied_at_top = 0;  ///< steps whose maximum shares its size and release
+  const auto first_descending = [](const DispatchIndex& d) {
+    SjfKey first = DispatchIndex::kNoKey;
+    const bool visited = d.find_descending([&](const SjfKey& key) {
+      first = key;
+      return true;
+    });
+    EXPECT_EQ(visited, !d.empty());
+    return first;
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const auto i = static_cast<std::size_t>(rng.uniform_int(0, 1));
+    DispatchIndex& f = fast[i];
+    NaiveIndex& n = naive[i];
+    const std::int64_t kind = rng.uniform_int(0, 19);
+    if (kind < 8 || n.size() == 0) {
+      const SjfKey key{static_cast<double>(rng.uniform_int(1, 4)),
+                       static_cast<Time>(rng.uniform_int(0, 1)),
+                       static_cast<JobId>((step++ * 7919) % 10007)};
+      const double rem = key.size * rng.uniform01();
+      f.insert(key, rem);
+      n.insert(key, rem);
+    } else {
+      const auto& es = n.entries();
+      const SjfKey largest =
+          std::max_element(es.begin(), es.end(),
+                           [](const Entry& a, const Entry& b) {
+                             return a.key < b.key;
+                           })
+              ->key;
+      const SjfKey pick =
+          es[static_cast<std::size_t>(rng.uniform_int(
+                 0, static_cast<std::int64_t>(es.size()) - 1))]
+              .key;
+      if (kind < 11) {
+        const double rem = pick.size * rng.uniform01();
+        f.update(pick, rem);
+        n.update(pick, rem);
+      } else if (kind < 14) {
+        f.erase(largest);
+        n.erase(largest);
+        ++max_erased;
+      } else if (kind < 17) {
+        EXPECT_FALSE(f.erase_if_present({largest.size, largest.release, -2}));
+        EXPECT_TRUE(f.erase_if_present(kind == 16 ? largest : pick));
+        n.erase(kind == 16 ? largest : pick);
+      } else if (kind < 18) {
+        while (n.size() > 0) {
+          const SjfKey key = n.entries().back().key;
+          f.erase(key);
+          n.erase(key);
+        }
+        ++emptied;
+      } else {
+        f.erase(pick);
+        n.erase(pick);
+      }
+    }
+    for (int k = 0; k < kIndices; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      ASSERT_EQ(fast[ku].size(), naive[ku].size());
+      const SjfKey top = fast[ku].max_key();
+      EXPECT_EQ(top, first_descending(fast[ku]));
+      if (fast[ku].empty()) {
+        EXPECT_EQ(top, DispatchIndex::kNoKey);
+        continue;
+      }
+      const auto& es = naive[ku].entries();
+      EXPECT_EQ(top, std::max_element(es.begin(), es.end(),
+                                      [](const Entry& a, const Entry& b) {
+                                        return a.key < b.key;
+                                      })
+                         ->key);
+      tied_at_top += static_cast<int>(
+          std::count_if(es.begin(), es.end(), [&](const Entry& e) {
+            return e.key.size == top.size && e.key.release == top.release;
+          }) > 1);
+    }
+  }
+  EXPECT_GT(max_erased, 0);
+  EXPECT_GT(emptied, 0);
+  EXPECT_GT(tied_at_top, 0);
 }
 
 TEST(DispatchIndex, DeterministicAcrossInsertionOrders) {
