@@ -34,8 +34,9 @@ std::vector<NodeId> choose_anycast_path(const sim::Engine& engine,
 /// profile must give the root positive speed if any source lies in a
 /// different subtree than every machine it may reach. When `paths_out` is
 /// given, the per-job processing paths are returned (the path-aware
-/// validate_schedule overload consumes them). When `recorder_out` is given
-/// and cfg.record_schedule is set, the burst log is copied out.
+/// make_run_log overload consumes them, so the run can be audited). When
+/// `recorder_out` is given and cfg.record_schedule is set, the burst log is
+/// copied out.
 sim::Metrics run_anycast(const Instance& instance, const SpeedProfile& speeds,
                          AnycastStrategy strategy,
                          sim::EngineConfig cfg = {},

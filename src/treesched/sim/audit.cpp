@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "treesched/sim/priority.hpp"
 #include "treesched/util/csum.hpp"
@@ -33,24 +33,37 @@ struct ItemAgg {
   bool ran() const { return last >= 0.0; }
 };
 
+/// One stretch of a job's stay: from `start` until its next re-dispatch it
+/// is processed along `path`. A run without faults gives every job one
+/// epoch, its recorded path.
+struct Epoch {
+  Time start = 0.0;
+  const std::vector<NodeId>* path = nullptr;
+};
+
+/// Index of v on the path, -1 if absent. Paths are short; linear is fine.
+int hop_on(const std::vector<NodeId>& path, NodeId v) {
+  for (std::size_t i = 0; i < path.size(); ++i)
+    if (path[i] == v) return static_cast<int>(i);
+  return -1;
+}
+
 /// Everything the audit derives about one job's walk down its path.
 struct JobAudit {
-  const std::vector<NodeId>* path = nullptr;  ///< empty => never dispatched
+  const std::vector<NodeId>* path = nullptr;  ///< final path; null => skipped
+  std::vector<Epoch> epochs;                  ///< the last one runs `path`
   std::int32_t chunks = 1;
   double chunk_size = 0.0;
-  std::vector<std::vector<ItemAgg>> router;   ///< [hop][chunk], hops 0..len-2
-  ItemAgg leaf;
+  /// [hop][chunk] of the final path, hops 0..len-2. A router the final path
+  /// shares with earlier epochs collects their work too.
+  std::vector<std::vector<ItemAgg>> router;
+  ItemAgg leaf;                               ///< final-epoch machine work
+  Time last_router_end = -1.0;                ///< over every epoch
   std::vector<std::vector<const Segment*>> bursts;  ///< [hop], log order
   std::vector<std::vector<Time>> avail;       ///< availability window starts
   Time leaf_avail = -1.0;
 
   std::size_t len() const { return path ? path->size() : 0; }
-  /// Index of v on the path, -1 if absent. Paths are short; linear is fine.
-  int hop_of(NodeId v) const {
-    for (std::size_t i = 0; i < len(); ++i)
-      if ((*path)[i] == v) return static_cast<int>(i);
-    return -1;
-  }
 };
 
 /// Strictly higher priority, in the engine's exact lexicographic order. Key
@@ -134,418 +147,172 @@ OverloadAudit build_overload_audit(const Instance& instance, const RunLog& log,
 }
 
 // ---------------------------------------------------------------------------
-// Fault mode: recovery-invariant audit for fault-injected runs
+// Fault mode: the fault timeline and each job's re-dispatch chain
 // ---------------------------------------------------------------------------
 
-/// Audits a run whose log carries fault records. The clean-run invariants
-/// that survive faults are re-checked epoch-aware (a job's path changes at
-/// each re-dispatch); on top the recovery invariants hold:
-///   - no work progresses at a node inside one of its down windows;
-///   - every recorded burst rate equals speed x slowdown factor, and no
-///     burst spans a factor change;
-///   - re-dispatch chains are consistent: `from` is the job's current leaf
-///     and is down at the instant, `to` is a live machine, and the final
-///     `to` matches the recorded final path;
-///   - the job fully forwards through every router of its final path and
-///     performs exactly the required machine work at its final leaf within
-///     the final epoch (lost partial work is extra, never missing);
-///   - recovery precedence: machine work at the final leaf starts only
-///     after every router burst of the job has ended.
-/// Priority consistency and lemma margins are skipped (noted): crashes
-/// legitimately reorder work, and the paper's bounds presuppose a
-/// fault-free network.
-AuditReport audit_fault_run(const Instance& instance, const RunLog& log,
-                            const AuditOptions& opts) {
-  AuditReport rep;
-  const double tol = opts.tol;
-  const Tree& tree = instance.tree();
-  const std::size_t n_jobs = uidx(instance.job_count());
-  const std::size_t n_nodes = uidx(tree.node_count());
-
-  if (log.paths.size() != n_jobs || log.completion.size() != n_jobs) {
-    rep.fail("run log covers " + std::to_string(log.paths.size()) +
-             " job(s) but the instance has " + std::to_string(n_jobs));
-    return rep;
-  }
-  if (log.speeds.size() != n_nodes) {
-    rep.fail("run log has " + std::to_string(log.speeds.size()) +
-             " speed(s) but the tree has " + std::to_string(n_nodes) +
-             " node(s)");
-    return rep;
-  }
-  if (log.router_chunk_size > 0.0) {
-    rep.fail("fault-injected runs require whole-job forwarding "
-             "(router_chunk_size 0), log has chunk " +
-             fmt(log.router_chunk_size));
-    return rep;
-  }
-  const OverloadAudit ov = build_overload_audit(instance, log, rep);
-
-  // --- fault timeline sanity; down windows and slowdown steps per node -----
+/// Per-node down windows and slowdown steps, and per-job re-dispatch
+/// records, read from the log's fault timeline. A run without faults has
+/// none: every node stays up at factor 1.
+struct FaultTimeline {
   struct Window {
     Time lo = 0.0;
     Time hi = kInf;
   };
-  std::vector<std::vector<Window>> down(n_nodes);
-  std::vector<std::vector<std::pair<Time, double>>> factor_steps(n_nodes);
-  std::vector<std::vector<FaultRecord>> redis(n_jobs);
-  {
-    std::vector<char> is_down(n_nodes, 0), is_edge_down(n_nodes, 0);
-    Time prev = 0.0;
-    for (const FaultRecord& fr : log.faults) {
-      if (fr.t < prev - tol) {
-        rep.fail("fault log out of order at t=" + fmt(fr.t));
-        return rep;
-      }
-      prev = std::max(prev, fr.t);
-      if (fr.node < 0 || uidx(fr.node) >= n_nodes) {
-        rep.fail("fault record names unknown node " + std::to_string(fr.node));
-        return rep;
-      }
-      const std::size_t v = uidx(fr.node);
-      switch (fr.kind) {
-        case FaultRecord::Kind::kNodeDown:
-          if (is_down[v]) rep.fail("node " + std::to_string(fr.node) +
-                                   " down twice without recovering");
-          is_down[v] = 1;
-          down[v].push_back({fr.t, kInf});
-          break;
-        case FaultRecord::Kind::kNodeUp:
-          if (!is_down[v]) {
-            rep.fail("node " + std::to_string(fr.node) +
-                     " recovered without being down");
-          } else {
-            is_down[v] = 0;
-            down[v].back().hi = fr.t;
-          }
-          break;
-        case FaultRecord::Kind::kEdgeDown:
-          if (is_edge_down[v]) rep.fail("edge to node " +
-                                        std::to_string(fr.node) +
-                                        " severed twice");
-          is_edge_down[v] = 1;
-          break;
-        case FaultRecord::Kind::kEdgeUp:
-          if (!is_edge_down[v]) rep.fail("edge to node " +
-                                         std::to_string(fr.node) +
-                                         " restored without being severed");
-          is_edge_down[v] = 0;
-          break;
-        case FaultRecord::Kind::kSlow:
-          if (fr.factor <= 0.0)
-            rep.fail("slowdown factor " + fmt(fr.factor) + " on node " +
-                     std::to_string(fr.node) + " is not positive");
-          factor_steps[v].push_back({fr.t, fr.factor});
-          break;
-        case FaultRecord::Kind::kRedispatch:
-          if (fr.job < 0 || uidx(fr.job) >= n_jobs) {
-            rep.fail("redispatch names unknown job " + std::to_string(fr.job));
-            return rep;
-          }
-          if (fr.to < 0 || uidx(fr.to) >= n_nodes) {
-            rep.fail("redispatch names unknown target node " +
-                     std::to_string(fr.to));
-            return rep;
-          }
-          redis[uidx(fr.job)].push_back(fr);
-          break;
-      }
-    }
-  }
-  if (!rep.ok) return rep;
+  std::vector<std::vector<Window>> down;
+  std::vector<std::vector<std::pair<Time, double>>> steps;
+  std::vector<std::vector<const FaultRecord*>> redispatches;
 
-  // The engine never sheds a re-dispatched job and never re-dispatches a
-  // shed one; a log claiming both for the same job is inconsistent.
-  for (std::size_t j = 0; j < n_jobs; ++j)
-    if (ov.shed(j) && !redis[j].empty())
-      rep.fail("job " + std::to_string(j) + " was both shed and re-dispatched");
+  FaultTimeline(std::size_t n_jobs, std::size_t n_nodes)
+      : down(n_nodes), steps(n_nodes), redispatches(n_jobs) {}
 
-  auto down_at = [&](NodeId v, Time t) {
+  bool down_at(NodeId v, Time t) const {
     for (const Window& w : down[uidx(v)])
       if (w.lo <= t && t < w.hi) return true;
     return false;
-  };
-  auto factor_at = [&](NodeId v, Time t) {
+  }
+  double factor_at(NodeId v, Time t) const {
     double f = 1.0;
-    for (const auto& [st, sf] : factor_steps[uidx(v)]) {
+    for (const auto& [st, sf] : steps[uidx(v)]) {
       if (st > t) break;
       f = sf;
     }
     return f;
-  };
+  }
+  /// Whether a step strictly inside (t0, t1) moves the factor away from `f`.
+  /// A burst may end exactly at a step, so the endpoints never count.
+  bool factor_changes_inside(NodeId v, Time t0, Time t1, double f,
+                             double tol) const {
+    for (const auto& [st, sf] : steps[uidx(v)])
+      if (t0 < st && st < t1 && std::fabs(sf - f) > tol) return true;
+    return false;
+  }
+};
 
-  // --- per-job epochs from the re-dispatch chain ---------------------------
-  struct Epoch {
-    Time start = 0.0;
-    const std::vector<NodeId>* path = nullptr;
+/// Reads the fault timeline into `ft`. Returns false when it is unusable
+/// (out of order, unknown nodes or jobs, inconsistent up/down pairs);
+/// every problem is reported.
+bool read_fault_timeline(const RunLog& log, double tol, FaultTimeline& ft,
+                         AuditReport& rep) {
+  const std::size_t n_jobs = ft.redispatches.size();
+  const std::size_t n_nodes = ft.down.size();
+  std::vector<char> is_down(n_nodes, 0), is_edge_down(n_nodes, 0);
+  bool ok = true;
+  auto fail = [&](std::string msg) {
+    rep.fail(std::move(msg));
+    ok = false;
   };
-  std::vector<std::vector<Epoch>> epochs(n_jobs);
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    const auto& path = log.paths[j];
-    if (path.empty()) {
-      if (!ov.rejected[j])
-        rep.fail("job " + std::to_string(j) +
-                 " has no recorded path (never dispatched)");
-      continue;
+  Time prev = 0.0;
+  for (const FaultRecord& fr : log.faults) {
+    if (fr.t < prev - tol) {
+      fail("fault log out of order at t=" + fmt(fr.t));
+      return false;
     }
-    bool ok = true;
-    for (const NodeId v : path)
-      if (v < 0 || uidx(v) >= n_nodes) {
-        rep.fail("job " + std::to_string(j) + " path names unknown node " +
-                 std::to_string(v));
-        ok = false;
-      }
-    if (!ok) continue;
-    const NodeId final_leaf = path.back();
-    if (!tree.is_leaf(final_leaf) || path != tree.path_to(final_leaf)) {
-      rep.fail("job " + std::to_string(j) +
-               " recorded path is not the tree path to machine " +
-               std::to_string(final_leaf));
-      continue;
+    prev = std::max(prev, fr.t);
+    if (fr.node < 0 || uidx(fr.node) >= n_nodes) {
+      fail("fault record names unknown node " + std::to_string(fr.node));
+      return false;
     }
-    // Chain: initial leaf -> redispatch targets -> final leaf.
-    const auto& chain = redis[j];
-    NodeId cur =
-        chain.empty() ? final_leaf : chain.front().node;  // initial leaf
-    if (!tree.is_leaf(cur)) {
-      rep.fail("job " + std::to_string(j) + " initial leaf " +
-               std::to_string(cur) + " is not a machine");
-      continue;
-    }
-    auto& ep = epochs[j];
-    ep.push_back({0.0, &tree.path_to(cur)});
-    for (const FaultRecord& fr : chain) {
-      if (fr.node != cur) {
-        rep.fail("redispatch of job " + std::to_string(j) + " at t=" +
-                 fmt(fr.t) + " moves it from node " + std::to_string(fr.node) +
-                 " but it was assigned to " + std::to_string(cur));
-        ok = false;
+    const std::size_t v = uidx(fr.node);
+    switch (fr.kind) {
+      case FaultRecord::Kind::kNodeDown:
+        if (is_down[v])
+          fail("node " + std::to_string(fr.node) +
+               " down twice without recovering");
+        is_down[v] = 1;
+        ft.down[v].push_back({fr.t, kInf});
         break;
-      }
-      if (!down_at(fr.node, fr.t)) {
-        rep.fail("job " + std::to_string(j) + " re-dispatched at t=" +
-                 fmt(fr.t) + " away from node " + std::to_string(fr.node) +
-                 " which was not down");
-      }
-      if (!tree.is_leaf(fr.to) || down_at(fr.to, fr.t)) {
-        rep.fail("job " + std::to_string(j) + " re-dispatched at t=" +
-                 fmt(fr.t) + " to node " + std::to_string(fr.to) +
-                 " which is not a live machine");
-      }
-      cur = fr.to;
-      ep.push_back({fr.t, &tree.path_to(cur)});
-    }
-    if (!ok) {
-      epochs[j].clear();
-      continue;
-    }
-    if (cur != final_leaf) {
-      rep.fail("job " + std::to_string(j) + " re-dispatch chain ends at node " +
-               std::to_string(cur) + " but the recorded final machine is " +
-               std::to_string(final_leaf));
-      epochs[j].clear();
-    }
-  }
-
-  // --- per-segment checks ---------------------------------------------------
-  struct LeafAgg {
-    double work = 0.0;
-    Time first = kInf;
-    Time last = -1.0;
-  };
-  std::vector<LeafAgg> final_leaf_work(n_jobs);
-  std::vector<Time> last_router_end(n_jobs, -1.0);
-  // Total work of job j on node v across all epochs.
-  std::map<std::pair<std::size_t, NodeId>, double> node_work;
-  std::vector<std::vector<const Segment*>> by_node(n_nodes);
-  for (const Segment& s : log.segments) {
-    ++rep.segments_checked;
-    if (s.job < 0 || uidx(s.job) >= n_jobs) {
-      rep.fail("segment names unknown job " + std::to_string(s.job));
-      continue;
-    }
-    if (s.node < 0 || uidx(s.node) >= n_nodes) {
-      rep.fail("segment names unknown node " + std::to_string(s.node));
-      continue;
-    }
-    if (s.t1 < s.t0 - tol) {
-      rep.fail("segment of job " + std::to_string(s.job) + " on node " +
-               std::to_string(s.node) + " has negative duration [" +
-               fmt(s.t0) + "," + fmt(s.t1) + ")");
-      continue;
-    }
-    if (ov.rejected[uidx(s.job)]) {
-      rep.fail("rejected job " + std::to_string(s.job) +
-               " recorded a burst at t=" + fmt(s.t0));
-      continue;
-    }
-    if (ov.shed(uidx(s.job)) && s.t1 > ov.shed_t[uidx(s.job)] + tol)
-      rep.fail("shed job " + std::to_string(s.job) +
-               " processed after its eviction at t=" +
-               fmt(ov.shed_t[uidx(s.job)]) + ": burst [" + fmt(s.t0) + "," +
-               fmt(s.t1) + ") on node " + std::to_string(s.node));
-    const Job& job = instance.job(s.job);
-    if (s.t0 < job.release - tol)
-      rep.fail("job " + std::to_string(s.job) + " ran on node " +
-               std::to_string(s.node) + " at " + fmt(s.t0) +
-               " before its release " + fmt(job.release));
-    // Effective rate: base speed times the slowdown factor in force. Bursts
-    // never span a factor change, so the factor at t0 governs the burst.
-    const double expect = log.speeds[uidx(s.node)] * factor_at(s.node, s.t0);
-    if (std::fabs(s.rate - expect) > tol)
-      rep.fail("segment rate " + fmt(s.rate) + " != speed x slowdown " +
-               fmt(expect) + " of node " + std::to_string(s.node) + " at t=" +
-               fmt(s.t0));
-    if (s.t1 > s.t0 &&
-        factor_at(s.node, s.t0) != factor_at(s.node, s.t1 - 1e-12) &&
-        std::fabs(factor_at(s.node, s.t0) -
-                  factor_at(s.node, s.t1 - 1e-12)) > tol)
-      rep.fail("segment of job " + std::to_string(s.job) + " on node " +
-               std::to_string(s.node) + " spans a slowdown change at [" +
-               fmt(s.t0) + "," + fmt(s.t1) + ")");
-    // Recovery invariant: nothing progresses at a dead node.
-    for (const Window& w : down[uidx(s.node)]) {
-      const Time lo = std::max(s.t0, w.lo);
-      const Time hi = std::min(s.t1, w.hi);
-      if (hi - lo > tol)
-        rep.fail("job " + std::to_string(s.job) + " progressed at node " +
-                 std::to_string(s.node) + " during its down window [" +
-                 fmt(w.lo) + "," + fmt(w.hi) + "): burst [" + fmt(s.t0) + "," +
-                 fmt(s.t1) + ")");
-    }
-    // Epoch-aware path membership.
-    const auto& ep = epochs[uidx(s.job)];
-    if (ep.empty()) continue;  // chain problem already reported
-    std::size_t k = 0;
-    while (k + 1 < ep.size() && ep[k + 1].start <= s.t0) ++k;
-    const auto& path = *ep[k].path;
-    int hop = -1;
-    for (std::size_t i = 0; i < path.size(); ++i)
-      if (path[i] == s.node) hop = static_cast<int>(i);
-    if (hop < 0) {
-      rep.fail("job " + std::to_string(s.job) + " ran on node " +
-               std::to_string(s.node) + " at t=" + fmt(s.t0) +
-               " which is not on its epoch-" + std::to_string(k) + " path");
-      continue;
-    }
-    const bool leaf_hop = static_cast<std::size_t>(hop) + 1 == path.size();
-    if (leaf_hop != (s.chunk == kLeafChunk)) {
-      rep.fail("job " + std::to_string(s.job) + " recorded " +
-               (s.chunk == kLeafChunk ? "machine" : "router") +
-               " work on node " + std::to_string(s.node) +
-               " which is a " + (leaf_hop ? "machine" : "router") +
-               " hop of its epoch-" + std::to_string(k) + " path");
-      continue;
-    }
-    if (s.chunk != kLeafChunk && s.chunk != 0) {
-      rep.fail("job " + std::to_string(s.job) + " router chunk " +
-               std::to_string(s.chunk) +
-               " in a whole-job-forwarding fault run");
-      continue;
-    }
-    node_work[{uidx(s.job), s.node}] += s.work();
-    if (s.chunk == kLeafChunk) {
-      if (k + 1 == ep.size()) {
-        LeafAgg& agg = final_leaf_work[uidx(s.job)];
-        agg.work += s.work();
-        agg.first = std::min(agg.first, s.t0);
-        agg.last = std::max(agg.last, s.t1);
-      }
-    } else {
-      last_router_end[uidx(s.job)] =
-          std::max(last_router_end[uidx(s.job)], s.t1);
-    }
-    by_node[uidx(s.node)].push_back(&s);
-  }
-
-  // --- unit capacity: per-node non-overlap ---------------------------------
-  for (std::size_t v = 0; v < n_nodes; ++v) {
-    auto& list = by_node[v];
-    std::sort(list.begin(), list.end(),
-              [](const Segment* a, const Segment* b) { return a->t0 < b->t0; });
-    for (std::size_t i = 1; i < list.size(); ++i) {
-      const Segment* p = list[i - 1];
-      const Segment* q = list[i];
-      if (q->t0 < p->t1 - tol)
-        rep.fail("unit capacity violated on node " + std::to_string(v) +
-                 ": job " + std::to_string(p->job) + " [" + fmt(p->t0) + "," +
-                 fmt(p->t1) + ") overlaps job " + std::to_string(q->job) +
-                 " [" + fmt(q->t0) + "," + fmt(q->t1) + ")");
+      case FaultRecord::Kind::kNodeUp:
+        if (!is_down[v]) {
+          fail("node " + std::to_string(fr.node) +
+               " recovered without being down");
+        } else {
+          is_down[v] = 0;
+          ft.down[v].back().hi = fr.t;
+        }
+        break;
+      case FaultRecord::Kind::kEdgeDown:
+        if (is_edge_down[v])
+          fail("edge to node " + std::to_string(fr.node) + " severed twice");
+        is_edge_down[v] = 1;
+        break;
+      case FaultRecord::Kind::kEdgeUp:
+        if (!is_edge_down[v])
+          fail("edge to node " + std::to_string(fr.node) +
+               " restored without being severed");
+        is_edge_down[v] = 0;
+        break;
+      case FaultRecord::Kind::kSlow:
+        if (fr.factor <= 0.0)
+          fail("slowdown factor " + fmt(fr.factor) + " on node " +
+               std::to_string(fr.node) + " is not positive");
+        ft.steps[v].push_back({fr.t, fr.factor});
+        break;
+      case FaultRecord::Kind::kRedispatch:
+        if (fr.job < 0 || uidx(fr.job) >= n_jobs) {
+          fail("redispatch names unknown job " + std::to_string(fr.job));
+          return false;
+        }
+        if (fr.to < 0 || uidx(fr.to) >= n_nodes) {
+          fail("redispatch names unknown target node " +
+               std::to_string(fr.to));
+          return false;
+        }
+        ft.redispatches[uidx(fr.job)].push_back(&fr);
+        break;
     }
   }
+  return ok;
+}
 
-  // --- per-job recovery invariants -----------------------------------------
-  for (std::size_t j = 0; j < n_jobs; ++j) {
-    if (epochs[j].empty()) continue;
-    ++rep.jobs_checked;
-    const Job& job = instance.job(static_cast<JobId>(j));
-    const auto& path = log.paths[j];
-    const NodeId leaf = path.back();
-    const double leaf_work = instance.processing_time(job.id, leaf);
-    const Time claimed = log.completion[j];
-
-    if (ov.shed(j)) {
-      // An evicted job keeps its partial walk but must never finish; the
-      // no-burst-after-eviction rule was enforced per segment above.
-      if (claimed >= 0.0)
-        rep.fail("shed job " + std::to_string(j) + " claims completion " +
-                 fmt(claimed));
-      continue;
-    }
-    if (claimed < 0.0) {
-      rep.fail("job " + std::to_string(j) + " never completed");
-      continue;
-    }
-    const LeafAgg& agg = final_leaf_work[j];
-    if (agg.last < 0.0) {
-      rep.fail("job " + std::to_string(j) +
-               " has no machine work at its final leaf " +
-               std::to_string(leaf) + " after the last re-dispatch");
-      continue;
-    }
-    // The final attempt performs exactly the requirement: lost partial work
-    // lives in earlier epochs (a crashed machine triggers re-dispatch), so
-    // any shortfall or excess here means recovery dropped or double-counted
-    // work.
-    if (std::fabs(agg.work - leaf_work) > tol * std::max(1.0, leaf_work))
-      rep.fail("job " + std::to_string(j) + " final-epoch machine work " +
-               fmt(agg.work) + " != " + fmt(leaf_work) + " on node " +
-               std::to_string(leaf));
-    if (std::fabs(agg.last - claimed) > tol)
-      rep.fail("job " + std::to_string(j) + " claimed completion " +
-               fmt(claimed) + " != last machine burst end " + fmt(agg.last));
-    // Every router of the final path fully forwarded the job at least once
-    // (crash-reverted partials make the total larger, never smaller).
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const auto it = node_work.find({j, path[h]});
-      const double w = it == node_work.end() ? 0.0 : it->second;
-      if (w < job.size - tol * std::max(1.0, job.size))
-        rep.fail("job " + std::to_string(j) + " completed but node " +
-                 std::to_string(path[h]) + " of its final path forwarded " +
-                 fmt(w) + " < " + fmt(job.size));
-    }
-    // Recovery precedence: all routing (every epoch) precedes the final
-    // machine work.
-    if (last_router_end[j] > agg.first + tol)
-      rep.fail("precedence violated across recovery: job " +
-               std::to_string(j) + " machine work started at " +
-               fmt(agg.first) + " before its last router burst ended at " +
-               fmt(last_router_end[j]));
+/// Rebuilds job j's epochs from its re-dispatch chain: initial leaf ->
+/// re-dispatch targets -> the recorded final leaf. Each move must leave a
+/// dead machine for a live one, and the chain must end where the recorded
+/// path does. Returns false (reported) when the chain cannot be followed.
+bool read_redispatch_chain(const Tree& tree, const FaultTimeline& ft,
+                           std::size_t j, const std::vector<NodeId>& path,
+                           std::vector<Epoch>& epochs, AuditReport& rep) {
+  const NodeId final_leaf = path.back();
+  if (path != tree.path_to(final_leaf)) {
+    rep.fail("job " + std::to_string(j) +
+             " recorded path is not the tree path to machine " +
+             std::to_string(final_leaf));
+    return false;
   }
-
-  rep.notes.push_back(
-      "fault mode: " + std::to_string(log.faults.size()) +
-      " fault record(s); priority consistency not audited (crashes "
-      "legitimately reorder work)");
-  if (ov.active)
-    rep.notes.push_back(
-        "fault mode: queue-cap and deadline admission checks skipped "
-        "(re-dispatch replays hop-0 work without an admission decision)");
-  if (opts.eps > 0.0)
-    rep.notes.push_back(
-        "fault mode: lemma margins not audited (the paper's bounds "
-        "presuppose a fault-free network)");
-  return rep;
+  const auto& chain = ft.redispatches[j];
+  NodeId cur = chain.empty() ? final_leaf : chain.front()->node;
+  if (!tree.is_leaf(cur)) {
+    rep.fail("job " + std::to_string(j) + " initial leaf " +
+             std::to_string(cur) + " is not a machine");
+    return false;
+  }
+  epochs.push_back({0.0, &tree.path_to(cur)});
+  for (const FaultRecord* fr : chain) {
+    if (fr->node != cur) {
+      rep.fail("redispatch of job " + std::to_string(j) + " at t=" +
+               fmt(fr->t) + " moves it from node " + std::to_string(fr->node) +
+               " but it was assigned to " + std::to_string(cur));
+      return false;
+    }
+    if (!ft.down_at(fr->node, fr->t))
+      rep.fail("job " + std::to_string(j) + " re-dispatched at t=" +
+               fmt(fr->t) + " away from node " + std::to_string(fr->node) +
+               " which was not down");
+    if (!tree.is_leaf(fr->to) || ft.down_at(fr->to, fr->t)) {
+      rep.fail("job " + std::to_string(j) + " re-dispatched at t=" +
+               fmt(fr->t) + " to node " + std::to_string(fr->to) +
+               " which is not a live machine");
+      if (!tree.is_leaf(fr->to)) return false;
+    }
+    cur = fr->to;
+    epochs.push_back({fr->t, &tree.path_to(cur)});
+  }
+  if (cur != final_leaf) {
+    rep.fail("job " + std::to_string(j) + " re-dispatch chain ends at node " +
+             std::to_string(cur) + " but the recorded final machine is " +
+             std::to_string(final_leaf));
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -590,12 +357,15 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
                                 fmt(opts.eps));
   if (opts.strict_lemmas && opts.eps == 0.0)
     throw std::invalid_argument("strict lemma checks need eps > 0");
-  if (!log.faults.empty()) return audit_fault_run(instance, log, opts);
+  if (!(opts.tol >= 0.0) || std::isinf(opts.tol))
+    throw std::invalid_argument("audit tol must be finite and >= 0, got " +
+                                fmt(opts.tol));
   AuditReport rep;
   const double tol = opts.tol;
   const Tree& tree = instance.tree();
   const std::size_t n_jobs = uidx(instance.job_count());
   const std::size_t n_nodes = uidx(tree.node_count());
+  const bool faulty = !log.faults.empty();
 
   if (log.paths.size() != n_jobs || log.completion.size() != n_jobs) {
     rep.fail("run log covers " + std::to_string(log.paths.size()) +
@@ -608,13 +378,25 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
              " node(s)");
     return rep;
   }
+  if (faulty && log.router_chunk_size > 0.0) {
+    rep.fail("fault-injected runs require whole-job forwarding "
+             "(router_chunk_size 0), log has chunk " +
+             fmt(log.router_chunk_size));
+    return rep;
+  }
   const OverloadAudit ov = build_overload_audit(instance, log, rep);
+  FaultTimeline ft(n_jobs, n_nodes);
+  if (faulty && !read_fault_timeline(log, tol, ft, rep)) return rep;
 
-  // --- per-job setup: path sanity, chunking, item aggregates ---------------
+  // --- per-job setup: path sanity, epochs, chunking, item aggregates -------
   std::vector<JobAudit> ja(n_jobs);
   for (std::size_t j = 0; j < n_jobs; ++j) {
     const Job& job = instance.job(static_cast<JobId>(j));
     const auto& path = log.paths[j];
+    // The engine never sheds a re-dispatched job and never re-dispatches a
+    // shed one; a log claiming both for the same job is inconsistent.
+    if (ov.shed(j) && !ft.redispatches[j].empty())
+      rep.fail("job " + std::to_string(j) + " was both shed and re-dispatched");
     if (path.empty()) {
       if (!ov.rejected[j])
         rep.fail("job " + std::to_string(j) +
@@ -636,6 +418,10 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
       continue;
     }
     JobAudit& a = ja[j];
+    if (!faulty)
+      a.epochs.push_back({0.0, &path});
+    else if (!read_redispatch_chain(tree, ft, j, path, a.epochs, rep))
+      continue;
     a.path = &path;
     if (log.router_chunk_size > 0.0)
       a.chunks = static_cast<std::int32_t>(
@@ -646,7 +432,7 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     a.bursts.resize(path.size());
   }
 
-  // --- per-segment structural checks + aggregation -------------------------
+  // --- per-segment checks + aggregation -------------------------------------
   std::vector<std::vector<const Segment*>> by_node(n_nodes);
   for (const Segment& s : log.segments) {
     ++rep.segments_checked;
@@ -664,65 +450,92 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
                fmt(s.t0) + "," + fmt(s.t1) + ")");
       continue;
     }
-    if (std::fabs(s.rate - log.speeds[uidx(s.node)]) > tol)
-      rep.fail("segment rate " + fmt(s.rate) + " != speed " +
-               fmt(log.speeds[uidx(s.node)]) + " of node " +
-               std::to_string(s.node));
-    if (ov.rejected[uidx(s.job)]) {
+    const std::size_t j = uidx(s.job);
+    if (ov.rejected[j]) {
       rep.fail("rejected job " + std::to_string(s.job) +
                " recorded a burst at t=" + fmt(s.t0));
       continue;
     }
-    if (ov.shed(uidx(s.job)) && s.t1 > ov.shed_t[uidx(s.job)] + tol)
+    if (ov.shed(j) && s.t1 > ov.shed_t[j] + tol)
       rep.fail("shed job " + std::to_string(s.job) +
-               " processed after its eviction at t=" +
-               fmt(ov.shed_t[uidx(s.job)]) + ": burst [" + fmt(s.t0) + "," +
-               fmt(s.t1) + ") on node " + std::to_string(s.node));
-    JobAudit& a = ja[uidx(s.job)];
-    if (!a.path) continue;  // path problem already reported
-    const int hop = a.hop_of(s.node);
-    const int last_hop = static_cast<int>(a.len()) - 1;
-    if (hop < 0) {
-      rep.fail("job " + std::to_string(s.job) + " ran on node " +
-               std::to_string(s.node) +
-               " which is not on its assigned path (immediate-dispatch "
-               "violation)");
-      continue;
-    }
+               " processed after its eviction at t=" + fmt(ov.shed_t[j]) +
+               ": burst [" + fmt(s.t0) + "," + fmt(s.t1) + ") on node " +
+               std::to_string(s.node));
     const Job& job = instance.job(s.job);
     if (s.t0 < job.release - tol)
       rep.fail("job " + std::to_string(s.job) + " ran on node " +
                std::to_string(s.node) + " at " + fmt(s.t0) +
                " before its release " + fmt(job.release));
-    ItemAgg* agg = nullptr;
-    if (s.chunk == kLeafChunk) {
-      if (hop != last_hop) {
-        rep.fail("job " + std::to_string(s.job) +
-                 " recorded machine work on interior node " +
-                 std::to_string(s.node));
-        continue;
-      }
-      agg = &a.leaf;
-    } else {
-      if (hop == last_hop) {
-        rep.fail("job " + std::to_string(s.job) + " recorded router chunk " +
-                 std::to_string(s.chunk) + " on its machine node " +
-                 std::to_string(s.node));
-        continue;
-      }
-      if (s.chunk < 0 || s.chunk >= a.chunks) {
-        rep.fail("job " + std::to_string(s.job) + " chunk " +
-                 std::to_string(s.chunk) + " out of range (job has " +
-                 std::to_string(a.chunks) + ")");
-        continue;
-      }
-      agg = &a.router[uidx(hop)][uidx(s.chunk)];
+    // Effective rate: base speed times the slowdown factor in force. The
+    // engine ends every burst at a factor step, so the factor at t0 governs.
+    const double factor = ft.factor_at(s.node, s.t0);
+    const double expect = log.speeds[uidx(s.node)] * factor;
+    if (std::fabs(s.rate - expect) > tol)
+      rep.fail("segment rate " + fmt(s.rate) + " != speed x slowdown " +
+               fmt(expect) + " of node " + std::to_string(s.node) + " at t=" +
+               fmt(s.t0));
+    if (ft.factor_changes_inside(s.node, s.t0, s.t1, factor, tol))
+      rep.fail("segment of job " + std::to_string(s.job) + " on node " +
+               std::to_string(s.node) + " spans a slowdown change at [" +
+               fmt(s.t0) + "," + fmt(s.t1) + ")");
+    // Nothing progresses at a dead node.
+    for (const FaultTimeline::Window& w : ft.down[uidx(s.node)]) {
+      const Time lo = std::max(s.t0, w.lo);
+      const Time hi = std::min(s.t1, w.hi);
+      if (hi - lo > tol)
+        rep.fail("job " + std::to_string(s.job) + " progressed at node " +
+                 std::to_string(s.node) + " during its down window [" +
+                 fmt(w.lo) + "," + fmt(w.hi) + "): burst [" + fmt(s.t0) + "," +
+                 fmt(s.t1) + ")");
     }
-    agg->work += s.work();
-    agg->first = std::min(agg->first, s.t0);
-    agg->last = std::max(agg->last, s.t1);
+    JobAudit& a = ja[j];
+    if (!a.path) continue;  // path or chain problem already reported
+    std::size_t k = 0;
+    while (k + 1 < a.epochs.size() && a.epochs[k + 1].start <= s.t0) ++k;
+    const auto& path = *a.epochs[k].path;
+    const int hop = hop_on(path, s.node);
+    if (hop < 0) {
+      rep.fail("job " + std::to_string(s.job) + " ran on node " +
+               std::to_string(s.node) + " at t=" + fmt(s.t0) +
+               " which is not on its assigned path (epoch " +
+               std::to_string(k) + "; immediate-dispatch violation)");
+      continue;
+    }
+    const bool leaf_hop = uidx(hop) + 1 == path.size();
+    if (leaf_hop != (s.chunk == kLeafChunk)) {
+      rep.fail("job " + std::to_string(s.job) + " recorded " +
+               (s.chunk == kLeafChunk
+                    ? std::string("machine work")
+                    : "router chunk " + std::to_string(s.chunk)) +
+               " on node " + std::to_string(s.node) + ", a " +
+               (leaf_hop ? "machine" : "router") + " hop of its epoch-" +
+               std::to_string(k) + " path");
+      continue;
+    }
+    if (!leaf_hop && (s.chunk < 0 || s.chunk >= a.chunks)) {
+      rep.fail("job " + std::to_string(s.job) + " chunk " +
+               std::to_string(s.chunk) + " out of range (job has " +
+               std::to_string(a.chunks) + ")");
+      continue;
+    }
+    // Items of the final path: its routers collect the work of every epoch
+    // (a crash-reverted partial only adds work); machine work counts in the
+    // final epoch only (earlier attempts were lost with their machine).
+    ItemAgg* agg = nullptr;
+    if (leaf_hop) {
+      if (k + 1 == a.epochs.size()) agg = &a.leaf;
+    } else {
+      a.last_router_end = std::max(a.last_router_end, s.t1);
+      if (uidx(hop) + 1 < a.len() && (*a.path)[uidx(hop)] == s.node)
+        agg = &a.router[uidx(hop)][uidx(s.chunk)];
+    }
+    if (agg) {
+      agg->work += s.work();
+      agg->first = std::min(agg->first, s.t0);
+      agg->last = std::max(agg->last, s.t1);
+      a.bursts[uidx(hop)].push_back(&s);
+    }
     by_node[uidx(s.node)].push_back(&s);
-    a.bursts[uidx(hop)].push_back(&s);
   }
 
   // --- unit capacity: per-node non-overlap ---------------------------------
@@ -754,17 +567,20 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     // Work conservation per item. A shed job is exempt: it keeps whatever
     // partial walk it made before eviction (the no-burst-after-eviction rule
     // is enforced per segment; precedence below still covers what did run).
+    // Across re-dispatches a router may forward more than the job (lost
+    // partials), never less; the final attempt's machine work is exact.
     const bool was_shed = ov.shed(j);
     if (!was_shed) {
       for (std::size_t h = 0; h + 1 < len; ++h)
         for (std::int32_t c = 0; c < a.chunks; ++c) {
           const ItemAgg& agg = a.router[h][uidx(c)];
+          const double ctol = tol * std::max(1.0, a.chunk_size);
           if (!agg.ran()) {
             rep.fail("job " + std::to_string(j) + " chunk " +
                      std::to_string(c) + " never ran on node " +
                      std::to_string((*a.path)[h]));
-          } else if (std::fabs(agg.work - a.chunk_size) >
-                     tol * std::max(1.0, a.chunk_size)) {
+          } else if (agg.work < a.chunk_size - ctol ||
+                     (!faulty && agg.work > a.chunk_size + ctol)) {
             rep.fail("job " + std::to_string(j) + " chunk " +
                      std::to_string(c) + " on node " +
                      std::to_string((*a.path)[h]) + ": work " + fmt(agg.work) +
@@ -773,37 +589,49 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
         }
       if (!a.leaf.ran()) {
         rep.fail("job " + std::to_string(j) + " never ran on its machine " +
-                 std::to_string(leaf));
+                 std::to_string(leaf) + " in its final epoch");
       } else if (std::fabs(a.leaf.work - leaf_work) >
                  tol * std::max(1.0, leaf_work)) {
-        rep.fail("job " + std::to_string(j) + " machine work " +
-                 fmt(a.leaf.work) + " != " + fmt(leaf_work));
+        rep.fail("job " + std::to_string(j) + " final-epoch machine work " +
+                 fmt(a.leaf.work) + " != " + fmt(leaf_work) + " on node " +
+                 std::to_string(leaf));
       }
     }
 
-    // Store-and-forward precedence, chunk by chunk down the path.
-    for (std::size_t h = 1; h + 1 < len; ++h)
-      for (std::int32_t c = 0; c < a.chunks; ++c) {
-        const ItemAgg& up = a.router[h - 1][uidx(c)];
-        const ItemAgg& down = a.router[h][uidx(c)];
-        if (!up.ran() || !down.ran()) continue;  // reported above
-        if (down.first < up.last - tol)
-          rep.fail("precedence violated: job " + std::to_string(j) +
-                   " chunk " + std::to_string(c) + " started on node " +
-                   std::to_string((*a.path)[h]) + " at " + fmt(down.first) +
-                   " before finishing on parent node " +
-                   std::to_string((*a.path)[h - 1]) + " at " + fmt(up.last));
-      }
     Time all_data_arrived = -1.0;
-    for (std::int32_t c = 0; len >= 2 && c < a.chunks; ++c) {
-      const ItemAgg& up = a.router[len - 2][uidx(c)];
-      if (up.ran()) all_data_arrived = std::max(all_data_arrived, up.last);
+    if (faulty) {
+      // A crash may send a job back over routers it already crossed, so
+      // hop order holds only within an epoch; what survives is that all
+      // routing, in every epoch, precedes the final machine work.
+      if (a.leaf.ran() && a.last_router_end > a.leaf.first + tol)
+        rep.fail("precedence violated across recovery: job " +
+                 std::to_string(j) + " machine work started at " +
+                 fmt(a.leaf.first) + " before its last router burst ended at " +
+                 fmt(a.last_router_end));
+    } else {
+      // Store-and-forward precedence, chunk by chunk down the path.
+      for (std::size_t h = 1; h + 1 < len; ++h)
+        for (std::int32_t c = 0; c < a.chunks; ++c) {
+          const ItemAgg& up = a.router[h - 1][uidx(c)];
+          const ItemAgg& down = a.router[h][uidx(c)];
+          if (!up.ran() || !down.ran()) continue;  // reported above
+          if (down.first < up.last - tol)
+            rep.fail("precedence violated: job " + std::to_string(j) +
+                     " chunk " + std::to_string(c) + " started on node " +
+                     std::to_string((*a.path)[h]) + " at " + fmt(down.first) +
+                     " before finishing on parent node " +
+                     std::to_string((*a.path)[h - 1]) + " at " + fmt(up.last));
+        }
+      for (std::int32_t c = 0; len >= 2 && c < a.chunks; ++c) {
+        const ItemAgg& up = a.router[len - 2][uidx(c)];
+        if (up.ran()) all_data_arrived = std::max(all_data_arrived, up.last);
+      }
+      if (a.leaf.ran() && a.leaf.first < all_data_arrived - tol)
+        rep.fail("precedence violated: job " + std::to_string(j) +
+                 " machine work on node " + std::to_string(leaf) +
+                 " started at " + fmt(a.leaf.first) + " before data arrival " +
+                 fmt(all_data_arrived));
     }
-    if (a.leaf.ran() && a.leaf.first < all_data_arrived - tol)
-      rep.fail("precedence violated: job " + std::to_string(j) +
-               " machine work on node " + std::to_string(leaf) +
-               " started at " + fmt(a.leaf.first) + " before data arrival " +
-               fmt(all_data_arrived));
 
     // Claimed completion vs the log.
     const Time claimed = log.completion[j];
@@ -817,6 +645,7 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
       rep.fail("job " + std::to_string(j) + " claimed completion " +
                fmt(claimed) + " != last machine burst end " + fmt(a.leaf.last));
     }
+    if (faulty) continue;
 
     // Availability windows (head-chunk rule + store-and-forward arrivals).
     a.avail.assign(len > 0 ? len - 1 : 0,
@@ -837,6 +666,24 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
         a.avail[h][uidx(c)] = t;
       }
     a.leaf_avail = (len == 1) ? job.release : all_data_arrived;
+  }
+
+  // Priority consistency, the admission caps and the lemma margins read
+  // availability windows that crashes invalidate.
+  if (faulty) {
+    rep.notes.push_back(
+        "fault mode: " + std::to_string(log.faults.size()) +
+        " fault record(s); priority consistency not audited (crashes "
+        "legitimately reorder work)");
+    if (ov.active)
+      rep.notes.push_back(
+          "fault mode: queue-cap and deadline admission checks skipped "
+          "(re-dispatch replays hop-0 work without an admission decision)");
+    if (opts.eps > 0.0)
+      rep.notes.push_back(
+          "fault mode: lemma margins not audited (the paper's bounds "
+          "presuppose a fault-free network)");
+    return rep;
   }
 
   // Remaining work of job i on its hop h at time t, from the burst log.

@@ -1,9 +1,13 @@
-// Offline invariant analyzer for recorded runs.
+// Offline invariant analyzer for recorded runs — the project's one checker
+// of recorded schedules (treesched_run --validate, the tests and
+// treesched_audit all call audit_run).
 //
 // Re-derives every model invariant from (instance, run log) alone, trusting
-// neither Engine state nor Metrics. Beyond the feasibility checks shared with
-// validator.hpp, the audit reconstructs per-work-item availability windows
-// from the burst log and checks the *scheduling discipline* itself:
+// neither Engine state nor Metrics. One pass checks the feasibility rules of
+// Section 2 — bursts run at the node's speed, nothing runs before release,
+// each (job, node, chunk) gets exactly its work, the claimed completions
+// match the log — and reconstructs per-work-item availability windows from
+// the burst log to check the *scheduling discipline* itself:
 //
 //   - store-and-forward precedence (chunk c starts on a node no earlier than
 //     it finished on the parent; leaf work waits for all data);
@@ -20,19 +24,20 @@
 //     evaluator of these margins; benches, examples and tests record the
 //     run and read the AuditReport.
 //
-// Run logs carrying fault records switch the audit into its fault mode: the
-// structural checks become epoch-aware (a job's path changes at every
-// re-dispatch) and the recovery invariants are verified instead — no work at
-// a dead node, burst rates match speed x slowdown factor, re-dispatch chains
-// move jobs from a dead machine to a live one, the final attempt performs
-// exactly the required machine work, and all routing precedes it. Priority
-// consistency and lemma margins are skipped with a note.
+// Run logs carrying fault records are read as epochs: a job's path changes
+// at every re-dispatch, and a run without faults is the case of one epoch
+// per job, at slowdown factor 1 with no down windows. The same per-segment
+// pass then also checks that no work progresses at a dead node and that
+// burst rates match speed x slowdown factor; on top, re-dispatch chains
+// must move jobs from a dead machine to a live one, the final attempt must
+// perform exactly the required machine work, and all routing must precede
+// it. Priority consistency and lemma margins are skipped with a note.
 //
 // Run logs carrying admission-control records (a shed policy) get the
 // overload rules on top, in both modes: a rejected job never runs and is
 // exempt from the never-dispatched check, a shed job never progresses after
 // its eviction and never completes, and no job is both shed and
-// re-dispatched. In clean mode the volume caps of bounded-queue /
+// re-dispatched. Without faults the volume caps of bounded-queue /
 // largest-first are re-verified at every admission epoch by reconstructing
 // the root-cut backlog from the burst log, and deadline admissions must
 // match their recorded Lemma-4 F estimate against bound = slack x p_j.
@@ -54,6 +59,8 @@ struct AuditOptions {
   /// presuppose class-rounded sizes and (1+eps)-speeds, which an arbitrary
   /// run log need not satisfy). Requires eps > 0.
   bool strict_lemmas = false;
+  /// Absolute tolerance of time and rate comparisons (work comparisons
+  /// scale it by the amount). Must be finite and >= 0.
   double tol = 1e-6;
 };
 
@@ -90,7 +97,7 @@ struct AuditReport {
 };
 
 /// Audits a recorded run against the instance it claims to schedule.
-/// Throws std::invalid_argument for an eps that is negative, NaN or
+/// Throws std::invalid_argument for an eps or tol that is negative, NaN or
 /// infinite, and for strict_lemmas without eps > 0.
 AuditReport audit_run(const Instance& instance, const RunLog& log,
                       const AuditOptions& opts = {});

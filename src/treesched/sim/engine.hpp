@@ -167,7 +167,7 @@ struct ShedRecord {
 struct EngineConfig {
   /// Discipline used on every node (the paper's algorithm uses SJF).
   NodePolicy node_policy = NodePolicy::kSjf;
-  /// Log every processing burst for the validator.
+  /// Log every processing burst for the offline audit (sim::audit_run).
   bool record_schedule = false;
   /// > 0 enables the pipelined-routing extension (Section 2): each job's
   /// data is forwarded in equal chunks of at most this size; a router may
@@ -261,8 +261,8 @@ class Engine {
   /// typically tree().path_between(job.source, leaf). The path must be a
   /// chain of adjacent tree nodes ending at a machine, with no repeats;
   /// every path node needs positive speed (the root may appear as a transit
-  /// router). To validate such runs, use the validate_schedule overload
-  /// that takes the per-job paths.
+  /// router). To audit such runs, capture them with the make_run_log
+  /// overload that takes the per-job paths.
   void admit_via_path(JobId j, std::vector<NodeId> path);
 
   /// Window extension: rebinds the engine to `larger`, an instance over the

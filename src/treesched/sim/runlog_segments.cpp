@@ -708,6 +708,10 @@ class SegmentAuditor {
 
 SegmentAuditResult audit_segments(const std::string& manifest_path,
                                   const SegmentAuditOptions& opts) {
+  if (!(opts.tol >= 0.0) || std::isinf(opts.tol))
+    throw std::invalid_argument(
+        "segment audit tol must be finite and >= 0, got " +
+        std::to_string(opts.tol));
   SegmentAuditResult out;
   SegmentAuditor auditor(opts, out);
   auditor.run(manifest_path);

@@ -181,6 +181,7 @@ struct SegmentAuditResult {
 };
 
 struct SegmentAuditOptions {
+  /// Relative comparison tolerance. Must be finite and >= 0.
   double tol = 1e-6;
   /// Cap on reported violations (the state machine keeps going regardless).
   std::size_t max_violations = 32;
@@ -193,7 +194,8 @@ struct SegmentAuditOptions {
 /// after done/shed; rejected jobs never run), and the final trailer's
 /// counters and flow sum (recomputed compensated, in completion order —
 /// bit-equal by the determinism contract). Memory is O(nodes + live jobs +
-/// one segment); segments stream through one at a time.
+/// one segment); segments stream through one at a time. Throws
+/// std::invalid_argument for a tol that is negative, NaN or infinite.
 SegmentAuditResult audit_segments(const std::string& manifest_path,
                                   const SegmentAuditOptions& opts = {});
 

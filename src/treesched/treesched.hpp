@@ -32,7 +32,6 @@
 #include "treesched/sim/reference.hpp"
 #include "treesched/sim/run_log.hpp"
 #include "treesched/sim/sampler.hpp"
-#include "treesched/sim/validator.hpp"
 
 #include "treesched/algo/anycast.hpp"
 #include "treesched/algo/broomstick.hpp"

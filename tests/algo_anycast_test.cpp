@@ -4,7 +4,8 @@
 
 #include "treesched/algo/anycast.hpp"
 #include "treesched/core/tree_builders.hpp"
-#include "treesched/sim/validator.hpp"
+#include "treesched/sim/audit.hpp"
+#include "treesched/sim/run_log.hpp"
 #include "treesched/workload/generator.hpp"
 
 namespace treesched {
@@ -157,8 +158,8 @@ TEST(AnycastStrategies, RecordedAnycastScheduleValidates) {
       algo::run_anycast(inst, speeds, algo::AnycastStrategy::kGreedy, cfg,
                         &paths, &recorder);
   EXPECT_TRUE(metrics.all_completed());
-  const auto res =
-      sim::validate_schedule(inst, speeds, cfg, recorder, metrics, paths);
+  const auto res = sim::audit_run(
+      inst, sim::make_run_log(inst, speeds, cfg, recorder, metrics, paths));
   EXPECT_TRUE(res.ok) << res.summary();
 }
 

@@ -26,9 +26,7 @@ TEST(Integration, EveryPolicyCompletesAndValidates) {
     sim::Engine engine(inst, speeds, cfg);
     engine.run(*policy);
     EXPECT_TRUE(engine.metrics().all_completed()) << name;
-    const auto res = sim::validate_schedule(inst, speeds, cfg,
-                                            engine.recorder(),
-                                            engine.metrics());
+    const auto res = sim::audit_run(inst, sim::make_run_log(inst, engine));
     EXPECT_TRUE(res.ok) << name << ": " << res.summary();
     // Sanity: the bound certifies the speed-1 adversary, and uniformly
     // speeding every node by s shrinks any schedule's flow by at most s, so

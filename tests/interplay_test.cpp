@@ -6,8 +6,9 @@
 #include "treesched/algo/general_tree.hpp"
 #include "treesched/algo/policies.hpp"
 #include "treesched/core/tree_builders.hpp"
+#include "treesched/sim/audit.hpp"
 #include "treesched/sim/engine.hpp"
-#include "treesched/sim/validator.hpp"
+#include "treesched/sim/run_log.hpp"
 #include "treesched/workload/generator.hpp"
 
 namespace treesched {
@@ -42,8 +43,7 @@ TEST(Interplay, ChunkedUnrelatedRandomValidates) {
   algo::PaperGreedyPolicy policy(0.5);
   sim::Engine eng(inst, speeds, cfg);
   eng.run(policy);
-  const auto res = sim::validate_schedule(inst, speeds, cfg, eng.recorder(),
-                                          eng.metrics());
+  const auto res = sim::audit_run(inst, sim::make_run_log(inst, eng));
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -65,8 +65,8 @@ TEST(Interplay, ChunkedAnycastCompletesAndValidates) {
       algo::run_anycast(inst, speeds, algo::AnycastStrategy::kLeastVolume,
                         cfg, &paths, &recorder);
   EXPECT_TRUE(metrics.all_completed());
-  const auto res =
-      sim::validate_schedule(inst, speeds, cfg, recorder, metrics, paths);
+  const auto res = sim::audit_run(
+      inst, sim::make_run_log(inst, speeds, cfg, recorder, metrics, paths));
   EXPECT_TRUE(res.ok) << res.summary();
 }
 

@@ -13,9 +13,10 @@
 
 #include "treesched/algo/policies.hpp"
 #include "treesched/core/tree_builders.hpp"
+#include "treesched/sim/audit.hpp"
 #include "treesched/sim/engine.hpp"
 #include "treesched/sim/reference.hpp"
-#include "treesched/sim/validator.hpp"
+#include "treesched/sim/run_log.hpp"
 #include "treesched/workload/generator.hpp"
 
 namespace treesched {
@@ -80,9 +81,7 @@ void check_paper_grid(const DiffCase& c) {
     algo::PaperGreedyPolicy policy(eps);
     sim::Engine engine(inst, speeds, cfg);
     engine.run(policy);
-    const auto valid = sim::validate_schedule(inst, speeds, cfg,
-                                              engine.recorder(),
-                                              engine.metrics());
+    const auto valid = sim::audit_run(inst, sim::make_run_log(inst, engine));
     EXPECT_TRUE(valid.ok) << valid.summary();
     std::vector<NodeId> assignment(uidx(inst.job_count()));
     for (JobId j = 0; j < inst.job_count(); ++j)

@@ -10,8 +10,9 @@
 
 #include "treesched/algo/policies.hpp"
 #include "treesched/core/tree_builders.hpp"
+#include "treesched/sim/audit.hpp"
 #include "treesched/sim/engine.hpp"
-#include "treesched/sim/validator.hpp"
+#include "treesched/sim/run_log.hpp"
 #include "treesched/workload/generator.hpp"
 
 namespace treesched {
@@ -98,8 +99,7 @@ TEST_P(EngineProperty, ScheduleIsFeasibleAndConservative) {
 
   // Everything completes and the schedule replays cleanly.
   EXPECT_TRUE(engine.metrics().all_completed());
-  const auto res = sim::validate_schedule(inst, speeds, cfg,
-                                          engine.recorder(), engine.metrics());
+  const auto res = sim::audit_run(inst, sim::make_run_log(inst, engine));
   EXPECT_TRUE(res.ok) << res.summary();
 
   // Work conservation: recorded bursts sum to exactly the required work.
@@ -193,8 +193,7 @@ TEST_P(EngineUnrelatedProperty, UnrelatedRunsValidate) {
   sim::Engine engine(inst, speeds, cfg);
   engine.run(policy);
   EXPECT_TRUE(engine.metrics().all_completed());
-  const auto res = sim::validate_schedule(inst, speeds, cfg,
-                                          engine.recorder(), engine.metrics());
+  const auto res = sim::audit_run(inst, sim::make_run_log(inst, engine));
   EXPECT_TRUE(res.ok) << res.summary();
 }
 

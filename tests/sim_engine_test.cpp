@@ -4,8 +4,9 @@
 #include <memory>
 
 #include "treesched/core/tree_builders.hpp"
+#include "treesched/sim/audit.hpp"
 #include "treesched/sim/engine.hpp"
-#include "treesched/sim/validator.hpp"
+#include "treesched/sim/run_log.hpp"
 
 namespace treesched {
 namespace {
@@ -224,8 +225,7 @@ TEST(Engine, RecordedScheduleValidates) {
   const SpeedProfile speeds = SpeedProfile::uniform(inst.tree(), 1.5);
   Engine eng(inst, speeds, cfg);
   eng.run_with_assignment({leaf, leaf});
-  const auto res = sim::validate_schedule(inst, speeds, cfg, eng.recorder(),
-                                          eng.metrics());
+  const auto res = sim::audit_run(inst, sim::make_run_log(inst, eng));
   EXPECT_TRUE(res.ok) << res.summary();
 }
 

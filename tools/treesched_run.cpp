@@ -41,8 +41,8 @@
 // resumable.
 //
 // Exit codes: 0 = clean, 64 = usage/config error (bad flag, unknown
-// policy/speed/node-policy name, malformed fault plan), 2 = the schedule
-// failed replay validation, 1 = runtime error (unreadable trace, I/O),
+// policy/speed/node-policy name, malformed fault plan), 2 = --validate
+// found an audit violation, 1 = runtime error (unreadable trace, I/O),
 // 130 = stopped by --die-at-snapshot or a graceful SIGINT/SIGTERM.
 // Resume-ladder outcomes: 65 = every snapshot generation
 // corrupt/unrecoverable (quarantine report written), 66 = no snapshot
@@ -179,6 +179,17 @@ bool has_custom_sources(const Instance& inst) {
   return false;
 }
 
+/// Writes the run log to `record_out` (if set) and, with `validate`, audits
+/// the same log offline. Returns false when the audit finds a violation.
+bool record_and_validate(const Instance& inst, const sim::RunLog& log,
+                         const std::string& record_out, bool validate) {
+  if (!record_out.empty()) sim::write_run_log_file(record_out, log);
+  if (!validate) return true;
+  const sim::AuditReport rep = sim::audit_run(inst, log);
+  std::cout << "validation         : " << rep.summary() << '\n';
+  return rep.ok;
+}
+
 sim::NodePolicy parse_node_policy(const std::string& name) {
   if (name == "sjf") return sim::NodePolicy::kSjf;
   if (name == "fifo") return sim::NodePolicy::kFifo;
@@ -240,7 +251,8 @@ int main(int argc, char** argv) {
       "root-cut volume cap for bounded-queue/largest-first shedding");
   auto& deadline_slack = cli.add_double(
       "deadline-slack", 8.0, "deadline shedding admits iff F <= slack * p_j");
-  auto& validate = cli.add_flag("validate", "replay-check the schedule");
+  auto& validate = cli.add_flag(
+      "validate", "audit the recorded schedule (as treesched_audit does)");
   auto& record_out = cli.add_string(
       "record-out", "", "write the burst log here for treesched_audit");
   auto& with_lb = cli.add_flag("lb", "also compute the certified lower bound");
@@ -564,10 +576,6 @@ int main(int argc, char** argv) {
       if (chunk != 0.0)
         throw std::invalid_argument(
             "load shedding needs --chunk 0 (whole-job forwarding)");
-      if (validate)
-        throw std::invalid_argument(
-            "--validate cannot replay shedding runs; use --record-out and "
-            "treesched_audit instead");
     }
 
     const Instance inst = workload::read_trace_file(trace);
@@ -588,10 +596,6 @@ int main(int argc, char** argv) {
       if (chunk != 0.0)
         throw std::invalid_argument(
             "fault injection needs --chunk 0 (store-and-forward routing)");
-      if (validate)
-        throw std::invalid_argument(
-            "--validate cannot replay fault runs; use --record-out and "
-            "treesched_audit instead");
       if (util::starts_with(policy_name, "anycast-") ||
           has_custom_sources(inst))
         throw std::invalid_argument(
@@ -618,16 +622,12 @@ int main(int argc, char** argv) {
       sim::ScheduleRecorder recorder;
       metrics = algo::run_anycast(inst, speeds, strategy, cfg, &paths,
                                   &recorder);
-      if (!record_out.empty())
-        sim::write_run_log_file(
-            record_out,
-            sim::make_run_log(inst, speeds, cfg, recorder, metrics, paths));
-      if (validate) {
-        const auto res = sim::validate_schedule(inst, speeds, cfg, recorder,
-                                                metrics, paths);
-        std::cout << "validation         : " << res.summary() << '\n';
-        if (!res.ok) return kExitValidation;
-      }
+      if (cfg.record_schedule &&
+          !record_and_validate(
+              inst, sim::make_run_log(inst, speeds, cfg, recorder, metrics,
+                                      paths),
+              record_out, validate))
+        return kExitValidation;
       std::cout << "policy             : "
                 << algo::anycast_strategy_name(strategy) << '\n';
     } else {
@@ -670,14 +670,10 @@ int main(int argc, char** argv) {
       }
 
       engine.run(*policy);
-      if (!record_out.empty())
-        sim::write_run_log_file(record_out, sim::make_run_log(inst, engine));
-      if (validate) {
-        const auto res = sim::validate_schedule(
-            inst, speeds, cfg, engine.recorder(), engine.metrics());
-        std::cout << "validation         : " << res.summary() << '\n';
-        if (!res.ok) return kExitValidation;
-      }
+      if (cfg.record_schedule &&
+          !record_and_validate(inst, sim::make_run_log(inst, engine),
+                               record_out, validate))
+        return kExitValidation;
       metrics = engine.metrics();
       std::cout << "policy             : " << policy->name() << '\n';
       if (faulty) {
