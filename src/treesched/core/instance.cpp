@@ -26,6 +26,47 @@ Instance::Instance(Tree tree, std::vector<Job> jobs, EndpointModel model)
     : Instance(std::make_shared<const Tree>(std::move(tree)), std::move(jobs),
                model) {}
 
+void Instance::append(std::span<const Job> more) {
+  Time last = jobs_.empty() ? 0.0 : jobs_.back().release;
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    const Job& j = more[i];
+    TS_REQUIRE(j.id >= 0 && uidx(j.id) == jobs_.size() + i,
+               "append: job ids must continue the dense range");
+    TS_REQUIRE(j.release >= last, "append: releases must not go back");
+    check_job(j);
+    last = j.release;
+  }
+  // Both grow geometrically, so a window grown one quantum at a time
+  // reallocates O(log window) times in all.
+  const std::size_t first = jobs_.size();
+  jobs_.insert(jobs_.end(), more.begin(), more.end());
+  position_of_id_.resize(jobs_.size());
+  for (std::size_t i = first; i < jobs_.size(); ++i) position_of_id_[i] = i;
+}
+
+void Instance::clear() {
+  jobs_.clear();
+  position_of_id_.clear();
+}
+
+void Instance::check_job(const Job& j) const {
+  TS_REQUIRE(j.release >= 0.0, "release times must be non-negative");
+  TS_REQUIRE(j.size > 0.0, "job size must be positive");
+  TS_REQUIRE(j.weight > 0.0, "job weight must be positive");
+  if (j.source != kInvalidNode)
+    TS_REQUIRE(j.source >= 0 && j.source < tree_->node_count(),
+               "job source node out of range");
+  if (model_ == EndpointModel::kUnrelated) {
+    TS_REQUIRE(j.leaf_sizes.size() == tree_->leaves().size(),
+               "unrelated model: leaf_sizes must cover every leaf");
+    for (double p : j.leaf_sizes)
+      TS_REQUIRE(p > 0.0, "leaf processing times must be positive");
+  } else {
+    TS_REQUIRE(j.leaf_sizes.empty(),
+               "identical model: leaf_sizes must be empty");
+  }
+}
+
 void Instance::validate() const {
   std::vector<bool> seen(jobs_.size(), false);
   for (const Job& j : jobs_) {
@@ -33,21 +74,7 @@ void Instance::validate() const {
                "job ids must be dense 0..n-1");
     TS_REQUIRE(!seen[uidx(j.id)], "duplicate job id");
     seen[uidx(j.id)] = true;
-    TS_REQUIRE(j.release >= 0.0, "release times must be non-negative");
-    TS_REQUIRE(j.size > 0.0, "job size must be positive");
-    TS_REQUIRE(j.weight > 0.0, "job weight must be positive");
-    if (j.source != kInvalidNode)
-      TS_REQUIRE(j.source >= 0 && j.source < tree_->node_count(),
-                 "job source node out of range");
-    if (model_ == EndpointModel::kUnrelated) {
-      TS_REQUIRE(j.leaf_sizes.size() == tree_->leaves().size(),
-                 "unrelated model: leaf_sizes must cover every leaf");
-      for (double p : j.leaf_sizes)
-        TS_REQUIRE(p > 0.0, "leaf processing times must be positive");
-    } else {
-      TS_REQUIRE(j.leaf_sizes.empty(),
-                 "identical model: leaf_sizes must be empty");
-    }
+    check_job(j);
   }
 }
 

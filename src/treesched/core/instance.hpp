@@ -1,7 +1,12 @@
 // A problem instance: tree + job sequence + endpoint model.
+//
+// An instance is built once over its jobs, or grown in place: append()
+// checks only the jobs it adds, so a stream that extends its window one
+// quantum at a time pays O(quantum) per extension, not O(window).
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "treesched/core/job.hpp"
@@ -10,9 +15,10 @@
 
 namespace treesched {
 
-/// Immutable instance of the tree-network scheduling problem. Owns the tree
-/// (shared, so derived instances — e.g. the broomstick image — can reference
-/// their own topology cheaply) and the jobs sorted by release time.
+/// Instance of the tree-network scheduling problem. Owns the tree (shared,
+/// so derived instances — e.g. the broomstick image — can reference their
+/// own topology cheaply) and the jobs sorted by release time. The jobs only
+/// grow (append) or go all at once (clear).
 class Instance {
  public:
   /// Validates and normalizes: jobs are sorted by (release, id); ids must be
@@ -23,6 +29,21 @@ class Instance {
 
   /// Convenience overload taking the tree by value.
   Instance(Tree tree, std::vector<Job> jobs, EndpointModel model);
+
+  /// Appends `more` after the current jobs, in place, checking only them:
+  /// their ids continue the dense range (job_count(), job_count() + 1, ...),
+  /// their releases never go back (neither behind each other nor behind the
+  /// last job), and each passes the constructor's per-job checks (positive
+  /// size and weight; no leaf_sizes in the identical model, a full set in
+  /// the unrelated one). Lookups of earlier jobs stay valid by id; an
+  /// engine bound to this instance sees the new jobs after Engine::extend.
+  /// Throws std::invalid_argument and appends nothing when a check fails.
+  void append(std::span<const Job> more);
+
+  /// Drops every job, keeping the tree, the model and the storage — the
+  /// window rotation of a stream, which then appends the next window. No
+  /// engine may be bound to the instance while it is cleared.
+  void clear();
 
   const Tree& tree() const { return *tree_; }
   std::shared_ptr<const Tree> tree_ptr() const { return tree_; }
@@ -49,6 +70,9 @@ class Instance {
 
  private:
   void validate() const;
+  /// The checks every job passes on its own (append's whole check, beside
+  /// the id and release order).
+  void check_job(const Job& j) const;
 
   std::shared_ptr<const Tree> tree_;
   std::vector<Job> jobs_;

@@ -23,20 +23,29 @@ constexpr char kManifestV1Magic[] = "treesched-snapmanifest-v1";
 
 }  // namespace
 
-std::string encode_snapshot_envelope(
-    const std::vector<SnapshotSection>& sections) {
-  std::string out = std::string(kEnvelopeMagic) + "\n";
+void encode_snapshot_envelope(const std::vector<SnapshotSection>& sections,
+                              std::string& out) {
+  const std::size_t from = out.size();
+  out += kEnvelopeMagic;
+  out += '\n';
   for (const SnapshotSection& s : sections) {
     TS_REQUIRE(!s.name.empty() &&
                    s.name.find_first_of(" \n") == std::string::npos,
                "snapshot envelope: section name must be one token");
-    out += "section " + s.name + ' ' + std::to_string(s.payload.size()) +
-           ' ' + std::to_string(util::fnv1a_64(s.payload)) + '\n';
+    out += "section ";
+    out += s.name;
+    out += ' ';
+    util::append_number(out, s.payload.size());
+    out += ' ';
+    util::append_number(out, util::fnv1a_64(s.payload));
+    out += '\n';
     out += s.payload;
     out += '\n';
   }
-  out += "whole " + std::to_string(util::fnv1a_64(out)) + '\n';
-  return out;
+  const std::uint64_t whole = util::fnv1a_64(std::string_view(out).substr(from));
+  out += "whole ";
+  util::append_number(out, whole);
+  out += '\n';
 }
 
 std::vector<SnapshotSection> decode_snapshot_envelope(

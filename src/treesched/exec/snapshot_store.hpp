@@ -81,9 +81,10 @@ struct SnapshotSection {
   std::string payload;
 };
 
-/// Serializes sections into a treesched-snapshot-v2 envelope.
-std::string encode_snapshot_envelope(
-    const std::vector<SnapshotSection>& sections);
+/// Appends the treesched-snapshot-v2 envelope of `sections` to `out` (its
+/// whole-file fingerprint covers the appended bytes only).
+void encode_snapshot_envelope(const std::vector<SnapshotSection>& sections,
+                              std::string& out);
 
 /// Parses and VERIFIES an envelope (section fingerprints, the whole-file
 /// fingerprint, exact byte accounting). Throws std::invalid_argument with an

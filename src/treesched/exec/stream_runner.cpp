@@ -112,7 +112,8 @@ class StreamRunner {
         speeds_(speeds),
         cfg_(cfg),
         stream_(cfg.stream),
-        feed_(this) {
+        feed_(this),
+        inst_(tree_, {}, EndpointModel::kIdentical) {
     TS_REQUIRE(cfg_.total_jobs > 0, "streaming run needs total_jobs > 0");
     TS_REQUIRE(cfg_.window > 0, "streaming run needs a positive window");
     overload::validate_shed_config(cfg_.shed);
@@ -126,8 +127,11 @@ class StreamRunner {
           sim::SegmentedRunLogWriter::Config{cfg_.record_path,
                                              cfg_.segment_cap},
           *tree_, speeds_.speeds(), cfg_.node_policy, 0.0, cfg_.shed);
-    if (!cfg_.snapshot_path.empty())
+    if (!cfg_.snapshot_path.empty()) {
       store_.emplace(cfg_.snapshot_path, cfg_.snapshot_keep);
+      sections_ = {{"stream", {}}, {"engine", {}}};
+      if (admission_) sections_.push_back({"overload", {}});
+    }
     spec_fp_ = util::fnv1a_64(spec_string(*tree_, speeds_, cfg_));
     window_quantum_ = cfg_.window;
     if (cfg_.guard.watchdog.enabled())
@@ -151,7 +155,7 @@ class StreamRunner {
       load_snapshot();
     }
     for (;;) {
-      while (processed_ < window_jobs_.size()) {
+      while (processed_ < uidx(inst_.job_count())) {
         if (check_cancel()) return finish();
         step_one_arrival();
         if (result_.interrupted) return finish();
@@ -216,9 +220,7 @@ class StreamRunner {
       // byte-compared state is the post-reading one both runs agree on.
       result_.rho_hat_root =
           admission_->estimator().max_root_child_rho(*engine_);
-      std::ostringstream os;
-      admission_->save_state(os);
-      result_.overload_state = os.str();
+      admission_->save_state(result_.overload_state);
     }
     return result_;
   }
@@ -228,20 +230,19 @@ class StreamRunner {
   void fill_window(sim::StreamAccumulator acc) {
     base_ = gen_cursor_.index;
     window_cursor_ = gen_cursor_;
-    window_jobs_.clear();
     processed_ = 0;
     shed_consumed_ = 0;
-    rebuild_engine(grow_window(step_size()), nullptr, &acc);
+    refill_window(step_size(), nullptr, &acc);
   }
 
-  /// Grows the current window by one quantum in place: the engine rebinds
-  /// to the larger instance and keeps every piece of live state.
+  /// Grows the window by one quantum in place: the instance appends the
+  /// next arrivals and the engine, bound to it, keeps every piece of live
+  /// state. Costs O(quantum), whatever the window.
   void extend_window() {
     const std::size_t n = step_size();
     TS_REQUIRE(n > 0, "extend_window with no arrivals left");
-    std::unique_ptr<Instance> larger = grow_window(n);
-    engine_->extend(*larger);
-    inst_ = std::move(larger);  // the engine no longer references the old one
+    grow_window(n);
+    engine_->extend(inst_);
   }
 
   /// Arrivals one window step takes: a quantum, or what is left of the run.
@@ -250,47 +251,54 @@ class StreamRunner {
         window_quantum_, cfg_.total_jobs - gen_cursor_.index));
   }
 
-  /// Appends the next `n` arrivals to the window (window-local ids) and
-  /// returns an instance over the whole window.
-  std::unique_ptr<Instance> grow_window(std::size_t n) {
+  /// Appends the next `n` arrivals to the window's instance (window-local
+  /// ids), checking only them.
+  void grow_window(std::size_t n) {
+    quantum_.clear();
+    quantum_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const workload::StreamJob sj = stream_.next(gen_cursor_);
-      window_jobs_.emplace_back(static_cast<JobId>(window_jobs_.size()),
-                                sj.release, sj.size);
+      quantum_.emplace_back(static_cast<JobId>(uidx(inst_.job_count()) + i),
+                            sj.release, sj.size);
     }
-    result_.max_window = std::max(result_.max_window, window_jobs_.size());
-    return std::make_unique<Instance>(tree_, window_jobs_,
-                                      EndpointModel::kIdentical);
+    inst_.append(quantum_);
+    result_.window_jobs_touched += n;
+    result_.max_window =
+        std::max(result_.max_window, uidx(inst_.job_count()));
   }
 
-  /// Creates the engine over `inst`. Exactly one of `state` (snapshot engine
+  /// Replaces the window: drops the engine (it is bound to the instance),
+  /// refills the instance with `n` arrivals from the generation cursor, and
+  /// builds the engine over it. Exactly one of `state` (snapshot engine
   /// section) / `acc` (fresh streaming window) is given.
-  void rebuild_engine(std::unique_ptr<Instance> inst, const std::string* state,
-                      sim::StreamAccumulator* acc) {
-    // Carry the retiring engine's arena footprint forward so the next
-    // window's job arenas start at their steady-state size instead of
-    // re-growing from zero on every rotation.
+  void refill_window(std::size_t n, const std::string* state,
+                     sim::StreamAccumulator* acc) {
+    // A retiring engine hands its arena footprint on, so rotated windows do
+    // not re-grow the job arenas from zero; the first window reserves two
+    // entries per job (every path has a router and a machine).
     const std::size_t arena_hint =
         engine_ != nullptr ? engine_->arena_size() : 0;
-    engine_.reset();  // references the old instance — must go first
-    inst_ = std::move(inst);
+    engine_.reset();
+    inst_.clear();
+    grow_window(n);
     sim::EngineConfig ecfg;
-    ecfg.arena_reserve = arena_hint;
+    ecfg.arena_reserve =
+        arena_hint > 0 ? arena_hint : 2 * uidx(inst_.job_count());
     ecfg.node_policy = cfg_.node_policy;
     ecfg.record_schedule = writer_.has_value();
     ecfg.router_chunk_size = 0.0;
     ecfg.shed = cfg_.shed;
-    engine_ = std::make_unique<sim::Engine>(*inst_, speeds_, ecfg);
+    engine_ = std::make_unique<sim::Engine>(inst_, speeds_, ecfg);
     if (admission_) engine_->set_admission(&*admission_);
-    if (state != nullptr)
-      engine_->load_state(*state);
-    else
+    if (acc != nullptr)
       engine_->metrics().enable_streaming(std::move(*acc));
+    else
+      engine_->load_state(*state);
     engine_->set_observer(&feed_);
   }
 
   void step_one_arrival() {
-    const Job& job = inst_->job(static_cast<JobId>(processed_));
+    const Job& job = inst_.job(static_cast<JobId>(processed_));
     engine_->advance_to(job.release);
     const bool admitted =
         !admission_ || admission_->admit(*engine_, job);
@@ -442,7 +450,7 @@ class StreamRunner {
     last_status_ = now;
     guard::ChildStatus s;
     s.arrivals = base_ + processed_;
-    s.window = window_jobs_.size();
+    s.window = uidx(inst_.job_count());
     if (admission_ && engine_)
       s.rho_hat = admission_->estimator().max_root_child_rho(*engine_);
     if (governor_) s.stage = governor_->stage();
@@ -495,37 +503,42 @@ class StreamRunner {
     writer_->commit(false);
   }
 
+  /// Writes one snapshot generation. Every section is appended into the
+  /// runner's reused buffers, so once they are warm a snapshot allocates
+  /// nothing of its own.
   void take_snapshot(std::uint64_t done) {
     drain();
     if (writer_) writer_->commit(true);
-    std::ostringstream hs;
-    hs << std::setprecision(17);
-    hs << "streamsnap 2\n";
-    hs << "spec " << spec_fp_ << '\n';
-    hs << "progress " << done << '\n';
-    hs << "window " << base_ << ' ' << window_jobs_.size() << ' '
-       << processed_ << '\n';
-    hs << "wcursor " << window_cursor_.index << ' ' << window_cursor_.clock
-       << '\n';
-    hs << "gcursor " << gen_cursor_.index << ' ' << gen_cursor_.clock << '\n';
-    hs << "policystate " << policy_->stream_state() << '\n';
-    hs << "shedconsumed " << shed_consumed_ << '\n';
+    std::string& hs = sections_[0].payload;
+    hs.clear();
+    const auto line = [&hs](const char* tag, auto... numbers) {
+      hs += tag;
+      ((hs += ' ', util::append_number(hs, numbers)), ...);
+      hs += '\n';
+    };
+    line("streamsnap", 2);
+    line("spec", spec_fp_);
+    line("progress", done);
+    line("window", base_, uidx(inst_.job_count()), processed_);
+    line("wcursor", window_cursor_.index, window_cursor_.clock);
+    line("gcursor", gen_cursor_.index, gen_cursor_.clock);
+    hs += "policystate ";
+    hs += policy_->stream_state();
+    hs += '\n';
+    line("shedconsumed", shed_consumed_);
     if (writer_)
-      hs << "writer " << writer_->next_index() << ' ' << writer_->chain()
-         << '\n';
+      line("writer", writer_->next_index(), writer_->chain());
     else
-      hs << "writer 0 0\n";
-    std::vector<SnapshotSection> sections;
-    sections.push_back({"stream", hs.str()});
-    std::ostringstream es;
-    engine_->save_state(es);
-    sections.push_back({"engine", es.str()});
+      line("writer", 0, 0);
+    sections_[1].payload.clear();
+    engine_->save_state(sections_[1].payload);
     if (admission_) {
-      std::ostringstream as;
-      admission_->save_state(as);
-      sections.push_back({"overload", as.str()});
+      sections_[2].payload.clear();
+      admission_->save_state(sections_[2].payload);
     }
-    store_->write(done, encode_snapshot_envelope(sections));
+    envelope_.clear();
+    encode_snapshot_envelope(sections_, envelope_);
+    store_->write(done, envelope_);
     ++result_.snapshots_written;
     if (cfg_.die_after_snapshot > 0 &&
         result_.snapshots_written >= cfg_.die_after_snapshot)
@@ -569,13 +582,10 @@ class StreamRunner {
     // Regenerate the window from its cursor — bit-identical to the original
     // generation by the per-index RNG-stream construction.
     gen_cursor_ = window_cursor_;
-    window_jobs_.clear();
-    std::unique_ptr<Instance> inst = grow_window(count);
+    refill_window(count, &find_snapshot_section(sections, "engine"), nullptr);
     TS_REQUIRE(gen_cursor_.index == gcur.index &&
                    gen_cursor_.clock == gcur.clock,
                "regenerated window does not land on the saved cursor");
-    rebuild_engine(std::move(inst), &find_snapshot_section(sections, "engine"),
-                   nullptr);
     if (admission_)
       admission_->load_state(find_snapshot_section(sections, "overload"));
     policy_->restore_stream_state(pstate);
@@ -660,7 +670,7 @@ class StreamRunner {
     last_beat_ = watch_.elapsed_seconds();
     std::cerr << "[stream] jobs " << (base_ + processed_) << '/'
               << cfg_.total_jobs << " simtime " << sim_now << " window "
-              << window_jobs_.size() << " rss "
+              << inst_.job_count() << " rss "
               << util::current_rss_bytes() / (1024 * 1024) << "MB\n";
   }
 
@@ -675,14 +685,21 @@ class StreamRunner {
   std::optional<SnapshotStore> store_;
   std::uint64_t spec_fp_ = 0;
 
-  std::unique_ptr<Instance> inst_;
+  /// The window: one instance, refilled at rotations and grown in place.
+  /// Declared before the engine, which is bound to it.
+  Instance inst_;
   std::unique_ptr<sim::Engine> engine_;
-  std::vector<Job> window_jobs_;
+  std::vector<Job> quantum_;  ///< the arrivals being appended, reused
   workload::StreamCursor gen_cursor_;     ///< next arrival to generate
   workload::StreamCursor window_cursor_;  ///< cursor at window start
   std::uint64_t base_ = 0;                ///< global id of window-local 0
   std::size_t processed_ = 0;             ///< window-local arrivals consumed
   std::size_t shed_consumed_ = 0;         ///< shed-log entries fed to writer
+
+  /// Snapshot buffers, reused by every generation: the sections ("stream",
+  /// "engine", and "overload" when shedding) and the envelope.
+  std::vector<SnapshotSection> sections_;
+  std::string envelope_;
 
   util::Stopwatch watch_;
   double last_beat_ = 0.0;

@@ -1,18 +1,22 @@
 // Streaming endurance driver: unbounded arrival streams over a bounded
 // memory footprint.
 //
-// The engine's Instance is immutable and sized up front, so an endurance run
+// An engine's per-job state is sized by its Instance, so an endurance run
 // cannot hand it 10^8 jobs. Instead the runner windows the stream: it
 // generates arrivals lazily (workload::JobStream), admits them into an
-// engine built over the current window, and
+// engine built over the current window — one Instance the runner keeps for
+// the whole run — and
 //
 //  * rotates when the system drains before the next arrival — a quiescent
-//    instant: the finished window's records are dropped, a fresh engine over
-//    the next window carries the metrics forward through the streaming
+//    instant: the engine goes, the finished window's jobs and records are
+//    dropped, the instance is refilled with the next window and a fresh
+//    engine over it carries the metrics forward through the streaming
 //    accumulator (sim::Metrics::enable_streaming);
-//  * extends when the next arrival lands while work is in flight: the live
-//    engine grows in memory (Engine::extend) to an instance over a window
-//    one quantum longer, keeping every piece of its state.
+//  * extends when the next arrival lands while work is in flight: the
+//    instance appends one quantum in place (Instance::append checks only the
+//    new jobs) and the live engine grows with it (Engine::extend), keeping
+//    every piece of its state. An extension costs O(quantum), not O(window):
+//    no job already in the window is copied or checked again.
 //
 // Because rotation happens only at quiescent instants and extension keeps
 // the engine as it is, every schedule decision, metric bit, and run-log
@@ -26,7 +30,10 @@
 // stream cursors, policy decision state, writer chain position, the engine
 // state (live jobs only; retired ones are a status letter — see
 // sim/snapshot.cpp), and — when shedding is on — the admission controller's
-// saturation estimator. Generations rotate under a manifest with a keep
+// saturation estimator. Every section is appended into buffers the runner
+// reuses, numbers through util::append_number (the bytes of an ostream at
+// setprecision(17)), so a generation allocates nothing of its own once the
+// buffers are warm. Generations rotate under a manifest with a keep
 // budget. A run resumed from a snapshot replays byte-identically: same
 // metrics bits, same segment files, same manifest — the kill-and-resume
 // differential the endurance CI leg checks. Snapshot points sit at arrival
@@ -127,6 +134,10 @@ struct StreamRunnerResult {
   std::uint64_t arrivals = 0;       ///< arrivals processed (admit or reject)
   std::uint64_t snapshots_written = 0;  ///< by this process
   std::size_t max_window = 0;       ///< peak window size (extension depth)
+  /// Jobs that window growth copied or checked: each arrival once when its
+  /// window is filled or extended, plus the window a resume regenerates. A
+  /// fresh run's count equals its arrivals — growth is O(quantum) per step.
+  std::uint64_t window_jobs_touched = 0;
   std::size_t segments_written = 0; ///< run-log segments closed
   /// The streaming metrics accumulator at the end of the run (complete only
   /// when !interrupted).

@@ -109,8 +109,8 @@ bool AdmissionController::admit_largest_first(sim::Engine& engine,
   }
 }
 
-void AdmissionController::save_state(std::ostream& os) const {
-  estimator_.save_state(os);
+void AdmissionController::save_state(std::string& out) const {
+  estimator_.save_state(out);
 }
 
 void AdmissionController::load_state(std::string_view bytes) {

@@ -29,7 +29,7 @@
 // degraded runs are byte-reproducible across thread counts.
 #pragma once
 
-#include <iosfwd>
+#include <string>
 
 #include "treesched/algo/policies.hpp"
 #include "treesched/overload/config.hpp"
@@ -83,8 +83,9 @@ class AdmissionController : public sim::AdmissionPolicy {
   /// themselves are stateless; PaperGreedyPolicy's sweep vector is
   /// recomputed for every arrival, so it is deliberately not serialized).
   /// Same checksum-reject contract as SaturationEstimator::load_state;
-  /// `bytes` is one saved state with nothing after it.
-  void save_state(std::ostream& os) const;
+  /// `bytes` is one saved state with nothing after it. save_state appends
+  /// to `out`.
+  void save_state(std::string& out) const;
   void load_state(std::string_view bytes);
 
  private:

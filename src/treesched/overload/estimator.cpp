@@ -1,13 +1,12 @@
 #include "treesched/overload/estimator.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <limits>
-#include <ostream>
-#include <sstream>
+#include <string>
 
 #include "treesched/util/assert.hpp"
 #include "treesched/util/hash.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::overload {
 
@@ -58,20 +57,33 @@ double SaturationEstimator::max_root_child_rho(const sim::Engine& engine) {
   return mx;
 }
 
-std::string SaturationEstimator::payload() const {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "satest 1 " << window_ << ' ' << arrivals_.size() << '\n';
+void SaturationEstimator::append_payload(std::string& out) const {
+  out += "satest 1 ";
+  util::append_number(out, window_);
+  out += ' ';
+  util::append_number(out, arrivals_.size());
+  out += '\n';
   for (std::size_t v = 0; v < arrivals_.size(); ++v) {
-    os << "sat " << v << ' ' << arrivals_[v].size() << ' ' << sums_[v];
-    for (const Arrival& a : arrivals_[v]) os << ' ' << a.t << ' ' << a.work;
-    os << '\n';
+    out += "sat ";
+    util::append_number(out, v);
+    out += ' ';
+    util::append_number(out, arrivals_[v].size());
+    out += ' ';
+    util::append_number(out, sums_[v]);
+    for (const Arrival& a : arrivals_[v]) {
+      out += ' ';
+      util::append_number(out, a.t);
+      out += ' ';
+      util::append_number(out, a.work);
+    }
+    out += '\n';
   }
-  return os.str();
 }
 
-void SaturationEstimator::save_state(std::ostream& os) const {
-  util::seal(os, "satcsum", payload());
+void SaturationEstimator::save_state(std::string& out) const {
+  const std::size_t from = out.size();
+  append_payload(out);
+  util::seal(out, from, "satcsum");
 }
 
 void SaturationEstimator::load_state(util::Fields& f) {
@@ -98,7 +110,9 @@ void SaturationEstimator::load_state(util::Fields& f) {
     }
   }
   TS_REQUIRE(f, "estimator load: truncated state");
-  util::expect_seal(f, "satcsum", tmp.payload(), "estimator load");
+  std::string payload;
+  tmp.append_payload(payload);
+  util::expect_seal(f, "satcsum", payload, "estimator load");
   arrivals_ = std::move(tmp.arrivals_);
   sums_ = std::move(tmp.sums_);
 }

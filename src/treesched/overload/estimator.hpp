@@ -9,7 +9,6 @@
 #pragma once
 
 #include <deque>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,8 @@ class SaturationEstimator : public sim::EngineObserver {
   /// self-checksum, so a shed streaming run's rho-hat readings continue
   /// byte-identically across kill/resume. load_state rejects truncated or
   /// bit-flipped bytes and a mismatched window with std::invalid_argument.
-  void save_state(std::ostream& os) const;
+  /// save_state appends to `out`.
+  void save_state(std::string& out) const;
   void load_state(util::Fields& f);
 
  private:
@@ -49,7 +49,8 @@ class SaturationEstimator : public sim::EngineObserver {
   };
 
   void prune(NodeId v, Time now);
-  std::string payload() const;  ///< canonical serialized state (checksummed)
+  /// Appends the canonical serialized state (the checksummed bytes).
+  void append_payload(std::string& out) const;
 
   double window_;
   std::vector<std::deque<Arrival>> arrivals_;  ///< per node, time-ordered

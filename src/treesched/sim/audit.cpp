@@ -59,6 +59,14 @@ struct JobAudit {
   std::vector<std::vector<ItemAgg>> router;
   ItemAgg leaf;                               ///< final-epoch machine work
   Time last_router_end = -1.0;                ///< over every epoch
+  /// Fault runs: every burst with its epoch and its hop on that epoch's
+  /// path, for the per-epoch store-and-forward rule.
+  struct EpochBurst {
+    const Segment* s;
+    std::size_t epoch;
+    std::size_t hop;
+  };
+  std::vector<EpochBurst> walk;
   std::vector<std::vector<const Segment*>> bursts;  ///< [hop], log order
   std::vector<std::vector<Time>> avail;       ///< availability window starts
   Time leaf_avail = -1.0;
@@ -521,6 +529,7 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     // Items of the final path: its routers collect the work of every epoch
     // (a crash-reverted partial only adds work); machine work counts in the
     // final epoch only (earlier attempts were lost with their machine).
+    if (faulty) a.walk.push_back({&s, k, uidx(hop)});
     ItemAgg* agg = nullptr;
     if (leaf_hop) {
       if (k + 1 == a.epochs.size()) agg = &a.leaf;
@@ -555,6 +564,9 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
   }
 
   // --- per-job: conservation, precedence, completion, availability ---------
+  // Fault runs: end of the job's last burst per node over the epochs read so
+  // far (reset after each job).
+  std::vector<Time> hop_end(faulty ? n_nodes : 0, -1.0);
   for (std::size_t j = 0; j < n_jobs; ++j) {
     JobAudit& a = ja[j];
     if (!a.path) continue;
@@ -601,13 +613,44 @@ AuditReport audit_run(const Instance& instance, const RunLog& log,
     Time all_data_arrived = -1.0;
     if (faulty) {
       // A crash may send a job back over routers it already crossed, so
-      // hop order holds only within an epoch; what survives is that all
-      // routing, in every epoch, precedes the final machine work.
+      // hop order holds only within an epoch (checked below); across epochs
+      // what survives is that all routing precedes the final machine work.
       if (a.leaf.ran() && a.last_router_end > a.leaf.first + tol)
         rep.fail("precedence violated across recovery: job " +
                  std::to_string(j) + " machine work started at " +
                  fmt(a.leaf.first) + " before its last router burst ended at " +
                  fmt(a.last_router_end));
+      // Within an epoch the path is walked store-and-forward: a burst on hop
+      // h >= 1 of epoch k's path starts once the job's bursts on hop h-1 of
+      // that path, in epochs up to k, have ended. Bursts of later epochs do
+      // not count — a new epoch may cross a shared router again.
+      std::stable_sort(a.walk.begin(), a.walk.end(),
+                       [](const JobAudit::EpochBurst& x,
+                          const JobAudit::EpochBurst& y) {
+                         return x.epoch < y.epoch;
+                       });
+      for (std::size_t lo = 0, hi = 0; lo < a.walk.size(); lo = hi) {
+        for (hi = lo; hi < a.walk.size() && a.walk[hi].epoch == a.walk[lo].epoch;
+             ++hi) {
+          Time& end = hop_end[uidx(a.walk[hi].s->node)];
+          end = std::max(end, a.walk[hi].s->t1);
+        }
+        for (std::size_t i = lo; i < hi; ++i) {
+          const JobAudit::EpochBurst& b = a.walk[i];
+          if (b.hop == 0) continue;
+          const NodeId parent = (*a.epochs[b.epoch].path)[b.hop - 1];
+          const Time parent_end = hop_end[uidx(parent)];
+          if (b.s->t0 < parent_end - tol)
+            rep.fail("precedence violated in epoch " +
+                     std::to_string(b.epoch) + ": job " + std::to_string(j) +
+                     " started on node " + std::to_string(b.s->node) +
+                     " at " + fmt(b.s->t0) + " before its last burst on "
+                     "parent node " + std::to_string(parent) + " ended at " +
+                     fmt(parent_end));
+        }
+      }
+      for (const JobAudit::EpochBurst& b : a.walk)
+        hop_end[uidx(b.s->node)] = -1.0;
     } else {
       // Store-and-forward precedence, chunk by chunk down the path.
       for (std::size_t h = 1; h + 1 < len; ++h)

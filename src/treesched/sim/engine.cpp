@@ -40,12 +40,15 @@ Engine::Engine(const Instance& instance, SpeedProfile speeds, EngineConfig cfg)
     a_in_avail_.reserve(cfg_.arena_reserve);
   }
   metrics_.reset(uidx(instance.job_count()));
+  metrics_.reserve_stamps(cfg_.arena_reserve);  // one stamp per arena entry
 }
 
 void Engine::extend(const Instance& larger) {
   TS_REQUIRE(&larger.tree() == &tree() && larger.model() == inst_->model(),
              "extend: the larger instance must share the tree and model");
-  TS_REQUIRE(larger.job_count() >= inst_->job_count(),
+  // Against the engine's own job count: `larger` may be the bound instance
+  // itself, grown in place by Instance::append.
+  TS_REQUIRE(uidx(larger.job_count()) >= jobs_.size(),
              "extend: the instance cannot shrink");
   inst_ = &larger;
   jobs_.resize(uidx(larger.job_count()));
@@ -288,7 +291,7 @@ void Engine::accumulate_frac_to(JobId j, Time t) {
   js.frac_touch = t;
 }
 
-void Engine::pause(NodeId v, Time t) {
+void Engine::pause(NodeId v, Time t, bool refresh_index) {
   NodeState& ns = nodes_[uidx(v)];
   TS_CHECK(t >= ns.burst_start - util::kEps, "pause moving backwards");
   if (!ns.has_running) {
@@ -328,7 +331,7 @@ void Engine::pause(NodeId v, Time t) {
     head_rem(js, uidx(idx)) = rem;
   }
 
-  index_refresh(v, j, idx);
+  if (refresh_index) index_refresh(v, j, idx);
   ns.running_rem = stored_remaining_total(js, idx);
 
   if (cfg_.node_policy == NodePolicy::kSrpt) {
@@ -384,7 +387,10 @@ void Engine::start_burst(NodeId v, Time t) {
 }
 
 void Engine::handle_completion(NodeId v, Time t) {
-  pause(v, t);
+  // The finishing item's Q_v entry is erased (a machine, or a router hop
+  // that forwarded its last chunk) or refreshed (a chunked hop) below, with
+  // nothing reading the index in between: pause's own refresh would be dead.
+  pause(v, t, /*refresh_index=*/false);
   NodeState& ns = nodes_[uidx(v)];
   TS_CHECK(ns.has_running, "completion event without a running item");
   const PriorityKey item = ns.running;

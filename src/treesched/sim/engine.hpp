@@ -44,7 +44,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -174,10 +173,12 @@ struct EngineConfig {
   /// forward a chunk as soon as it finished it. The leaf still starts only
   /// once all data arrived. 0 = the paper's store-and-forward of whole jobs.
   double router_chunk_size = 0.0;
-  /// Pre-sizing hint for the per-run job-state arenas, in per-path-index
-  /// entries (roughly sum of path lengths over admitted jobs). Streaming
-  /// drivers pass the previous window's high-water mark (arena_size()) so
-  /// rotated windows never re-grow the arenas. 0 = grow on demand. Purely a
+  /// Pre-sizing hint for the per-run job-state arenas and the metrics'
+  /// node-completion stamps, in per-path-index entries (roughly sum of path
+  /// lengths over admitted jobs). Streaming drivers pass twice the first
+  /// window (every path has at least two nodes), then the previous window's
+  /// high-water mark (arena_size()) so rotated windows never re-grow the
+  /// arenas. 0 = grow on demand. Purely a
   /// capacity hint: observable behavior is identical for any value.
   std::size_t arena_reserve = 0;
   /// Overload protection. Purely descriptive at the engine level (recorded
@@ -272,7 +273,9 @@ class Engine {
   /// events, metrics — carries on in place, so the run continues exactly as
   /// if it had been built over `larger` from the start (job ids do not
   /// change, and the treap priorities hash them). The caller keeps `larger`
-  /// alive; the old instance may be dropped afterwards.
+  /// alive; the old instance may be dropped afterwards. `larger` may also be
+  /// the bound instance itself after Instance::append — the streaming
+  /// runner's way, which copies no job.
   void extend(const Instance& larger);
 
   /// Offline convenience: admits every job of the instance in release order
@@ -457,8 +460,10 @@ class Engine {
   /// treaps are NOT serialized — their shape is a pure function of the key
   /// set, so load_state rebuilds them. Restrictions (TS_REQUIREd): no fault
   /// plan, no live custom admit_via_path paths, whole-job forwarding or
-  /// chunked both fine.
-  void save_state(std::ostream& os) const;
+  /// chunked both fine. Appends the text to `out` (numbers as
+  /// util::append_number writes them); a caller that reuses `out` saves
+  /// without allocating once the buffers are warm.
+  void save_state(std::string& out) const;
 
   /// Restores state captured by save_state into a PRISTINE engine (nothing
   /// admitted, clock at 0) built over the same tree/speeds/policy config.
@@ -649,7 +654,9 @@ class Engine {
 
   /// Materializes the running burst of v up to time t (records the segment,
   /// updates remaining work and fractional areas). Leaves the burst running.
-  void pause(NodeId v, Time t);
+  /// `refresh_index` false skips the running item's dispatch-index refresh,
+  /// for a caller that erases or refreshes that entry itself next.
+  void pause(NodeId v, Time t, bool refresh_index = true);
 
   /// Re-evaluates which item v should run at time t (after pause + any
   /// avail-heap mutations) and schedules its completion event.
@@ -683,6 +690,8 @@ class Engine {
   std::vector<NodeState> nodes_;
   std::vector<JobState> jobs_;
   EventQueue events_;
+  /// save_state's copy of the pending events in pop order, reused.
+  mutable std::vector<SimEvent> snap_events_;
   /// Shared treap node pool behind every per-node dispatch index — one
   /// contiguous allocation for the whole engine instead of one vector per
   /// node.

@@ -19,10 +19,9 @@ SimEvent EventQueue::pop() {
   return ev;
 }
 
-std::vector<SimEvent> EventQueue::sorted_events() const {
-  std::vector<SimEvent> all = heap_;
-  std::sort(all.begin(), all.end(), event_less);
-  return all;
+void EventQueue::sorted_events(std::vector<SimEvent>& out) const {
+  out.assign(heap_.begin(), heap_.end());
+  std::sort(out.begin(), out.end(), event_less);
 }
 
 }  // namespace treesched::sim

@@ -38,9 +38,10 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// Every pending event in ascending (t, seq) order — the exact pop order —
-  /// for snapshot serialization.
-  std::vector<SimEvent> sorted_events() const;
+  /// Fills `out` (reusing its storage) with every pending event in
+  /// ascending (t, seq) order — the exact pop order — for snapshot
+  /// serialization.
+  void sorted_events(std::vector<SimEvent>& out) const;
 
  private:
   static bool event_less(const SimEvent& a, const SimEvent& b) {

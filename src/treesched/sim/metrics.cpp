@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <ostream>
 #include <string>
 
 #include "treesched/util/assert.hpp"
@@ -38,13 +36,10 @@ void StreamAccumulator::fold(const JobRecord& r) {
 
 namespace {
 
-/// Canonical serialized head (counters + compensated sums) — the bytes the
-/// self-checksum covers. The sketches that follow carry their own checksums.
-std::string acc_head(const StreamAccumulator& a) {
-  // The bytes `os << std::setprecision(17)` writes, without a stream.
-  constexpr std::size_t kNum = 1 + util::kMaxNumberChars;  // separator too
-  std::string out;
-  out.reserve(4 + 6 * kNum + 5 + 10 * kNum);
+/// Appends the canonical serialized head (counters + compensated sums) —
+/// the bytes the self-checksum covers. The sketches that follow carry their
+/// own checksums.
+void append_acc_head(std::string& out, const StreamAccumulator& a) {
   out += "acc ";
   util::append_number(out, a.completed);
   for (const std::uint64_t n : {a.shed, a.rejected, a.admitted}) {
@@ -65,15 +60,16 @@ std::string acc_head(const StreamAccumulator& a) {
     util::append_number(out, s->compensation());
   }
   out += '\n';
-  return out;
 }
 
 }  // namespace
 
-void StreamAccumulator::save(std::ostream& os) const {
-  util::seal(os, "acccsum", acc_head(*this));
-  flow_digest.save(os);
-  p99_marker.save(os);
+void StreamAccumulator::save(std::string& out) const {
+  const std::size_t head = out.size();
+  append_acc_head(out, *this);
+  util::seal(out, head, "acccsum");
+  flow_digest.save(out);
+  p99_marker.save(out);
 }
 
 void StreamAccumulator::load(util::Fields& f) {
@@ -91,7 +87,9 @@ void StreamAccumulator::load(util::Fields& f) {
   // Reject corrupt bytes before they become state: re-serialize what was
   // parsed and require the recorded checksum to reproduce (truncations die
   // above or on the missing tag; flipped digits re-serialize differently).
-  util::expect_seal(f, "acccsum", acc_head(tmp), "accumulator load");
+  std::string head;
+  append_acc_head(head, tmp);
+  util::expect_seal(f, "acccsum", head, "accumulator load");
   tmp.flow_digest.load(f);
   tmp.p99_marker.load(f);
   *this = tmp;
@@ -304,28 +302,38 @@ double Metrics::makespan() const {
   return mx;
 }
 
-void Metrics::save(std::ostream& os) const {
-  const auto flags = os.flags();
-  const auto prec = os.precision();
-  os << std::setprecision(17);
+void Metrics::save(std::string& out) const {
   const auto written = [](const JobRecord& r) {
     return r.touched() && !r.finalized;
   };
-  os << "metrics " << (mode_ == MetricsMode::kStreaming ? "streaming" : "full")
-     << ' ' << jobs_.size() << ' '
-     << std::count_if(jobs_.begin(), jobs_.end(), written) << '\n';
-  if (mode_ == MetricsMode::kStreaming) acc_.save(os);
+  out += "metrics ";
+  out += mode_ == MetricsMode::kStreaming ? "streaming" : "full";
+  out += ' ';
+  util::append_number(out, jobs_.size());
+  out += ' ';
+  util::append_number(out, std::count_if(jobs_.begin(), jobs_.end(), written));
+  out += '\n';
+  if (mode_ == MetricsMode::kStreaming) acc_.save(out);
+  const auto put = [&out](auto number) {
+    out += ' ';
+    util::append_number(out, number);
+  };
   for (const auto& r : jobs_) {
     if (!written(r)) continue;
-    os << "jr " << r.id << ' ' << r.release << ' ' << r.weight << ' '
-       << r.size << ' ' << r.leaf << ' ' << r.completion << ' '
-       << r.fractional_area << ' ' << (r.shed ? 1 : 0) << ' '
-       << (r.rejected ? 1 : 0) << ' ' << r.stamp_len;
-    for (const Time t : node_completion(r.id)) os << ' ' << t;
-    os << '\n';
+    out += "jr";
+    put(r.id);
+    put(r.release);
+    put(r.weight);
+    put(r.size);
+    put(r.leaf);
+    put(r.completion);
+    put(r.fractional_area);
+    put(r.shed ? 1 : 0);
+    put(r.rejected ? 1 : 0);
+    put(r.stamp_len);
+    for (const Time t : node_completion(r.id)) put(t);
+    out += '\n';
   }
-  os.flags(flags);
-  os.precision(prec);
 }
 
 void Metrics::load(util::Fields& f) {

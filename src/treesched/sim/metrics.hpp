@@ -2,9 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "treesched/core/types.hpp"
@@ -72,11 +72,11 @@ struct StreamAccumulator {
   /// folds in completion order, which is deterministic by construction).
   void fold(const JobRecord& r);
 
-  /// Text round-trip (full %.17g precision) for engine snapshots. Carries
-  /// an FNV-1a-64 self-checksum (as do the embedded sketches): load()
-  /// rejects truncated or bit-flipped state with std::invalid_argument
-  /// instead of silently mis-loading.
-  void save(std::ostream& os) const;
+  /// Text round-trip (full %.17g precision) for engine snapshots; save()
+  /// appends to `out`. Carries an FNV-1a-64 self-checksum (as do the
+  /// embedded sketches): load() rejects truncated or bit-flipped state with
+  /// std::invalid_argument instead of silently mis-loading.
+  void save(std::string& out) const;
   void load(util::Fields& f);
 };
 
@@ -117,6 +117,9 @@ class Metrics {
   /// alloc_span), so the arena grows with the sum of path lengths and no
   /// job allocates a block of its own.
   void open_node_completion(JobId j, std::size_t len, std::size_t keep = 0);
+  /// Capacity hint for the stamp arena, in stamps (one per path entry, like
+  /// EngineConfig::arena_reserve). Observable behavior does not change.
+  void reserve_stamps(std::size_t n) { stamps_.reserve(n); }
 
   // --- streaming mode ------------------------------------------------------
 
@@ -140,8 +143,8 @@ class Metrics {
   /// already folded into the accumulator and are not written; load() leaves
   /// every record it does not name in its reset state. load() requires
   /// reset() with at least the serialized window size first (extra records
-  /// stay fresh — window extension).
-  void save(std::ostream& os) const;
+  /// stay fresh — window extension). save() appends to `out`.
+  void save(std::string& out) const;
   void load(util::Fields& f);
 
   /// In streaming mode: scoped to the current window (history is retired).

@@ -173,6 +173,10 @@ SegmentedRunLogWriter::SegmentedRunLogWriter(
              "segmented log: speeds do not match the tree");
   parents_.reserve(uidx(tree.node_count()));
   kinds_.reserve(uidx(tree.node_count()));
+  // A segment's worth of lines: the first segments do not regrow these.
+  pending_.reserve(cfg_.segment_cap);
+  for (std::vector<Pending>& bucket : buckets_)
+    bucket.reserve(cfg_.segment_cap);
   for (NodeId v = 0; v < tree.node_count(); ++v) {
     parents_.push_back(tree.parent(v));
     kinds_.push_back(kind_token(tree.kind(v)));
@@ -308,6 +312,9 @@ void SegmentedRunLogWriter::commit(bool force) {
   if (!force && pending_.size() < cfg_.segment_cap) return;
   order_pending();
   content_.clear();
+  // The framed lines, one newline each, plus the two frame lines.
+  content_.reserve(lines_.size() + pending_.size() + 32 +
+                   3 * util::kMaxNumberChars);
   content_ += "runlogseg-part 1 ";
   util::append_number(content_, next_index_);
   content_ += '\n';

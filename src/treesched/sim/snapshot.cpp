@@ -4,8 +4,11 @@
 //
 // Serializes the live simulation state as text at full double precision so
 // that load_state + replay of the remaining arrivals is byte-identical to an
-// uninterrupted run. Snapshots are the only user: a streaming window grows
-// in memory (Engine::extend), not through this text. Three deliberate
+// uninterrupted run. The text is appended to a caller's string, numbers
+// through util::append_number (the bytes of an ostream at setprecision(17)),
+// so a runner that reuses its buffers takes a snapshot without allocating.
+// Snapshots are the only user: a streaming window grows in memory
+// (Engine::extend), not through this text. Three deliberate
 // non-goals keep the format small and the determinism argument simple:
 //
 //  * Retired jobs carry no state. A done or shed job appears only as its
@@ -31,12 +34,11 @@
 // custom-path jobs, all nodes in nominal fault state. Streaming endurance
 // runs satisfy all three by construction.
 #include <algorithm>
-#include <iomanip>
-#include <ostream>
 #include <string>
 
 #include "treesched/sim/engine.hpp"
 #include "treesched/util/assert.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::sim {
 
@@ -45,9 +47,16 @@ namespace {
 constexpr char kMagic[] = "enginestate";
 constexpr int kVersion = 3;
 
+/// Appends " <n>" for every number, in the bytes an ostream at
+/// setprecision(17) writes.
+template <class... Numbers>
+void put(std::string& out, Numbers... numbers) {
+  ((out += ' ', util::append_number(out, numbers)), ...);
+}
+
 }  // namespace
 
-void Engine::save_state(std::ostream& os) const {
+void Engine::save_state(std::string& out) const {
   TS_REQUIRE(fault_plan_ == nullptr && fault_log_.empty(),
              "save_state does not support fault runs");
   for (const NodeState& ns : nodes_)
@@ -58,84 +67,92 @@ void Engine::save_state(std::ostream& os) const {
     TS_REQUIRE(!has_custom_path(js) || js.done || js.shed,
                "save_state does not support live custom-path jobs");
 
-  const auto flags = os.flags();
-  const auto prec = os.precision();
-  os << std::setprecision(17);
-
-  os << kMagic << ' ' << kVersion << '\n';
-  os << "config " << node_policy_name(cfg_.node_policy) << ' '
-     << (cfg_.record_schedule ? 1 : 0) << ' ' << cfg_.router_chunk_size
-     << '\n';
-  os << "clock " << now_ << ' ' << seq_ << ' ' << mutation_count_ << ' '
-     << static_cast<long long>(admitted_count_) << ' '
-     << static_cast<long long>(rejected_count_) << '\n';
+  out += kMagic;
+  put(out, kVersion);
+  out += "\nconfig ";
+  out += node_policy_name(cfg_.node_policy);
+  put(out, cfg_.record_schedule ? 1 : 0, cfg_.router_chunk_size);
+  out += "\nclock";
+  put(out, now_, seq_, mutation_count_, admitted_count_, rejected_count_);
 
   // Per-job status chart: '.' untouched, 'R' rejected, 'L' live (admitted,
   // unfinished, not shed), 'D' done, 'S' shed. Only live jobs get a state
-  // line below; the chart alone restores the retired ones.
-  std::string status(jobs_.size(), '.');
+  // line below; the chart alone restores the retired ones. It is written in
+  // place and read back from `out` by offset.
+  out += "\nstatus";
+  put(out, jobs_.size());
+  out += ' ';
+  const std::size_t chart = out.size();
+  out.append(jobs_.size(), '.');
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const JobState& js = jobs_[j];
     if (js.rejected)
-      status[j] = 'R';
+      out[chart + j] = 'R';
     else if (js.shed)
-      status[j] = 'S';
+      out[chart + j] = 'S';
     else if (js.done)
-      status[j] = 'D';
+      out[chart + j] = 'D';
     else if (js.admitted)
-      status[j] = 'L';
+      out[chart + j] = 'L';
   }
-  os << "status " << status.size() << ' ' << status << '\n';
+  out += '\n';
 
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    if (out[chart + j] != 'L') continue;
     const JobState& js = jobs_[j];
-    if (status[j] != 'L') continue;
     const std::size_t len = js.len;
-    os << "job " << j << ' ' << js.leaf << ' ' << js.chunks << ' '
-       << js.chunk_size << ' ' << js.leaf_rem << ' ' << js.frac << ' '
-       << js.frac_touch << ' ' << len;
+    out += "job";
+    put(out, j, js.leaf, js.chunks, js.chunk_size, js.leaf_rem, js.frac,
+        js.frac_touch, len);
     for (std::size_t i = 0; i + 1 < len; ++i)
-      os << ' ' << chunks_done(js, i) << ' ' << head_rem(js, i);
+      put(out, chunks_done(js, i), head_rem(js, i));
     for (std::size_t i = 0; i < len; ++i) {
-      os << ' ' << (in_avail(js, i) ? 1 : 0);
+      put(out, in_avail(js, i) ? 1 : 0);
       if (in_avail(js, i)) {
         const PriorityKey& k = avail_key(js, i);
-        os << ' ' << k.a << ' ' << k.b << ' ' << k.chunk;
+        put(out, k.a, k.b, k.chunk);
       }
     }
-    os << '\n';
+    out += '\n';
   }
 
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
     const NodeState& ns = nodes_[v];
-    os << "node " << v << ' ' << ns.version << ' ' << ns.burst_start << ' '
-       << (ns.has_running ? 1 : 0);
+    out += "node";
+    put(out, v, ns.version, ns.burst_start, ns.has_running ? 1 : 0);
     if (ns.has_running)
-      os << ' ' << ns.running.a << ' ' << ns.running.b << ' '
-         << ns.running.job << ' ' << ns.running.chunk << ' '
-         << ns.running_rem;
-    os << '\n';
+      put(out, ns.running.a, ns.running.b, ns.running.job, ns.running.chunk,
+          ns.running_rem);
+    out += '\n';
   }
 
   // Pending events in pop order, stale ones (version mismatch) dropped: the
   // loader re-pushes and the queue restores the identical (t, seq) order.
-  std::vector<SimEvent> live;
-  for (const SimEvent& ev : events_.sorted_events())
-    if (ev.version == nodes_[uidx(ev.node)].version) live.push_back(ev);
-  os << "events " << live.size() << '\n';
-  for (const SimEvent& ev : live)
-    os << "ev " << ev.t << ' ' << ev.seq << ' ' << ev.node << ' '
-       << ev.version << '\n';
+  events_.sorted_events(snap_events_);
+  const auto live = [this](const SimEvent& ev) {
+    return ev.version == nodes_[uidx(ev.node)].version;
+  };
+  out += "events";
+  put(out, std::count_if(snap_events_.begin(), snap_events_.end(), live));
+  out += '\n';
+  for (const SimEvent& ev : snap_events_) {
+    if (!live(ev)) continue;
+    out += "ev";
+    put(out, ev.t, ev.seq, ev.node, ev.version);
+    out += '\n';
+  }
 
-  os << "shedlog " << shed_log_.size() << '\n';
-  for (const ShedRecord& sr : shed_log_)
-    os << "sl " << static_cast<int>(sr.kind) << ' ' << sr.t << ' ' << sr.job
-       << ' ' << sr.f << ' ' << sr.bound << '\n';
+  out += "shedlog";
+  put(out, shed_log_.size());
+  out += '\n';
+  for (const ShedRecord& sr : shed_log_) {
+    out += "sl";
+    put(out, static_cast<int>(sr.kind), sr.t, sr.job, sr.f, sr.bound);
+    out += '\n';
+  }
 
-  metrics_.save(os);
-  os << "end\n";
-  os.flags(flags);
-  os.precision(prec);
+  metrics_.save(out);
+  out += "end\n";
 }
 
 void Engine::load_state(std::string_view bytes) {

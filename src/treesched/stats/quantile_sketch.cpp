@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <ostream>
 #include <string>
 
 #include "treesched/core/types.hpp"
@@ -109,11 +108,7 @@ double P2Quantile::estimate() const {
   return height_[2];
 }
 
-std::string P2Quantile::payload() const {
-  // The bytes `os << std::setprecision(17)` writes, without a stream.
-  constexpr std::size_t kNumbers = 2 + 3 * 5;
-  std::string out;
-  out.reserve(3 + kNumbers * (1 + util::kMaxNumberChars));
+void P2Quantile::append_payload(std::string& out) const {
   out += "p2 ";
   util::append_number(out, q_);
   out += ' ';
@@ -125,11 +120,12 @@ std::string P2Quantile::payload() const {
     }
   }
   out += '\n';
-  return out;
 }
 
-void P2Quantile::save(std::ostream& os) const {
-  util::seal(os, "p2csum", payload());
+void P2Quantile::save(std::string& out) const {
+  const std::size_t from = out.size();
+  append_payload(out);
+  util::seal(out, from, "p2csum");
 }
 
 void P2Quantile::load(util::Fields& f) {
@@ -140,7 +136,9 @@ void P2Quantile::load(util::Fields& f) {
   for (int i = 0; i < 5; ++i)
     f >> tmp.height_[i] >> tmp.pos_[i] >> tmp.desired_[i];
   TS_REQUIRE(f, "p2 load: truncated state");
-  util::expect_seal(f, "p2csum", tmp.payload(), "p2 load");
+  std::string payload;
+  tmp.append_payload(payload);
+  util::expect_seal(f, "p2csum", payload, "p2 load");
   *this = tmp;
 }
 
@@ -169,6 +167,9 @@ void QuantileDigest::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
+  // The buffer fills to 2 * max_centroids before each compression: size
+  // it once instead of growing it from empty.
+  if (buffer_.capacity() == 0) buffer_.reserve(2 * max_centroids_);
   buffer_.push_back(x);
   if (buffer_.size() >= 2 * max_centroids_) compress();
 }
@@ -192,41 +193,61 @@ void QuantileDigest::absorb_unordered(const QuantileDigest& other) {
 }
 
 void QuantileDigest::compress() {
-  std::vector<Centroid> all;
-  all.reserve(centroids_.size() + buffer_.size());
-  all.insert(all.end(), centroids_.begin(), centroids_.end());
-  for (const double x : buffer_) all.push_back({x, 1.0});
-  buffer_.clear();
-  if (all.empty()) {
-    centroids_.clear();
-    return;
+  // The sweep reads the centroids and the buffered points (weight 1) in the
+  // order a stable sort of their concatenation by (mean, weight) gives —
+  // exact-tie grouping must not depend on the library's (unspecified)
+  // unstable-sort behavior, or byte-identity dies. The centroids are
+  // normally in that order already and the buffer sorts in place; a stable
+  // merge of the two, a centroid ahead of an equal point, is that order.
+  const auto by_mean = [](const Centroid& a, const Centroid& b) {
+    if (a.mean != b.mean) return a.mean < b.mean;
+    return a.weight < b.weight;
+  };
+  if (!std::is_sorted(centroids_.begin(), centroids_.end(), by_mean))
+    std::stable_sort(centroids_.begin(), centroids_.end(), by_mean);
+  // Equal doubles are interchangeable unless they are zeros of both signs
+  // (or NaNs): then only the stable sort keeps their order.
+  if (std::any_of(buffer_.begin(), buffer_.end(),
+                  [](double x) { return x == 0.0 || std::isnan(x); }))
+    std::stable_sort(buffer_.begin(), buffer_.end());
+  else
+    std::sort(buffer_.begin(), buffer_.end());
+  // Sized once: a sweep leaves at most 2 * max_centroids + 1 centroids (two
+  // neighbours always outweigh the cap, and the weights sum to count), and
+  // add() compresses at 2 * max_centroids buffered points.
+  const std::size_t most = 2 * max_centroids_ + 1;
+  merged_.clear();
+  merged_.reserve(
+      std::max(most + 2 * max_centroids_, centroids_.size() + buffer_.size()));
+  std::size_t b = 0;
+  for (const Centroid& c : centroids_) {
+    for (; b < buffer_.size() && by_mean({buffer_[b], 1.0}, c); ++b)
+      merged_.push_back({buffer_[b], 1.0});
+    merged_.push_back(c);
   }
-  // stable_sort: exact-tie grouping must not depend on the library's
-  // (unspecified) unstable-sort behavior, or byte-identity dies.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Centroid& a, const Centroid& b) {
-                     if (a.mean != b.mean) return a.mean < b.mean;
-                     return a.weight < b.weight;
-                   });
+  for (; b < buffer_.size(); ++b) merged_.push_back({buffer_[b], 1.0});
+  buffer_.clear();
+  centroids_.clear();
+  if (merged_.empty()) return;
+  centroids_.reserve(most);
   const double cap = std::max(
       1.0, std::ceil(static_cast<double>(count_) /
                      static_cast<double>(max_centroids_)));
-  std::vector<Centroid> out;
-  out.reserve(max_centroids_ + 2);
-  Centroid cur = all[0];
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    const Centroid& c = all[i];
+  Centroid cur = merged_[0];
+  for (std::size_t i = 1; i < merged_.size(); ++i) {
+    const Centroid& c = merged_[i];
     if (cur.weight + c.weight <= cap) {
       const double w = cur.weight + c.weight;
       cur.mean = (cur.mean * cur.weight + c.mean * c.weight) / w;
       cur.weight = w;
     } else {
-      out.push_back(cur);
+      centroids_.push_back(cur);
       cur = c;
     }
   }
-  out.push_back(cur);
-  centroids_ = std::move(out);
+  centroids_.push_back(cur);
+  // Scratch only: empty, so a copy of the digest does not copy it.
+  merged_.clear();
 }
 
 double QuantileDigest::quantile(double q) const {
@@ -255,12 +276,7 @@ double QuantileDigest::quantile(double q) const {
   return max_;
 }
 
-std::string QuantileDigest::payload() const {
-  // The bytes `os << std::setprecision(17)` writes, without a stream.
-  constexpr std::size_t kNum = 1 + util::kMaxNumberChars;  // separator too
-  std::string out;
-  out.reserve(7 + 6 * kNum + centroids_.size() * (2 + 2 * kNum) +
-              buffer_.size() * (2 + kNum));
+void QuantileDigest::append_payload(std::string& out) const {
   out += "digest ";
   util::append_number(out, max_centroids_);
   out += ' ';
@@ -286,11 +302,12 @@ std::string QuantileDigest::payload() const {
     util::append_number(out, x);
     out += '\n';
   }
-  return out;
 }
 
-void QuantileDigest::save(std::ostream& os) const {
-  util::seal(os, "digestcsum", payload());
+void QuantileDigest::save(std::string& out) const {
+  const std::size_t from = out.size();
+  append_payload(out);
+  util::seal(out, from, "digestcsum");
 }
 
 void QuantileDigest::load(util::Fields& f) {
@@ -308,7 +325,9 @@ void QuantileDigest::load(util::Fields& f) {
   tmp.buffer_.assign(nb, 0.0);
   for (double& x : tmp.buffer_) f.expect("b") >> x;
   TS_REQUIRE(f, "digest load: truncated state");
-  util::expect_seal(f, "digestcsum", tmp.payload(), "digest load");
+  std::string payload;
+  tmp.append_payload(payload);
+  util::expect_seal(f, "digestcsum", payload, "digest load");
   *this = tmp;
 }
 

@@ -13,7 +13,10 @@
 //  * QuantileDigest — a mergeable t-digest-style centroid sketch with a
 //    UNIFORM weight cap (the k0 scale function): at most ~2*max_centroids
 //    (mean, weight) centroids, compressed by a deterministic sorted sweep
-//    that never lets one centroid exceed ceil(count / max_centroids).
+//    that never lets one centroid exceed ceil(count / max_centroids). The
+//    sweep's input is the sorted buffer merged into the already-sorted
+//    centroids, in storage the digest keeps, so a warm digest compresses
+//    without allocating.
 //    Quantile queries answer with the mean of the centroid covering the
 //    target rank, so the documented contract is a RANK error bound, the
 //    right notion for heavy-tailed flow times where value error is
@@ -42,7 +45,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "treesched/util/fields.hpp"
@@ -64,14 +67,16 @@ class P2Quantile {
   double q() const { return q_; }
 
   /// Text round-trip (full %.17g precision) for engine snapshots. save()
-  /// appends an FNV-1a-64 self-checksum line; load() re-serializes the
-  /// parsed state and rejects (std::invalid_argument) any bytes that do not
-  /// reproduce the checksum — truncated or bit-flipped state never loads.
-  void save(std::ostream& os) const;
+  /// appends the state and an FNV-1a-64 self-checksum line to `out`; load()
+  /// re-serializes the parsed state and rejects (std::invalid_argument) any
+  /// bytes that do not reproduce the checksum — truncated or bit-flipped
+  /// state never loads.
+  void save(std::string& out) const;
   void load(util::Fields& f);
 
  private:
-  std::string payload() const;  ///< canonical serialized state (checksummed)
+  /// Appends the canonical serialized state (the checksummed bytes).
+  void append_payload(std::string& out) const;
 
   double q_;
   std::uint64_t count_ = 0;
@@ -105,10 +110,11 @@ class QuantileDigest {
   /// `det-sketch-merge` rule — route through merge_deterministic().
   void absorb_unordered(const QuantileDigest& other);
 
-  /// Text round-trip (full %.17g precision) for engine snapshots. Same
-  /// self-checksum contract as P2Quantile: corrupt state is rejected with
-  /// std::invalid_argument, never silently mis-loaded.
-  void save(std::ostream& os) const;
+  /// Text round-trip (full %.17g precision) for engine snapshots; save()
+  /// appends to `out`. Same self-checksum contract as P2Quantile: corrupt
+  /// state is rejected with std::invalid_argument, never silently
+  /// mis-loaded.
+  void save(std::string& out) const;
   void load(util::Fields& f);
 
  private:
@@ -118,7 +124,8 @@ class QuantileDigest {
   };
 
   void compress();
-  std::string payload() const;  ///< canonical serialized state (checksummed)
+  /// Appends the canonical serialized state (the checksummed bytes).
+  void append_payload(std::string& out) const;
 
   std::size_t max_centroids_;
   std::uint64_t count_ = 0;
@@ -126,6 +133,8 @@ class QuantileDigest {
   double max_ = 0.0;
   std::vector<Centroid> centroids_;  ///< compressed, sorted by (mean, weight)
   std::vector<double> buffer_;       ///< raw values awaiting compression
+  /// compress()'s sorted input, kept for its storage (empty between calls).
+  std::vector<Centroid> merged_;
 };
 
 /// The deterministic-order merge helper: folds `parts` left to right by

@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 
 #include "treesched/util/assert.hpp"
 #include "treesched/util/fields.hpp"
+#include "treesched/util/string_util.hpp"
 
 namespace treesched::util {
 
@@ -33,10 +33,14 @@ inline std::uint64_t fnv1a_64(std::string_view bytes,
   return h;
 }
 
-/// Writes `payload` followed by its seal line "<tag> <fnv1a_64(payload)>\n".
-inline void seal(std::ostream& os, const char* tag,
-                 const std::string& payload) {
-  os << payload << tag << ' ' << fnv1a_64(payload) << '\n';
+/// Seals the payload appended to `out` from offset `from` on: appends its
+/// seal line "<tag> <fnv1a_64(payload)>\n".
+inline void seal(std::string& out, std::size_t from, const char* tag) {
+  const std::uint64_t fp = fnv1a_64(std::string_view(out).substr(from));
+  out += tag;
+  out += ' ';
+  append_number(out, fp);
+  out += '\n';
 }
 
 /// Reads the "<tag> <fnv>" seal line from `f` and checks it against

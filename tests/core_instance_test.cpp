@@ -1,6 +1,9 @@
 // Instance validation and derived quantities.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "treesched/core/instance.hpp"
 #include "treesched/core/tree_builders.hpp"
 #include "treesched/util/class_rounding.hpp"
@@ -72,6 +75,61 @@ TEST(Instance, ValidationCatchesBadJobs) {
   EXPECT_THROW(Instance(tree, {Job(0, 0.0, 1.0, {1.0})},
                         EndpointModel::kIdentical),
                std::invalid_argument);
+}
+
+TEST(Instance, AppendRejectsBadJobsAndAppendsNothing) {
+  Instance inst(builders::star_of_paths(1, 1),
+                {Job(0, 0.0, 1.0), Job(1, 2.0, 1.0)},
+                EndpointModel::kIdentical);
+  Job zero_weight(2, 2.0, 1.0);
+  zero_weight.weight = 0.0;
+  const std::vector<std::vector<Job>> bad = {
+      {Job(3, 2.0, 1.0)},                    // id gap
+      {Job(2, 2.0, 1.0), Job(4, 3.0, 1.0)},  // gap after a good job
+      {Job(1, 2.0, 1.0)},                    // id repeats
+      {Job(2, 1.5, 1.0)},                    // release before the last one
+      {Job(2, 3.0, 1.0), Job(3, 2.5, 1.0)},  // releases go back inside
+      {Job(2, 2.0, 0.0)},                    // size 0
+      {Job(2, 2.0, -1.0)},                   // negative size
+      {zero_weight},                         // weight 0
+      {Job(2, 2.0, 1.0, {1.0})},             // leaf_sizes, identical model
+  };
+  for (const std::vector<Job>& more : bad) {
+    EXPECT_THROW(inst.append(more), std::invalid_argument);
+    EXPECT_EQ(inst.job_count(), 2);
+  }
+}
+
+TEST(Instance, AppendKeepsEarlierLookups) {
+  Instance inst(builders::star_of_paths(1, 1),
+                {Job(0, 5.0, 1.0), Job(1, 2.0, 3.0)},
+                EndpointModel::kIdentical);
+  const std::vector<Job> more = {Job(2, 5.0, 4.0), Job(3, 7.5, 0.5)};
+  inst.append(more);
+  inst.append(std::vector<Job>{});  // an empty quantum is a no-op
+  ASSERT_EQ(inst.job_count(), 4);
+  // Earlier jobs keep their lookups by id (sorted order: 1, 0, 2, 3).
+  EXPECT_DOUBLE_EQ(inst.job(0).release, 5.0);
+  EXPECT_DOUBLE_EQ(inst.job(1).size, 3.0);
+  EXPECT_DOUBLE_EQ(inst.job(2).size, 4.0);
+  EXPECT_DOUBLE_EQ(inst.job(3).release, 7.5);
+  EXPECT_EQ(inst.jobs().front().id, 1);
+  EXPECT_EQ(inst.jobs().back().id, 3);
+  EXPECT_DOUBLE_EQ(inst.total_size(), 8.5);
+  // The same jobs built at once give the same instance.
+  const Instance whole(inst.tree_ptr(),
+                       {Job(0, 5.0, 1.0), Job(1, 2.0, 3.0), Job(2, 5.0, 4.0),
+                        Job(3, 7.5, 0.5)},
+                       EndpointModel::kIdentical);
+  for (JobId j = 0; j < 4; ++j)
+    EXPECT_EQ(inst.job(j).release, whole.job(j).release);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(inst.jobs()[i].id, whole.jobs()[i].id);
+
+  inst.clear();
+  EXPECT_EQ(inst.job_count(), 0);
+  inst.append(std::vector<Job>{Job(0, 1.0, 2.0)});  // ids restart at 0
+  EXPECT_DOUBLE_EQ(inst.job(0).size, 2.0);
 }
 
 TEST(Instance, RoundedToClassesRoundsEverything) {

@@ -172,14 +172,14 @@ EngineSnapshot engine_snapshot() {
     engine.advance_to(job.release);
     engine.admit(job.id, policy.assign(engine, job));
   }
-  std::ostringstream os;
-  engine.save_state(os);
-  snap.state = os.str();
+  engine.save_state(snap.state);
   return snap;
 }
 
 std::string envelope(const std::string& engine_state) {
-  return exec::encode_snapshot_envelope({{"engine", engine_state}});
+  std::string out;
+  exec::encode_snapshot_envelope({{"engine", engine_state}}, out);
+  return out;
 }
 
 std::vector<Case> cases() {

@@ -53,9 +53,15 @@ void spit(const std::string& path, const std::string& bytes) {
 }
 
 std::string acc_bytes(const sim::StreamAccumulator& acc) {
-  std::ostringstream os;
-  acc.save(os);
-  return os.str();
+  std::string out;
+  acc.save(out);
+  return out;
+}
+
+std::string envelope(const std::vector<exec::SnapshotSection>& sections) {
+  std::string out;
+  exec::encode_snapshot_envelope(sections, out);
+  return out;
 }
 
 /// An overloaded (rho >> 1) shedding stream with snapshots every 300
@@ -132,7 +138,7 @@ TEST_F(DurabilityChaosTest, EnvelopeRoundTripsAdversarialPayloads) {
       {"empty", ""},
       {"tricky", std::string("section x 3 5\nwhole 9\n\0bin", 26)},
   };
-  const std::string bytes = exec::encode_snapshot_envelope(in);
+  const std::string bytes = envelope(in);
   const auto out = exec::decode_snapshot_envelope(bytes);
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
@@ -145,8 +151,8 @@ TEST_F(DurabilityChaosTest, EnvelopeRoundTripsAdversarialPayloads) {
 }
 
 TEST_F(DurabilityChaosTest, EnvelopeRejectsEveryTruncation) {
-  const std::string bytes = exec::encode_snapshot_envelope(
-      {{"a", "hello world\n"}, {"b", "0123456789"}});
+  const std::string bytes =
+      envelope({{"a", "hello world\n"}, {"b", "0123456789"}});
   for (std::size_t len = 0; len < bytes.size(); ++len)
     EXPECT_THROW(exec::decode_snapshot_envelope(bytes.substr(0, len)),
                  std::invalid_argument)
@@ -158,8 +164,8 @@ TEST_F(DurabilityChaosTest, EnvelopeRejectsEveryTruncation) {
 }
 
 TEST_F(DurabilityChaosTest, EnvelopeRejectsEveryBitFlip) {
-  const std::string bytes = exec::encode_snapshot_envelope(
-      {{"a", "hello world\n"}, {"b", "0123456789"}});
+  const std::string bytes =
+      envelope({{"a", "hello world\n"}, {"b", "0123456789"}});
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string mut = bytes;
     mut[i] = static_cast<char>(mut[i] ^ 0x01);
@@ -175,8 +181,7 @@ TEST_F(DurabilityChaosTest, StoreRotatesGenerationsUnderKeepBudget) {
   exec::SnapshotStore store(dir + "/snap", 3);
   std::vector<std::string> envs;
   for (int i = 0; i < 5; ++i) {
-    envs.push_back(exec::encode_snapshot_envelope(
-        {{"n", "payload " + std::to_string(i) + "\n"}}));
+    envs.push_back(envelope({{"n", "payload " + std::to_string(i) + "\n"}}));
     store.write(static_cast<std::uint64_t>((i + 1) * 100), envs.back());
   }
   const auto gens = store.generations();
@@ -198,7 +203,7 @@ TEST_F(DurabilityChaosTest, StoreRotatesGenerationsUnderKeepBudget) {
 TEST_F(DurabilityChaosTest, StoreQuarantineRenamesAndLogs) {
   const std::string dir = fresh_dir("chaos_store_quar");
   exec::SnapshotStore store(dir + "/snap", 3);
-  store.write(100, exec::encode_snapshot_envelope({{"n", "x\n"}}));
+  store.write(100, envelope({{"n", "x\n"}}));
   const auto gens = store.generations();
   ASSERT_EQ(gens.size(), 1u);
   store.quarantine(gens[0], "unit-test damage");
@@ -215,8 +220,7 @@ TEST_F(DurabilityChaosTest, StoreManifestIsOnlyAppended) {
   std::string before;
   for (int i = 0; i < 4; ++i) {
     store.write(static_cast<std::uint64_t>((i + 1) * 100),
-                exec::encode_snapshot_envelope(
-                    {{"n", "payload " + std::to_string(i) + "\n"}}));
+                envelope({{"n", "payload " + std::to_string(i) + "\n"}}));
     const std::string after = slurp(dir + "/snap");
     EXPECT_EQ(after.compare(0, before.size(), before), 0)
         << "snapshot " << i << " rewrote the manifest";
@@ -241,8 +245,7 @@ TEST_F(DurabilityChaosTest, StoreSettlesStrayGenerations) {
     exec::SnapshotStore store(base, 3);
     for (int i = 0; i < 4; ++i)
       store.write(static_cast<std::uint64_t>((i + 1) * 100),
-                  exec::encode_snapshot_envelope(
-                      {{"n", "payload " + std::to_string(i) + "\n"}}));
+                  envelope({{"n", "payload " + std::to_string(i) + "\n"}}));
   }
   // As after a kill before retention ran: gen 0 is recorded but has left
   // the window (of 2 now) with its file still there. Files that are not
@@ -664,9 +667,9 @@ TEST_F(DurabilityChaosTest, AdmissionControllerRoundTripsByteIdentically) {
   shed.queue_cap = 32.0;
   overload::AdmissionController ctl(shed);
   ctl.load_state(ref.res.overload_state);
-  std::ostringstream os;
-  ctl.save_state(os);
-  EXPECT_EQ(os.str(), ref.res.overload_state);
+  std::string out;
+  ctl.save_state(out);
+  EXPECT_EQ(out, ref.res.overload_state);
 }
 
 TEST_F(DurabilityChaosTest, OverloadStateRejectsTruncationAndFlips) {
@@ -686,9 +689,9 @@ TEST_F(DurabilityChaosTest, OverloadStateRejectsTruncationAndFlips) {
     }
     // Accepted: then it must have been an equivalent encoding (e.g. a
     // newline flipped to another whitespace byte) — never a wrong load.
-    std::ostringstream os;
-    ctl.save_state(os);
-    EXPECT_EQ(os.str(), bytes);
+    std::string out;
+    ctl.save_state(out);
+    EXPECT_EQ(out, bytes);
   };
   for (std::size_t len = 0; len < bytes.size(); len += stride)
     check_mutation(bytes.substr(0, len));

@@ -127,12 +127,14 @@ struct FaultyRun {
   double total_flow = 0.0;
 };
 
-FaultyRun faulty_run(std::uint64_t seed) {
+FaultyRun faulty_run(std::uint64_t seed,
+                     Tree shape = builders::caterpillar(2, 2, 2),
+                     std::size_t jobs = 120) {
   util::Rng rng(seed);
   workload::WorkloadSpec wspec;
-  wspec.jobs = 120;
+  wspec.jobs = jobs;
   wspec.load = 0.9;
-  auto tree = std::make_shared<const Tree>(builders::caterpillar(2, 2, 2));
+  auto tree = std::make_shared<const Tree>(std::move(shape));
   FaultyRun out{workload::generate(rng, tree, wspec), {}, "", 0.0};
 
   fault::FaultModel model;
@@ -171,6 +173,26 @@ TEST(FaultEngine, FaultyRunsPassTheOfflineAudit) {
   EXPECT_FALSE(log.faults.empty());
   const sim::AuditReport report = sim::audit_run(run.inst, log);
   EXPECT_TRUE(report.ok) << report.summary();
+}
+
+TEST(FaultEngine, GeneratedFaultRunsKeepHopOrderWithinEpochs) {
+  // The per-epoch store-and-forward rule must hold on real recoveries:
+  // re-dispatches, router crashes and link outages on two tree shapes.
+  std::size_t redispatched = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed)
+    for (const bool fat : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (fat ? " fat" : " cat"));
+      const FaultyRun run = faulty_run(
+          seed,
+          fat ? builders::fat_tree(2, 2, 2) : builders::caterpillar(2, 2, 2),
+          80);
+      const sim::RunLog log = sim::read_run_log(run.run_log_text);
+      for (const sim::FaultRecord& fr : log.faults)
+        redispatched += fr.kind == sim::FaultRecord::Kind::kRedispatch;
+      const sim::AuditReport report = sim::audit_run(run.inst, log);
+      EXPECT_TRUE(report.ok) << report.summary();
+    }
+  EXPECT_GT(redispatched, 0u) << "no run exercised a second epoch";
 }
 
 TEST(FaultEngine, AuditCatchesTamperedFaultRun) {
@@ -266,6 +288,17 @@ TEST(FaultEngine, AuditCatchesEveryTamperedRecoveryInvariant) {
       {"final-epoch machine work shortfall", &moved, &moved_log,
        [&](sim::RunLog& log) { segment(log, 2, 5.0).t1 = 6.5; },
        "final-epoch machine work"},
+      {"router burst delayed within an epoch", &crash, &crash_log,
+       [&](sim::RunLog& log) {
+         // r1's burst moves from [0,2] to [1,3]: r2 now starts at 2 while
+         // its parent still forwards, yet every router burst still ends
+         // before the machine work at 7.
+         sim::Segment& s = segment(log, 1, 0.0);
+         s.t0 = 1.0;
+         s.t1 = 3.0;
+       },
+       "precedence violated in epoch 0: job 0 started on node 2 at 2 "
+       "before its last burst on parent node 1 ended at 3"},
       {"machine work before the last router burst", &crash, &crash_log,
        [&](sim::RunLog& log) {
          sim::Segment& s = segment(log, 3, 7.0);

@@ -13,20 +13,26 @@
 // The durable-write cases count each SegmentedRunLogWriter::commit and each
 // SnapshotStore::write directly: after the first few have grown the reused
 // buffers, one more segment or generation allocates nothing (file names,
-// temporaries and manifest records included).
+// temporaries and manifest records included). The durable-stream case puts
+// it together: a recorded, snapshotting run_stream whose window grows in
+// place, counted for N and 4N arrivals like Engine::run.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "treesched/exec/snapshot_store.hpp"
+#include "treesched/exec/stream_runner.hpp"
 #include "treesched/sim/runlog_segments.hpp"
 #include "treesched/treesched.hpp"
+#include "treesched/workload/arrivals.hpp"
+#include "treesched/workload/stream.hpp"
 
 namespace {
 std::atomic<std::int64_t> g_allocs{0};
@@ -150,8 +156,9 @@ TEST(DurableWriteAllocations, SteadyStateSegmentCommitAllocatesNothing) {
 TEST(DurableWriteAllocations, SteadyStateSnapshotGenerationAllocatesNothing) {
   const std::string dir = fresh_dir("alloc_snapshots");
   exec::SnapshotStore store(dir + "/snap", 3);
-  const std::string envelope = exec::encode_snapshot_envelope(
-      {{"engine", std::string(4096, 'x') + "\n"}});
+  std::string envelope;
+  exec::encode_snapshot_envelope({{"engine", std::string(4096, 'x') + "\n"}},
+                                 envelope);
   // Progress values of one width: a longer manifest record would grow the
   // reused record buffer once, which is content growth.
   std::vector<std::int64_t> per_write;
@@ -163,6 +170,50 @@ TEST(DurableWriteAllocations, SteadyStateSnapshotGenerationAllocatesNothing) {
   // the entry of the generation it retires.
   for (std::size_t i = 3; i < per_write.size(); ++i)
     EXPECT_EQ(per_write[i], 0) << "generation " << i;
+}
+
+/// Heap allocations of one recorded, snapshotting run_stream over
+/// `arrivals` arrivals at rho 0.7 on fat 8x1x2: the engine, the window's
+/// growth, the segmented run log and the snapshot generations, set-up
+/// included.
+std::int64_t durable_stream_allocs(std::uint64_t arrivals) {
+  const std::string dir = fresh_dir("alloc_stream_" + std::to_string(arrivals));
+  auto tree = std::make_shared<const Tree>(builders::fat_tree(8, 1, 2));
+  exec::StreamRunnerConfig cfg;
+  cfg.stream.seed = 3;
+  cfg.stream.sizes.dist = workload::SizeDistribution::kBoundedPareto;
+  cfg.stream.lambda = workload::arrival_rate_for_load(
+      static_cast<int>(tree->root_children().size()), cfg.stream.sizes.mean(),
+      0.7);
+  cfg.total_jobs = arrivals;
+  cfg.window = 4096;
+  cfg.record_path = dir + "/run.manifest";
+  cfg.segment_cap = 4096;
+  cfg.snapshot_every = 2048;
+  cfg.snapshot_path = dir + "/snap";
+  cfg.snapshot_keep = 3;
+  const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
+  exec::StreamRunnerResult res;
+  const std::int64_t allocs =
+      allocs_during([&] { res = exec::run_stream(tree, speeds, cfg); });
+  EXPECT_EQ(res.arrivals, arrivals);
+  EXPECT_EQ(res.snapshots_written, (arrivals - 1) / cfg.snapshot_every);
+  return allocs;
+}
+
+TEST(DurableStreamAllocations, PerAdditionalArrivalAllocatesNothing) {
+  // What the run costs whatever its length — set-up, buffer warm-up, the
+  // geometric growth of the window's vectors — cancels in the difference;
+  // a per-arrival, per-extension or per-snapshot allocation does not (one
+  // allocation per snapshot generation alone is 1/2048 = 0.0005).
+  const std::uint64_t n = 8192;
+  const std::int64_t small = durable_stream_allocs(n);
+  const std::int64_t large = durable_stream_allocs(4 * n);
+  const double per_arrival =
+      static_cast<double>(large - small) / (3.0 * static_cast<double>(n));
+  EXPECT_LE(per_arrival, 0.002) << small << " allocations for " << n
+                                << " arrivals, " << large << " for " << 4 * n;
+  RecordProperty("allocs_per_additional_arrival", std::to_string(per_arrival));
 }
 
 }  // namespace

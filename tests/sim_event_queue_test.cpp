@@ -60,7 +60,9 @@ TEST(EventQueue, StartsEmpty) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.peek(), nullptr);
-  EXPECT_TRUE(q.sorted_events().empty());
+  std::vector<SimEvent> none = {ev(1.0, 0)};
+  q.sorted_events(none);
+  EXPECT_TRUE(none.empty());
 }
 
 TEST(EventQueue, SameInstantStormPopsInSeqOrder) {
@@ -181,7 +183,8 @@ TEST(EventQueue, SortedEventsIsTheExactPopOrder) {
   double frontier = 0.0;
   for (int i = 0; i < 700; ++i) frontier = q.pop().t;
   q.push(ev(frontier + 1.0, seq++));
-  const std::vector<SimEvent> snap = q.sorted_events();
+  std::vector<SimEvent> snap;
+  q.sorted_events(snap);
   ASSERT_EQ(snap.size(), q.size());
   for (const SimEvent& want : snap) {
     const SimEvent got = q.pop();

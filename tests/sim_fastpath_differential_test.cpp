@@ -355,7 +355,7 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   if (rc.slow) ref.set_observer(&ref_oracle);
   if (rc.shed) ref.set_admission(&adm_ref);
   drive(ref, p_ref, rc.shed ? &adm_ref : nullptr, 0, cut);
-  std::ostringstream snap;
+  std::string snap;
   ref.save_state(snap);
   drive(ref, p_ref, rc.shed ? &adm_ref : nullptr, cut, inst.jobs().size());
   ref.run_to_completion();
@@ -366,7 +366,7 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   sim::Engine res(inst, speeds, cfg);
   test::QueryOracle res_oracle;
   if (rc.shed) res.set_admission(&adm_res);
-  res.load_state(snap.str());
+  res.load_state(snap);
   res.set_observer(&res_oracle);
   drive(res, p_res, rc.shed ? &adm_res : nullptr, cut, inst.jobs().size());
   res.run_to_completion();
@@ -376,13 +376,13 @@ TEST_P(SnapshotReplay, SaveLoadReplayIsByteIdentical) {
   }
 
   // Byte-level: the final serialized engine states and metrics agree.
-  std::ostringstream final_ref, final_res, m_ref, m_res;
+  std::string final_ref, final_res, m_ref, m_res;
   ref.save_state(final_ref);
   res.save_state(final_res);
   ref.metrics().save(m_ref);
   res.metrics().save(m_res);
-  EXPECT_EQ(final_res.str(), final_ref.str());
-  EXPECT_EQ(m_res.str(), m_ref.str());
+  EXPECT_EQ(final_res, final_ref);
+  EXPECT_EQ(m_res, m_ref);
   EXPECT_EQ(res.metrics().total_flow_time(), ref.metrics().total_flow_time());
   EXPECT_EQ(res.metrics().makespan(), ref.metrics().makespan());
 }

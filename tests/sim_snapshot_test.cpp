@@ -52,15 +52,15 @@ void admit_range(sim::Engine& engine, sim::AssignmentPolicy& policy,
 }
 
 std::string metrics_bytes(const sim::Engine& engine) {
-  std::ostringstream os;
-  engine.metrics().save(os);
-  return os.str();
+  std::string out;
+  engine.metrics().save(out);
+  return out;
 }
 
 std::string state_bytes(const sim::Engine& engine) {
-  std::ostringstream os;
-  engine.save_state(os);
-  return os.str();
+  std::string out;
+  engine.save_state(out);
+  return out;
 }
 
 /// Drives a streaming-mode engine over the first `upto` arrivals with every
@@ -95,7 +95,7 @@ TEST(SimSnapshotTest, MidRunRestoreFinishesByteIdentically) {
   // into the backlog) and snapshot.
   admit_range(cont, pa, inst, 0, 80);
   cont.advance_to(inst.jobs()[80].release * 0.999);
-  std::ostringstream snap;
+  std::string snap;
   cont.save_state(snap);
 
   // The uninterrupted engine finishes...
@@ -104,7 +104,7 @@ TEST(SimSnapshotTest, MidRunRestoreFinishesByteIdentically) {
 
   // ...and the restored one must match it byte for byte.
   sim::Engine resumed(inst, speeds, sim::EngineConfig{});
-  resumed.load_state(snap.str());
+  resumed.load_state(snap);
   EXPECT_DOUBLE_EQ(resumed.now(), inst.jobs()[80].release * 0.999);
   admit_range(resumed, pb, inst, 80, jobs.size());
   resumed.run_to_completion();
@@ -128,10 +128,10 @@ TEST(SimSnapshotTest, RestoredEngineAnswersPrioritySplitExactly) {
   sim::Engine orig(inst, speeds, sim::EngineConfig{});
   admit_range(orig, policy, inst, 0, 70);
   orig.advance_to((inst.jobs()[69].release + inst.jobs()[70].release) / 2.0);
-  std::ostringstream snap;
+  std::string snap;
   orig.save_state(snap);
   sim::Engine restored(inst, speeds, sim::EngineConfig{});
-  restored.load_state(snap.str());
+  restored.load_state(snap);
 
   std::size_t compared = 0;
   for (NodeId v = 0; v < tree->node_count(); ++v) {
@@ -160,7 +160,7 @@ TEST(SimSnapshotTest, RestoreThenContinueUnderQueryOracle) {
 
   sim::Engine fast(inst, speeds, sim::EngineConfig{});
   admit_range(fast, pa, inst, 0, 60);
-  std::ostringstream snap;
+  std::string snap;
   fast.save_state(snap);
   admit_range(fast, pa, inst, 60, jobs.size());
   fast.run_to_completion();
@@ -169,7 +169,7 @@ TEST(SimSnapshotTest, RestoreThenContinueUnderQueryOracle) {
   // aggregate the rebuilt indices answer must match a rescan of Q_v, and
   // the bits of the finished run cannot move.
   sim::Engine resumed(inst, speeds, sim::EngineConfig{});
-  resumed.load_state(snap.str());
+  resumed.load_state(snap);
   test::QueryOracle oracle;
   oracle.check(resumed, resumed.now());
   resumed.set_observer(&oracle);
@@ -192,7 +192,7 @@ TEST(SimSnapshotTest, RestoreIntoExtendedInstance) {
   // Window engine over the first 100 arrivals, snapshotted mid-flight.
   sim::Engine window(small_inst, speeds, sim::EngineConfig{});
   admit_range(window, pa, small_inst, 0, 100);
-  std::ostringstream snap;
+  std::string snap;
   window.save_state(snap);
 
   // Reference: the big instance run end to end, no snapshot.
@@ -203,7 +203,7 @@ TEST(SimSnapshotTest, RestoreIntoExtendedInstance) {
   // Extension: restore the 100-job state into the 150-job instance (the
   // extra jobs are untouched in the snapshot), then admit the remainder.
   sim::Engine extended(big_inst, speeds, sim::EngineConfig{});
-  extended.load_state(snap.str());
+  extended.load_state(snap);
   admit_range(extended, pb, big_inst, 100, jobs.size());
   extended.run_to_completion();
 
@@ -219,12 +219,12 @@ TEST(SimSnapshotTest, LoadRequiresPristineEngine) {
 
   sim::Engine a(inst, speeds, sim::EngineConfig{});
   admit_range(a, policy, inst, 0, 5);
-  std::ostringstream snap;
+  std::string snap;
   a.save_state(snap);
 
   sim::Engine dirty(inst, speeds, sim::EngineConfig{});
   admit_range(dirty, policy, inst, 0, 1);
-  EXPECT_THROW(dirty.load_state(snap.str()), std::invalid_argument);
+  EXPECT_THROW(dirty.load_state(snap), std::invalid_argument);
 }
 
 TEST(SimSnapshotTest, StreamAccumulatorRoundTripContinuesIdentically) {
@@ -240,17 +240,16 @@ TEST(SimSnapshotTest, StreamAccumulatorRoundTripContinuesIdentically) {
     r.fractional_area = r.size * 0.5;
     acc.fold(r);
   }
-  std::ostringstream os;
-  acc.save(os);
+  std::string bytes;
+  acc.save(bytes);
   sim::StreamAccumulator back;
-  const std::string bytes = os.str();
   util::Fields fields(bytes);
   back.load(fields);
 
-  std::ostringstream a2, b2;
+  std::string a2, b2;
   acc.save(a2);
   back.save(b2);
-  EXPECT_EQ(b2.str(), a2.str());
+  EXPECT_EQ(b2, a2);
 
   sim::JobRecord more;
   more.id = 500;

@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "treesched/stats/quantile_sketch.hpp"
 #include "treesched/util/rng.hpp"
+#include "treesched/util/string_util.hpp"
 
 using treesched::stats::merge_deterministic;
 using treesched::stats::P2Quantile;
@@ -56,12 +59,121 @@ std::vector<double> pareto_sample(std::size_t n, std::uint64_t seed) {
 }
 
 std::string digest_bytes(const QuantileDigest& d) {
-  std::ostringstream os;
-  d.save(os);
-  return os.str();
+  std::string out;
+  d.save(out);
+  return out;
+}
+
+/// The compression the digest specifies, written the plain way: a stable
+/// sort of (centroids, then the buffered points) by (mean, weight), then the
+/// capped sweep. Returns the "c"/"b" lines the digest's state would save.
+struct ReferenceDigest {
+  explicit ReferenceDigest(std::size_t m) : max_centroids(m) {}
+
+  std::size_t max_centroids;
+  std::uint64_t count = 0;
+  std::vector<std::pair<double, double>> centroids;  // (mean, weight)
+  std::vector<double> buffer;
+
+  void add(double x) {
+    ++count;
+    buffer.push_back(x);
+    if (buffer.size() >= 2 * max_centroids) compress();
+  }
+  void compress() {
+    std::vector<std::pair<double, double>> all = centroids;
+    for (const double x : buffer) all.emplace_back(x, 1.0);
+    buffer.clear();
+    centroids.clear();
+    if (all.empty()) return;
+    std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return a.second < b.second;
+    });
+    const double cap = std::max(
+        1.0, std::ceil(static_cast<double>(count) /
+                       static_cast<double>(max_centroids)));
+    auto cur = all[0];
+    for (std::size_t i = 1; i < all.size(); ++i) {
+      if (cur.second + all[i].second <= cap) {
+        const double w = cur.second + all[i].second;
+        cur.first = (cur.first * cur.second + all[i].first * all[i].second) / w;
+        cur.second = w;
+      } else {
+        centroids.push_back(cur);
+        cur = all[i];
+      }
+    }
+    centroids.push_back(cur);
+  }
+  std::string lines() const {
+    std::string out;
+    for (const auto& [mean, weight] : centroids) {
+      out += "c ";
+      treesched::util::append_number(out, mean);
+      out += ' ';
+      treesched::util::append_number(out, weight);
+      out += '\n';
+    }
+    for (const double x : buffer) {
+      out += "b ";
+      treesched::util::append_number(out, x);
+      out += '\n';
+    }
+    return out;
+  }
+};
+
+/// The "c" and "b" lines of a digest's saved state.
+std::string state_lines(const QuantileDigest& d) {
+  std::istringstream in(digest_bytes(d));
+  std::string line, out;
+  while (std::getline(in, line))
+    if (line.rfind("c ", 0) == 0 || line.rfind("b ", 0) == 0) out += line + '\n';
+  return out;
 }
 
 }  // namespace
+
+TEST(QuantileDigestTest, CompressMatchesStableSortOfConcatenation) {
+  // Exact ties between a centroid and a buffered point, and zeros of both
+  // signs, are where a merge of the sorted buffer into the centroids could
+  // part from the stable sort of the concatenation it replaces.
+  treesched::util::Rng rng(17);
+  const std::vector<std::vector<double>> streams = {
+      [&] {
+        std::vector<double> xs;
+        for (int i = 0; i < 5000; ++i)
+          xs.push_back(std::floor(rng.uniform01() * 12.0));
+        return xs;
+      }(),
+      [&] {
+        std::vector<double> xs;
+        for (int i = 0; i < 5000; ++i) {
+          const double u = rng.uniform01();
+          xs.push_back(u < 0.2 ? -0.0 : u < 0.4 ? 0.0 : std::floor(u * 4.0));
+        }
+        return xs;
+      }(),
+      pareto_sample(5000, 23),
+  };
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    for (const std::size_t max_centroids : {8u, 64u}) {
+      QuantileDigest d(max_centroids);
+      ReferenceDigest ref(max_centroids);
+      for (std::size_t i = 0; i < streams[s].size(); ++i) {
+        d.add(streams[s][i]);
+        ref.add(streams[s][i]);
+        if (i % 997 == 0) {
+          ASSERT_EQ(state_lines(d), ref.lines())
+              << "stream " << s << " max " << max_centroids << " at " << i;
+        }
+      }
+      EXPECT_EQ(state_lines(d), ref.lines())
+          << "stream " << s << " max " << max_centroids;
+    }
+  }
+}
 
 TEST(P2QuantileTest, ExactBelowFiveObservations) {
   P2Quantile p(0.5);
@@ -94,10 +206,9 @@ TEST(P2QuantileTest, SaveLoadRoundTripsExactly) {
   P2Quantile p(0.99);
   treesched::util::Rng rng(3);
   for (int i = 0; i < 1000; ++i) p.add(rng.uniform01() * 100.0);
-  std::ostringstream os;
-  p.save(os);
+  std::string saved;
+  p.save(saved);
   P2Quantile q(0.99);  // load() restores state into a same-q sketch
-  const std::string saved = os.str();
   treesched::util::Fields f(saved);
   q.load(f);
   EXPECT_DOUBLE_EQ(q.estimate(), p.estimate());
@@ -165,9 +276,8 @@ TEST(P2QuantileTest, RejectsTruncatedAndBitFlippedState) {
   P2Quantile p(0.99);
   treesched::util::Rng rng(3);
   for (int i = 0; i < 500; ++i) p.add(rng.uniform01() * 100.0);
-  std::ostringstream os;
-  p.save(os);
-  const std::string bytes = os.str();
+  std::string bytes;
+  p.save(bytes);
   // Durability contract: a mutated serialization is either rejected with
   // std::invalid_argument or decodes to the EXACT original state (an
   // equivalent encoding, e.g. a newline flipped to another whitespace
@@ -180,9 +290,9 @@ TEST(P2QuantileTest, RejectsTruncatedAndBitFlippedState) {
     } catch (const std::invalid_argument&) {
       return;
     }
-    std::ostringstream rs;
+    std::string rs;
     q.save(rs);
-    EXPECT_EQ(rs.str(), bytes);
+    EXPECT_EQ(rs, bytes);
   };
   for (std::size_t len = 0; len < bytes.size(); ++len)
     check(bytes.substr(0, len));
@@ -220,10 +330,9 @@ TEST(QuantileDigestTest, RejectsTruncatedAndBitFlippedState) {
 TEST(QuantileDigestTest, SaveLoadRoundTripsExactly) {
   QuantileDigest d(128);
   for (const double x : pareto_sample(9000, 41)) d.add(x);
-  std::ostringstream os;
-  d.save(os);
+  std::string saved;
+  d.save(saved);
   QuantileDigest e(128);  // load() restores state into a same-shape sketch
-  const std::string saved = os.str();
   treesched::util::Fields f(saved);
   e.load(f);
   EXPECT_EQ(digest_bytes(e), digest_bytes(d));

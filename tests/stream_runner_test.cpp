@@ -48,9 +48,9 @@ exec::StreamRunnerConfig base_config(std::uint64_t jobs, std::size_t window) {
 }
 
 std::string acc_bytes(const sim::StreamAccumulator& acc) {
-  std::ostringstream os;
-  acc.save(os);
-  return os.str();
+  std::string out;
+  acc.save(out);
+  return out;
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -116,6 +116,115 @@ TEST(StreamRunnerTest, MatchesMonolithicEngineExactly) {
   EXPECT_EQ(streamed.acc.flow.value(), engine.metrics().total_flow_time());
   EXPECT_EQ(streamed.acc.makespan, engine.metrics().makespan());
   EXPECT_EQ(streamed.acc.max_flow, engine.metrics().max_flow_time());
+}
+
+/// The lines of a snapshot section that do not name the window: the spec
+/// (it fingerprints the window flag), the window extent, the generation
+/// cursor (one quantum ahead of the window start, or the whole run ahead),
+/// and the two per-window job counts (status chart, metrics header).
+std::string window_free_lines(const std::string& payload) {
+  std::istringstream in(payload);
+  std::string line, out;
+  while (std::getline(in, line)) {
+    const std::string tag = line.substr(0, line.find(' '));
+    if (tag == "spec" || tag == "window" || tag == "gcursor" ||
+        tag == "status" || tag == "metrics")
+      continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(StreamRunnerTest, NeverDrainingStreamGrowsInPlaceByteIdentically) {
+  // Overloaded and unshed, the stream never drains: window 64 reaches 4096
+  // arrivals through 63 in-place extensions and no rotation. It must write
+  // what one 4096-job window writes, and match the monolithic engine.
+  auto tree = test_tree();
+  const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
+  const auto run = [&](std::size_t window, const std::string& name) {
+    const std::string dir = fresh_dir(name);
+    auto cfg = base_config(4096, window);
+    cfg.stream.lambda = 1.2;
+    cfg.record_path = dir + "/manifest.log";
+    // Segments close only at snapshots: a window boundary drains the
+    // recorder, so with a small cap the boundaries would shift the cuts.
+    cfg.segment_cap = 1u << 20;
+    cfg.snapshot_every = 512;
+    cfg.snapshot_keep = 8;
+    cfg.snapshot_path = dir + "/snap.bin";
+    return std::make_pair(cfg, exec::run_stream(tree, speeds, cfg));
+  };
+  const auto [small_cfg, small] = run(64, "stream_grow_small");
+  const auto [whole_cfg, whole] = run(4096, "stream_grow_whole");
+  EXPECT_EQ(small.max_window, 4096u);  // never rotated
+  EXPECT_EQ(small.window_jobs_touched, 4096u);
+  EXPECT_EQ(whole.window_jobs_touched, 4096u);
+  EXPECT_EQ(small.snapshots_written, 7u);
+
+  // Metrics and every run-log byte.
+  EXPECT_EQ(acc_bytes(small.acc), acc_bytes(whole.acc));
+  EXPECT_EQ(slurp(small_cfg.record_path), slurp(whole_cfg.record_path));
+  ASSERT_EQ(small.segments_written, whole.segments_written);
+  ASSERT_EQ(small.segments_written, 8u);
+  for (std::size_t i = 0; i < small.segments_written; ++i)
+    EXPECT_EQ(slurp(sim::segment_log_path(small_cfg.record_path, i)),
+              slurp(sim::segment_log_path(whole_cfg.record_path, i)))
+        << "segment " << i;
+
+  // Every snapshot generation, but for the lines that name the window.
+  const exec::SnapshotStore small_store(small_cfg.snapshot_path, 8);
+  const exec::SnapshotStore whole_store(whole_cfg.snapshot_path, 8);
+  const auto small_gens = small_store.generations();
+  const auto whole_gens = whole_store.generations();
+  ASSERT_EQ(small_gens.size(), 7u);
+  ASSERT_EQ(whole_gens.size(), small_gens.size());
+  for (std::size_t g = 0; g < small_gens.size(); ++g) {
+    ASSERT_EQ(small_gens[g].progress, whole_gens[g].progress);
+    const auto a = exec::decode_snapshot_envelope(*small_store.read(small_gens[g]));
+    const auto b = exec::decode_snapshot_envelope(*whole_store.read(whole_gens[g]));
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].name, b[i].name);
+      EXPECT_EQ(window_free_lines(a[i].payload),
+                window_free_lines(b[i].payload))
+          << "generation at " << small_gens[g].progress << ", section "
+          << a[i].name;
+    }
+  }
+
+  // The monolithic engine over the same arrivals.
+  workload::JobStream stream(small_cfg.stream);
+  workload::StreamCursor cur;
+  std::vector<Job> jobs;
+  for (std::uint64_t i = 0; i < small_cfg.total_jobs; ++i) {
+    const workload::StreamJob a = stream.next(cur);
+    jobs.emplace_back(static_cast<JobId>(i), a.release, a.size);
+  }
+  const Instance inst(tree, std::move(jobs), EndpointModel::kIdentical);
+  algo::PaperGreedyPolicy policy(small_cfg.eps);
+  sim::Engine engine(inst, speeds, sim::EngineConfig{});
+  engine.run(policy);
+  EXPECT_EQ(small.acc.completed, small_cfg.total_jobs);
+  EXPECT_EQ(small.acc.flow.value(), engine.metrics().total_flow_time());
+  EXPECT_EQ(small.acc.makespan, engine.metrics().makespan());
+  EXPECT_EQ(small.acc.max_flow, engine.metrics().max_flow_time());
+}
+
+TEST(StreamRunnerTest, WindowGrowthTouchesEachArrivalOnce) {
+  // The O(quantum) gate: window growth copies or checks each arrival once,
+  // whether the window rotates or extends, so the count is the arrival
+  // count at any window. A resume regenerates its snapshot's window.
+  auto tree = test_tree();
+  const SpeedProfile speeds = SpeedProfile::paper_identical(*tree, 0.5);
+  for (const double lambda : {0.35, 1.2})
+    for (const std::size_t window : {16u, 64u, 1000u}) {
+      auto cfg = base_config(2000, window);
+      cfg.stream.lambda = lambda;
+      const auto res = exec::run_stream(tree, speeds, cfg);
+      EXPECT_EQ(res.window_jobs_touched, res.arrivals)
+          << "lambda " << lambda << " window " << window;
+    }
 }
 
 TEST(StreamRunnerTest, SegmentedLogPassesAudit) {
@@ -449,7 +558,9 @@ TEST(StreamRunnerTest, ResumeFromOlderEngineStateIsUnrecoverable) {
       ASSERT_EQ(sec.payload.rfind("enginestate 3\n", 0), 0u);
       sec.payload[12] = '2';
     }
-    old.write(gen.progress, exec::encode_snapshot_envelope(sections));
+    std::string envelope;
+    exec::encode_snapshot_envelope(sections, envelope);
+    old.write(gen.progress, envelope);
   }
 
   auto resume = cfg;

@@ -246,11 +246,12 @@ TEST_F(UtilFsTest, ReadLogDropsTornRecordsOnly) {
 
 TEST_F(UtilFsTest, SealRoundTripsAndRejectsDamage) {
   const std::string payload = "p2 0.5 17 1.25\n";
-  std::ostringstream os;
-  util::seal(os, "p2csum", payload);
-  const std::string sealed = os.str();
-  EXPECT_EQ(sealed, payload + "p2csum " +
+  // The seal covers the bytes after its offset only.
+  std::string sealed = "head\n" + payload;
+  util::seal(sealed, 5, "p2csum");
+  EXPECT_EQ(sealed, "head\n" + payload + "p2csum " +
                         std::to_string(util::fnv1a_64(payload)) + "\n");
+  sealed.erase(0, 5);
   const std::string seal_line = sealed.substr(payload.size());
   {
     util::Fields f(seal_line);
